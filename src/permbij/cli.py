@@ -8,7 +8,6 @@ from typing import Sequence
 
 from . import grid, maps, rsk
 from .perm import (
-    ENUMERATION_CAP,
     complement,
     enumerate_avoiders,
     excedances,
@@ -137,15 +136,7 @@ def _run_verify(args) -> int:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
         if not checks:
             raise ValueError("--checks given but no check names found")
-    cap = ENUMERATION_CAP
-    if args.n_max > ENUMERATION_CAP:
-        cap = args.n_max
-        print(
-            f"warning: n={args.n_max} enumerates {args.n_max}! words per class; "
-            "expect a long run",
-            file=sys.stderr,
-        )
-    reports = run_suite(args.n_min, args.n_max, checks, cap=cap)
+    reports = run_suite(args.n_min, args.n_max, checks)
     for report in reports:
         print(report.json_line() if args.format == "json" else report.text_line())
     return 0 if all(report.passed for report in reports) else 1

@@ -8,14 +8,23 @@ is available through four routes: the full tableau/lattice-path pipeline
 (theta_rsk), the corner template (theta_corners), a slide-and-flip of the
 rc-template (theta_slide_flip), and transport of the rewriting map through
 the half-turn (theta_via_gamma).  All routes agree point for point; the
-verification suite holds them against each other exhaustively.
+verification suite holds them against each other exhaustively.  Every route
+first checks that its input is a permutation (require_permutation), so all
+six reject the same bad words with the same ValueError.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from . import grid, rsk
-from .perm import Perm, avoids, bar, inverse_reverse_complement, smallest_132
+from .perm import (
+    Perm,
+    avoids,
+    bar,
+    inverse_reverse_complement,
+    require_permutation,
+    smallest_132,
+)
 
 
 def _rewrite_smallest_132(word: list[int]) -> bool:
@@ -38,6 +47,7 @@ def gamma_iterative(perm: Sequence[int]) -> Perm:
     >>> gamma_iterative((1, 4, 2, 3, 7, 5, 8, 6))
     (7, 8, 6, 4, 3, 5, 2, 1)
     """
+    require_permutation(perm)
     if not avoids(perm, "321"):
         raise ValueError("permutation contains a 321-pattern")
     word = list(perm)
@@ -50,10 +60,11 @@ def gamma_iterative(perm: Sequence[int]) -> Perm:
 
 def gamma_template(perm: Sequence[int]) -> Perm:
     """One-shot route: realize the diagonal redrawing of the nested template."""
+    require_permutation(perm)
     return grid.realize(grid.diagonal_template(perm))
 
 
-#: canonical rewriting-map route (cheapest)
+#: the rewriting map's default route: the one-shot template realization
 gamma = gamma_template
 
 
@@ -70,10 +81,12 @@ def theta_template(perm: Sequence[int]) -> grid.Template:
 
 def theta_corners(perm: Sequence[int]) -> Perm:
     """Corner route: realize the rcl-corner template."""
+    require_permutation(perm)
     return grid.realize(theta_template(perm))
 
 
-#: canonical tableau-map route (cheapest)
+#: the tableau map's default route: the corner template realization (the
+#: tableau route theta_rsk is faster at large n)
 theta = theta_corners
 
 
@@ -94,6 +107,7 @@ def slide_flip_template(perm: Sequence[int]) -> grid.Template:
 
 def theta_slide_flip(perm: Sequence[int]) -> Perm:
     """Slide-and-flip route: realize the slid and flipped rc-template."""
+    require_permutation(perm)
     return grid.realize(slide_flip_template(perm))
 
 
@@ -105,6 +119,7 @@ def theta_rsk(perm: Sequence[int]) -> Perm:
     >>> theta_rsk((1, 4, 2, 3, 7, 5, 8, 6))
     (7, 5, 4, 2, 3, 1, 6, 8)
     """
+    require_permutation(perm)
     insertion, recording = rsk.rsk_tableaux(perm)
     word = rsk.dyck_from_tableaux(insertion, recording)
     return grid.realize(rsk.template_from_dyck(word, len(perm)))
@@ -112,4 +127,5 @@ def theta_rsk(perm: Sequence[int]) -> Perm:
 
 def theta_via_gamma(perm: Sequence[int]) -> Perm:
     """Transport route: the rewriting map after inverse-reverse-complement."""
+    require_permutation(perm)
     return gamma_iterative(inverse_reverse_complement(perm))

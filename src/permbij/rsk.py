@@ -166,6 +166,7 @@ def second_half_from_top_right(rec: TwoRowTableau, n: int) -> tuple[str, ...]:
     Edge for edge, this retraces the reversed-and-interchanged half that
     dyck_from_tableaux() appends.
     """
-    assert n == rec.size, "n must match the tableau size"
+    if n != rec.size:
+        raise ValueError(f"n={n} does not match the tableau size {rec.size}")
     first_row = set(rec.row1)
     return tuple("left" if i in first_row else "down" for i in range(1, n + 1))

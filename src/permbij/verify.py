@@ -25,7 +25,6 @@ from .perm import (
     excedances,
     fixed_points,
     inverse,
-    inverse_reverse_complement,
     reverse_complement,
 )
 
@@ -33,16 +32,9 @@ from .perm import (
 FAILURE_LIMIT = 20
 
 
-def _class(n: int, pattern: str):
-    # run_suite has already validated n against its own cap
-    return enumerate_avoiders(n, pattern, cap=max(n, ENUMERATION_CAP))
-
-
 def _jsonable(value):
     if isinstance(value, grid.Template):
         return sorted([r, c] for r, c in value.shaded)
-    if isinstance(value, frozenset):
-        return sorted(_jsonable(v) for v in value)
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     return value
@@ -99,12 +91,15 @@ class CheckReport:
         )
 
 
-def _sweep(map_pairs) -> Callable[[int], Iterator[dict]]:
-    """Per-permutation check comparing expected(p) against actual(p)."""
+def _sweep(*pairs) -> Callable[[int], Iterator[dict]]:
+    """
+    Per-permutation check: for every p in S_n(321) and every
+    (expected_fn, actual_fn) pair in turn, report p when the two differ.
+    """
 
     def run(n: int) -> Iterator[dict]:
-        for p in _class(n, "321"):
-            for expected_fn, actual_fn in map_pairs:
+        for p in enumerate_avoiders(n, "321"):
+            for expected_fn, actual_fn in pairs:
                 expected = expected_fn(p)
                 actual = actual_fn(p)
                 if expected != actual:
@@ -113,26 +108,12 @@ def _sweep(map_pairs) -> Callable[[int], Iterator[dict]]:
     return run
 
 
-def _check_fact2(n: int) -> Iterator[dict]:
-    for p in _class(n, "321"):
-        got = grid.realize(grid.nested_template(p))
-        if got != p:
-            yield _failure(p, p, got)
+def _itself(p: Perm) -> Perm:
+    return p
 
 
-def _check_rc_template(n: int) -> Iterator[dict]:
-    for p in _class(n, "321"):
-        got = grid.rc_realize(grid.rc_template(p))
-        if got != p:
-            yield _failure(p, p, got)
-
-
-def _check_bar_reflection(n: int) -> Iterator[dict]:
-    for p in _class(n, "321"):
-        direct = grid.rc_template(p)
-        reflected = grid.bar_reflect(grid.nested_template(reverse_complement(p)))
-        if direct.shaded != reflected.shaded:
-            yield _failure(p, reflected, direct)
+def _reflected_nested_template(p: Perm) -> grid.Template:
+    return grid.bar_reflect(grid.nested_template(reverse_complement(p)))
 
 
 def _dyck_template(p: Perm) -> grid.Template:
@@ -140,50 +121,41 @@ def _dyck_template(p: Perm) -> grid.Template:
     return rsk.template_from_dyck(rsk.dyck_from_tableaux(ins, rec), len(p))
 
 
-def _check_lemma1(n: int) -> Iterator[dict]:
-    # The path template must decompose into diagonal inverted L's whose leg
+def _second_row_legs(p: Perm) -> grid.Template:
+    # Lemma 1: the path template is made of diagonal inverted L's whose leg
     # lengths are the bar-reflected tableau second rows.
-    for p in _class(n, "321"):
-        ins, rec = rsk.rsk_tableaux(p)
-        legs = [(bar(a, n), bar(b, n)) for a, b in zip(ins.row2, rec.row2)]
-        rebuilt = grid.diagonal_ls(n, legs)
-        walked = _dyck_template(p)
-        if rebuilt.shaded != walked.shaded:
-            yield _failure(p, rebuilt, walked)
+    n = len(p)
+    ins, rec = rsk.rsk_tableaux(p)
+    return grid.diagonal_ls(n, [(bar(a, n), bar(b, n)) for a, b in zip(ins.row2, rec.row2)])
 
 
-def _check_lemma3(n: int) -> Iterator[dict]:
-    # Tableau second rows must read off the rcl-corner values and positions.
-    for p in _class(n, "321"):
-        ins, rec = rsk.rsk_tableaux(p)
-        corners = grid.rcl_corners(p)
-        expected = (tuple(v for v, _ in corners), tuple(q for _, q in corners))
-        actual = (ins.row2, rec.row2)
-        if expected != actual:
-            yield _failure(p, expected, actual)
+def _corner_rows(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Lemma 3: the tableau second rows read off the rcl-corner values and positions.
+    corners = grid.rcl_corners(p)
+    return tuple(v for v, _ in corners), tuple(q for _, q in corners)
 
 
-def _check_theorem1_route(n: int) -> Iterator[dict]:
-    for p in _class(n, "321"):
-        corner = maps.theta_template(p)
-        walked = _dyck_template(p)
-        if corner.shaded != walked.shaded:
-            yield _failure(p, walked, corner)
+def _second_rows(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    ins, rec = rsk.rsk_tableaux(p)
+    return ins.row2, rec.row2
 
 
-def _check_theorem2_route(n: int) -> Iterator[dict]:
-    for p in _class(n, "321"):
-        slid = maps.slide_flip_template(p)
-        walked = _dyck_template(p)
-        if slid.shaded != walked.shaded:
-            yield _failure(p, walked, slid)
+def _preserves(stat) -> Callable[[int], Iterator[dict]]:
+    return _sweep(
+        (stat, lambda p: stat(maps.gamma(p))),
+        (stat, lambda p: stat(maps.theta(p))),
+    )
+
+
+def _commutes_with_inverse(map_fn) -> Callable[[int], Iterator[dict]]:
+    return _sweep((lambda p: inverse(map_fn(p)), lambda p: map_fn(inverse(p))))
 
 
 def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
     def run(n: int) -> Iterator[dict]:
-        targets = set(_class(n, "132"))
+        targets = set(enumerate_avoiders(n, "132"))
         image: dict[Perm, Perm] = {}
-        for p in _class(n, "321"):
+        for p in enumerate_avoiders(n, "321"):
             q = map_fn(p)
             if q in image:
                 yield _failure(p, "a fresh image", {"collides_with": _jsonable(image[q])})
@@ -196,66 +168,38 @@ def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
     return run
 
 
-def _check_statistic(stat) -> Callable[[int], Iterator[dict]]:
-    def run(n: int) -> Iterator[dict]:
-        for p in _class(n, "321"):
-            want = stat(p)
-            for route in (maps.gamma, maps.theta):
-                got = stat(route(p))
-                if got != want:
-                    yield _failure(p, want, got)
-
-    return run
-
-
-def _check_inverse_commute(map_fn) -> Callable[[int], Iterator[dict]]:
-    def run(n: int) -> Iterator[dict]:
-        for p in _class(n, "321"):
-            expected = inverse(map_fn(p))
-            actual = map_fn(inverse(p))
-            if expected != actual:
-                yield _failure(p, expected, actual)
-
-    return run
-
-
 def _check_catalan_counts(n: int) -> Iterator[dict]:
     want = catalan(n)
     for pattern in ("321", "132"):
-        count = sum(1 for _ in _class(n, pattern))
+        count = sum(1 for _ in enumerate_avoiders(n, pattern))
         if count != want:
             yield _failure(pattern, want, count)
 
 
-#: every check, keyed by its public name
+#: every check, keyed by its public name; per-permutation checks are
+#: (expected, actual) rows of _sweep
 CHECKS: dict[str, Callable[[int], Iterator[dict]]] = {
-    "fact2": _check_fact2,
-    "fact3-route-agreement": _sweep([(maps.gamma_iterative, maps.gamma_template)]),
-    "lemma1": _check_lemma1,
-    "lemma3": _check_lemma3,
-    "theorem1-route": _check_theorem1_route,
-    "theorem2-route": _check_theorem2_route,
-    "theorem3": _sweep(
-        [(lambda p: maps.gamma_iterative(inverse_reverse_complement(p)), maps.theta_rsk)]
-    ),
+    "fact2": _sweep((_itself, lambda p: grid.realize(grid.nested_template(p)))),
+    "rc-template": _sweep((_itself, lambda p: grid.rc_realize(grid.rc_template(p)))),
+    "bar-reflection": _sweep((_reflected_nested_template, lambda p: grid.rc_template(p))),
+    "lemma1": _sweep((_second_row_legs, _dyck_template)),
+    "lemma3": _sweep((_corner_rows, _second_rows)),
+    "theorem1-route": _sweep((_dyck_template, lambda p: maps.theta_template(p))),
+    "theorem2-route": _sweep((_dyck_template, lambda p: maps.slide_flip_template(p))),
+    "theorem3": _sweep((maps.theta_via_gamma, maps.theta_rsk)),
+    "fact3-route-agreement": _sweep((maps.gamma_iterative, maps.gamma_template)),
+    "fixed-points": _preserves(fixed_points),
+    "excedances": _preserves(excedances),
+    "inverse-commute-gamma": _commutes_with_inverse(maps.gamma),
+    "inverse-commute-theta": _commutes_with_inverse(maps.theta),
     "bijectivity-gamma": _check_bijectivity(maps.gamma),
     "bijectivity-theta": _check_bijectivity(maps.theta),
-    "fixed-points": _check_statistic(fixed_points),
-    "excedances": _check_statistic(excedances),
-    "inverse-commute-gamma": _check_inverse_commute(maps.gamma),
-    "inverse-commute-theta": _check_inverse_commute(maps.theta),
     "catalan-counts": _check_catalan_counts,
-    "rc-template": _check_rc_template,
-    "bar-reflection": _check_bar_reflection,
 }
 
 
 def run_suite(
-    n_min: int,
-    n_max: int,
-    checks: Sequence[str] | None = None,
-    cap: int = ENUMERATION_CAP,
-    failure_limit: int = FAILURE_LIMIT,
+    n_min: int, n_max: int, checks: Sequence[str] | None = None
 ) -> list[CheckReport]:
     """
     Run the named checks (default: all) for every n in n_min..n_max and
@@ -269,8 +213,8 @@ def run_suite(
             known = ", ".join(sorted(CHECKS))
             raise ValueError(f"unknown checks {unknown}; known checks: {known}")
         names = sorted(set(checks))
-    if not 1 <= n_min <= n_max <= cap:
-        raise ValueError(f"n range {n_min}..{n_max} outside 1..{cap}")
+    if not 1 <= n_min <= n_max <= ENUMERATION_CAP:
+        raise ValueError(f"n range {n_min}..{n_max} outside 1..{ENUMERATION_CAP}")
     reports = []
     for name in names:
         for n in range(n_min, n_max + 1):
@@ -278,7 +222,7 @@ def run_suite(
             failures = []
             for failure in CHECKS[name](n):
                 failures.append(failure)
-                if len(failures) >= failure_limit:
+                if len(failures) >= FAILURE_LIMIT:
                     break
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             reports.append(
@@ -323,14 +267,13 @@ class StatTable:
         return cls(n=record["n"], pattern=record["class"], rows=rows)
 
 
-def stats_table(n: int, pattern: str, cap: int = ENUMERATION_CAP) -> StatTable:
+def stats_table(n: int, pattern: str) -> StatTable:
     """
     Tabulate (fixed points, excedances) over S_n(pattern).  The tables of
     the two classes coincide at every n; counts always sum to catalan(n).
     """
-    counts = Counter(
-        (fixed_points(p), excedances(p)) for p in enumerate_avoiders(n, pattern, cap)
-    )
+    counts = Counter((fixed_points(p), excedances(p)) for p in enumerate_avoiders(n, pattern))
     table = StatTable(n, pattern, dict(sorted(counts.items())))
-    assert table.total == catalan(n), "class total is off; enumeration is broken"
+    if table.total != catalan(n):
+        raise RuntimeError(f"class total {table.total} is not catalan({n}); enumeration is broken")
     return table

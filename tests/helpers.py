@@ -12,6 +12,11 @@ def all_words(n):
     return itertools.permutations(range(1, n + 1))
 
 
+def avoiders_by_filter(n, pattern):
+    """S_n(pattern) in lexicographic order, by filtering all n! words."""
+    return [w for w in all_words(n) if not contains_by_triples(w, pattern)]
+
+
 def contains_by_triples(word, pattern):
     """Literal scan of all position triples."""
     for i, j, k in itertools.combinations(range(len(word)), 3):

@@ -206,18 +206,20 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.startswith("FAIL fact2 n=1")
 
 
-def test_verify_above_default_cap_warns(capsys, monkeypatch):
-    # n-max beyond the default cap raises the cap and warns; stub the check
-    # so the test does not enumerate S_11
-    from permbij.verify import CHECKS
-
-    monkeypatch.setitem(CHECKS, "catalan-counts", lambda n: iter(()))
+def test_verify_n11_runs_without_warning(capsys):
     status, out, err = run(
         capsys, "verify", "--n-min", "11", "--n-max", "11", "--checks", "catalan-counts"
     )
     assert status == 0
-    assert "warning" in err
+    assert err == ""
     assert out == "PASS catalan-counts n=11 cases=58786 failures=0\n"
+
+
+def test_verify_over_cap_exits_2(capsys):
+    status, out, err = run(capsys, "verify", "--n-max", "13", "--checks", "fact2")
+    assert status == 2
+    assert out == ""
+    assert "outside 1..12" in err
 
 
 # --------------------------------------------------------------------- stats
@@ -250,7 +252,7 @@ def test_stats_json(capsys):
 
 
 def test_stats_out_of_range_exits_2(capsys):
-    status, _, err = run(capsys, "stats", "--n", "11", "--class", "321")
+    status, _, err = run(capsys, "stats", "--n", "13", "--class", "321")
     assert status == 2
     assert "error:" in err
 
@@ -270,7 +272,7 @@ def test_enumerate_compact(capsys):
 
 
 def test_enumerate_over_cap_exits_2(capsys):
-    status, _, err = run(capsys, "enumerate", "--n", "11", "--avoid", "321")
+    status, _, err = run(capsys, "enumerate", "--n", "13", "--avoid", "321")
     assert status == 2
     assert "outside" in err
 

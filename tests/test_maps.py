@@ -29,6 +29,7 @@ GOLDEN_GAMMA = (7, 8, 6, 4, 3, 5, 2, 1)
 GOLDEN_THETA = (7, 5, 4, 2, 3, 1, 6, 8)
 
 ALL_THETA_ROUTES = (theta_rsk, theta_corners, theta_slide_flip, theta_via_gamma)
+ALL_ROUTES = (gamma_iterative, gamma_template, *ALL_THETA_ROUTES)
 
 
 # ------------------------------------------------------------ the rewriting map
@@ -105,16 +106,19 @@ def test_theta_template_golden_row_widths():
 
 # ------------------------------------------------------------------ contracts
 
-@pytest.mark.parametrize(
-    "route",
-    [gamma_iterative, gamma_template, theta_rsk, theta_corners,
-     theta_slide_flip, theta_via_gamma],
-)
+@pytest.mark.parametrize("route", ALL_ROUTES)
 def test_routes_reject_321_containing_input(route):
     with pytest.raises(ValueError, match="321"):
         route((3, 2, 1))
     with pytest.raises(ValueError, match="321"):
         route((2, 5, 4, 1, 3))
+
+
+@pytest.mark.parametrize("word", [(1, 1), (2, 3), (0, 1), ()], ids=str)
+@pytest.mark.parametrize("route", ALL_ROUTES)
+def test_routes_reject_non_permutations(route, word):
+    with pytest.raises(ValueError, match="not a permutation"):
+        route(word)
 
 
 def test_canonical_aliases():

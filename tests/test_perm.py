@@ -241,11 +241,23 @@ def test_enumerate_is_lexicographic_and_counted_by_catalan():
             assert all(avoids(p, pattern) for p in members)
 
 
+@pytest.mark.parametrize("pattern", ["321", "132"])
+def test_enumerate_matches_the_factorial_filter(pattern):
+    for n in range(1, 10):
+        assert list(enumerate_avoiders(n, pattern)) == helpers.avoiders_by_filter(n, pattern)
+
+
+def test_enumerate_counts_are_catalan_up_to_the_bound():
+    for n in range(1, 13):
+        for pattern in ("321", "132"):
+            assert sum(1 for _ in enumerate_avoiders(n, pattern)) == catalan(n)
+
+
 def test_enumerate_cap():
-    with pytest.raises(ValueError, match="outside 1..10"):
-        next(enumerate_avoiders(11, "321"))
-    with pytest.raises(ValueError, match="outside"):
-        next(enumerate_avoiders(3, "321", cap=2))
+    with pytest.raises(ValueError, match="outside 1..12"):
+        next(enumerate_avoiders(13, "321"))
+    with pytest.raises(ValueError, match="outside 1..12"):
+        next(enumerate_avoiders(0, "132"))
     with pytest.raises(ValueError, match="unknown pattern"):
         next(enumerate_avoiders(3, "231"))
 

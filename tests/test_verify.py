@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,11 +80,8 @@ def test_run_suite_rejects_unknown_checks_and_bad_ranges():
         run_suite(0, 3)
     with pytest.raises(ValueError, match="outside"):
         run_suite(3, 2)
-    with pytest.raises(ValueError, match="outside"):
-        run_suite(1, 11)
-    # a raised cap admits larger n ranges (validation only; not executed here)
-    with pytest.raises(ValueError, match="outside"):
-        run_suite(1, 11, ["catalan-counts"], cap=10)
+    with pytest.raises(ValueError, match="outside 1..12"):
+        run_suite(1, 13)
 
 
 def test_failures_are_capped(monkeypatch):
@@ -138,7 +138,7 @@ def test_stats_table_total_is_catalan():
 
 def test_stats_table_rejects_out_of_range_n():
     with pytest.raises(ValueError, match="outside"):
-        stats_table(11, "321")
+        stats_table(13, "321")
 
 
 def test_stat_table_json_round_trip():
@@ -147,3 +147,28 @@ def test_stat_table_json_round_trip():
     record = json.loads(table.json_line())
     assert record["class"] == "132"
     assert record["total"] == catalan(5)
+
+
+def test_guards_hold_under_python_O():
+    # -O strips asserts; both guards must raise regardless
+    script = """
+import permbij.rsk as rsk, permbij.verify as verify
+try:
+    rsk.second_half_from_top_right(rsk.TwoRowTableau((1, 2)), 5)
+except ValueError:
+    print("rsk guard")
+verify.enumerate_avoiders = lambda n, pattern: iter([(1, 2, 3)])
+try:
+    verify.stats_table(3, "321")
+except RuntimeError:
+    print("stats guard")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split("\n") == ["rsk guard", "stats guard", ""]
