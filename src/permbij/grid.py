@@ -122,20 +122,32 @@ def l_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
     if not avoids(perm, "321"):
         raise ValueError("permutation contains a 321-pattern")
     n = len(perm)
+    # after[x] is the least value right of position x
+    after = [0] * n
+    least = n + 1
+    for x in range(n - 1, -1, -1):
+        after[x] = least
+        least = min(least, perm[x])
     corners: list[tuple[int, int]] = []
     two_cap = one_cap = n + 1
     while True:
-        pairs = [
-            (x, y)
-            for x in range(n)
-            for y in range(x + 1, n)
-            if perm[y] < perm[x] and perm[x] < two_cap and perm[y] < one_cap
-        ]
-        if not pairs:
+        # x is a 2 under the caps iff some later value lies below both
+        # perm[x] and one_cap; y is a 1 iff some earlier value below
+        # two_cap (the capped prefix maximum) lies above perm[y].  O(n).
+        two_val = one_val = two_pos = 0
+        before = 0
+        for x, v in enumerate(perm):
+            if v < two_cap:
+                if after[x] < v and after[x] < one_cap and v > two_val:
+                    two_val, two_pos = v, x + 1
+                if v > before:
+                    before = v
+                    continue
+            if v < one_cap and before > v and v > one_val:
+                one_val = v
+        if not two_val:
             return corners
-        two_val = max(perm[x] for x, _ in pairs)
-        one_val = max(perm[y] for _, y in pairs)
-        corners.append((perm.index(two_val) + 1, one_val))
+        corners.append((two_pos, one_val))
         two_cap, one_cap = two_val, one_val
 
 

@@ -184,55 +184,79 @@ def avoids(perm: Sequence[int], pattern: str) -> bool:
 
 
 def _contains_321(word: Sequence[int]) -> bool:
-    # plain triple scan, short-circuiting on the first witness
-    n = len(word)
-    for i in range(n - 2):
-        a = word[i]
-        for j in range(i + 1, n - 1):
-            b = word[j]
-            if b >= a:
-                continue
-            for k in range(j + 1, n):
-                if word[k] < b:
-                    return True
+    # A 321 exists iff the entries that lie below some earlier entry (the
+    # ones that are not left-to-right maxima) fail to increase: the first
+    # of a decreasing pair of them is the 2 of a 321.  One pass, O(n).
+    top = low = -math.inf
+    for v in word:
+        if v > top:
+            top = v
+        elif v < top:
+            if v < low:
+                return True
+            low = v
     return False
 
 
 def _contains_132(word: Sequence[int]) -> bool:
-    # plain triple scan, short-circuiting on the first witness
-    n = len(word)
-    for i in range(n - 2):
-        a = word[i]
-        for j in range(i + 1, n - 1):
-            b = word[j]
-            if b <= a:
-                continue
-            for k in range(j + 1, n):
-                if a < word[k] < b:
-                    return True
+    # Right to left, ``two`` is the largest value seen so far with a larger
+    # value between it and the current position (popped off the stack of
+    # values not yet so covered); a value below ``two`` starts a 132.  O(n).
+    stack: list[int] = []
+    two = -math.inf
+    for v in reversed(word):
+        if v < two:
+            return True
+        while stack and stack[-1] < v:
+            two = stack.pop()
+        stack.append(v)
     return False
 
 
 def smallest_132(perm: Sequence[int]) -> tuple[int, int, int] | None:
     """
     The lexicographically least position triple (i, j, k), 1-based, forming
-    a 132-pattern, or None when the word avoids 132.  Triples are scanned
-    in lexicographic order, so the first hit is the minimum.
+    a 132-pattern, or None when the word avoids 132.  Three linear passes:
+    the least i, then the least j for that i, then the least k for both.
 
     >>> smallest_132((1, 4, 2, 3, 7, 5, 8, 6))
     (1, 2, 3)
     >>> smallest_132((1, 2, 3)) is None
     True
     """
+    # Right to left as in _contains_132, keeping the last (leftmost) start.
+    # A start is not pushed: its value lies below ``two``, so it can neither
+    # raise ``two`` as a 2 nor as a 3, and every stacked value stays >= two.
     n = len(perm)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            if perm[j] <= perm[i]:
-                continue
-            for k in range(j + 1, n):
-                if perm[i] < perm[k] < perm[j]:
-                    return (i + 1, j + 1, k + 1)
-    return None
+    stack: list[int] = []
+    two = -math.inf
+    i = -1
+    for pos in range(n - 1, -1, -1):
+        v = perm[pos]
+        if v < two:
+            i = pos
+            continue
+        while stack and stack[-1] < v:
+            two = stack.pop()
+        stack.append(v)
+    if i < 0:
+        return None
+    # j works iff it exceeds the least value above perm[i] to its right.
+    a = perm[i]
+    low = math.inf
+    j = -1
+    for pos in range(n - 1, i, -1):
+        v = perm[pos]
+        if v > a:
+            if v > low:
+                j = pos
+            else:
+                low = v
+    b = perm[j]
+    for k in range(j + 1, n):
+        if a < perm[k] < b:
+            return (i + 1, j + 1, k + 1)
+    raise RuntimeError("smallest_132 lost its witness; this is a bug")
 
 
 def fixed_points(perm: Sequence[int]) -> int:
@@ -251,7 +275,7 @@ def two_one_classify(perm: Sequence[int]) -> tuple[frozenset[int], frozenset[int
     position i is a "2" when some later value is smaller, and a "1" when
     some earlier value is larger.  No position plays both roles (that would
     make a 321-pattern) and the values along each class increase left to
-    right; both facts are asserted.
+    right; both facts are checked, and a breach raises RuntimeError.
 
     >>> two, one = two_one_classify((2, 1))
     >>> (sorted(two), sorted(one))
@@ -266,10 +290,12 @@ def two_one_classify(perm: Sequence[int]) -> tuple[frozenset[int], frozenset[int
     ones = frozenset(
         j + 1 for j in range(n) if any(perm[i] > perm[j] for i in range(j))
     )
-    assert not (twos & ones), "a position acted as both a 2 and a 1"
+    if twos & ones:
+        raise RuntimeError("a position acted as both a 2 and a 1")
     for positions in (twos, ones):
         values = [perm[p - 1] for p in sorted(positions)]
-        assert values == sorted(values), "class values are not increasing"
+        if values != sorted(values):
+            raise RuntimeError("class values are not increasing")
     return twos, ones
 
 

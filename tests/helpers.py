@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles (literal triple
 scans, polygon membership, recursive generation) so that a library bug
-cannot hide behind shared code.
+cannot hide behind shared code.  The uniform sampler of S_n(321) at the
+end feeds the large-n checks, and likewise uses nothing from the library.
 """
 import itertools
 
@@ -25,6 +26,21 @@ def contains_by_triples(word, pattern):
             return True
         if pattern == "132" and b > c > a:
             return True
+    return False
+
+
+def contains_132_by_pairs(word):
+    """
+    Every pair j < k with word[j] > word[k], held against the least value
+    left of j: quadratic, for words too long for the triple scan.
+    """
+    least = float("inf")
+    for j, b in enumerate(word):
+        if least < b:
+            for c in word[j + 1 :]:
+                if least < c < b:
+                    return True
+        least = min(least, b)
     return False
 
 
@@ -111,3 +127,65 @@ def rcl_corners_by_smallest_rule(perm):
         one_val = min(perm[y] for _, y in pairs)
         corners.append((two_val, perm.index(one_val) + 1))
         two_floor, one_floor = two_val, one_val
+
+
+def l_corners_by_pair_scan(perm):
+    """
+    Corner pairs (position, value) grown from above, rescanning every
+    21-pair for each corner: the largest 2-value and the largest 1-value
+    among pairs whose members lie below the previous corner's two values.
+    """
+    n = len(perm)
+    corners = []
+    two_cap = one_cap = n + 1
+    while True:
+        pairs = [
+            (x, y)
+            for x in range(n)
+            for y in range(x + 1, n)
+            if perm[y] < perm[x] and perm[x] < two_cap and perm[y] < one_cap
+        ]
+        if not pairs:
+            return corners
+        two_val = max(perm[x] for x, _ in pairs)
+        one_val = max(perm[y] for _, y in pairs)
+        corners.append((perm.index(two_val) + 1, one_val))
+        two_cap, one_cap = two_val, one_val
+
+
+def uniform_321_avoider(n, rng):
+    """
+    A uniformly random member of S_n(321), drawn with ``rng`` (a
+    ``random.Random``) through the RSK correspondence, which pairs S_n(321)
+    with the Dyck words of length 2n:
+
+    1. Cycle lemma: exactly one of the 2n + 1 rotations of a shuffle of n
+       up-steps and n + 1 down-steps is a Dyck word followed by a
+       down-step; it starts just after the first lowest point of the walk.
+    2. The Dyck word's first half, as a ballot sequence (value t in the top
+       row iff step t rises), is the insertion tableau; its second half,
+       reversed with the steps swapped, is the recording tableau.  Both
+       have the same two-row shape.
+    3. Two-row insertion is undone from the largest recorded value down.
+    """
+    steps = [1] * n + [-1] * (n + 1)
+    rng.shuffle(steps)
+    heights = list(itertools.accumulate(steps))
+    cut = heights.index(min(heights)) + 1
+    dyck = (steps[cut:] + steps[:cut])[:-1]
+    first = dyck[:n]
+    second = [-s for s in reversed(dyck[n:])]
+    top = [t for t, s in enumerate(first, start=1) if s > 0]
+    bottom = [t for t, s in enumerate(first, start=1) if s < 0]
+    recorded_below = {t for t, s in enumerate(second, start=1) if s < 0}
+    word = [0] * n
+    for t in range(n, 0, -1):
+        if t in recorded_below:
+            x = bottom.pop()
+            # x was bumped out of the top row by the value it now replaces:
+            # the largest top-row entry below x
+            spot = max(r for r, y in enumerate(top) if y < x)
+            word[t - 1], top[spot] = top[spot], x
+        else:
+            word[t - 1] = top.pop()
+    return tuple(word)

@@ -146,6 +146,12 @@ def test_l_corners_strictly_decrease_in_both_coordinates():
             assert len(set(values)) == len(values)
 
 
+def test_l_corners_match_pair_scan():
+    for n in range(1, 10):
+        for p in enumerate_avoiders(n, "321"):
+            assert l_corners(p) == helpers.l_corners_by_pair_scan(p)
+
+
 def test_rcl_corners_golden():
     assert rcl_corners(GOLDEN) == [(4, 3), (7, 6), (8, 8)]
 

@@ -1,0 +1,82 @@
+"""
+Seeded cross-checks at sizes the exhaustive sweeps cannot reach.
+
+Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
+shares no code with the library.  Each input is held to route agreement,
+to the half-turn identity between the two maps, to 132-avoidance of the
+images (by an oracle), and to the Elizalde-Pak properties: fixed points
+and excedances preserved, and commuting with inverse.
+"""
+import collections
+import random
+
+import pytest
+
+from permbij.maps import (
+    gamma,
+    gamma_iterative,
+    gamma_template,
+    theta,
+    theta_corners,
+    theta_rsk,
+    theta_slide_flip,
+    theta_via_gamma,
+)
+from permbij.perm import (
+    excedances,
+    fixed_points,
+    inverse,
+    inverse_reverse_complement,
+    is_permutation,
+)
+
+import helpers
+
+SIZES = (100, 400)
+SEEDS = (1, 2, 3)
+
+
+def test_sampler_is_uniform_on_a_small_class():
+    rng = random.Random(0)
+    members = helpers.avoiders_by_filter(5, "321")
+    counts = collections.Counter(
+        helpers.uniform_321_avoider(5, rng) for _ in range(100 * len(members))
+    )
+    assert set(counts) == set(members)
+    # 100 expected per member; a count outside 60..140 is four standard
+    # deviations out
+    assert 60 <= min(counts.values()) and max(counts.values()) <= 140
+
+
+def test_pair_oracle_matches_the_triple_scan():
+    for n in range(1, 8):
+        for word in helpers.all_words(n):
+            assert helpers.contains_132_by_pairs(word) == helpers.contains_by_triples(
+                word, "132"
+            )
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_routes_and_properties_at_large_n(n, seed):
+    sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
+    assert is_permutation(sigma)
+
+    thetas = [
+        route(sigma)
+        for route in (theta_corners, theta_rsk, theta_slide_flip, theta_via_gamma)
+    ]
+    assert thetas.count(thetas[0]) == len(thetas)
+    image_gamma = gamma_template(sigma)
+    assert image_gamma == theta_rsk(inverse_reverse_complement(sigma))
+    if n <= 100:
+        assert gamma_iterative(sigma) == image_gamma
+
+    for image in (image_gamma, thetas[0]):
+        assert is_permutation(image)
+        assert not helpers.contains_132_by_pairs(image)
+        assert fixed_points(image) == fixed_points(sigma)
+        assert excedances(image) == excedances(sigma)
+
+    for route in (gamma, theta):
+        assert route(inverse(sigma)) == inverse(route(sigma))

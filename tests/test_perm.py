@@ -209,7 +209,7 @@ def test_two_one_classify_rejects_321():
 
 
 def test_two_one_classes_disjoint_and_increasing():
-    # the asserts inside two_one_classify enforce both facts; drive them
+    # the checks inside two_one_classify enforce both facts; drive them
     # over the whole class
     for n in range(1, 9):
         for p in enumerate_avoiders(n, "321"):

@@ -150,9 +150,9 @@ def test_stat_table_json_round_trip():
 
 
 def test_guards_hold_under_python_O():
-    # -O strips asserts; both guards must raise regardless
+    # -O strips asserts; every guard must raise regardless
     script = """
-import permbij.rsk as rsk, permbij.verify as verify
+import permbij.perm as perm, permbij.rsk as rsk, permbij.verify as verify
 try:
     rsk.second_half_from_top_right(rsk.TwoRowTableau((1, 2)), 5)
 except ValueError:
@@ -162,6 +162,11 @@ try:
     verify.stats_table(3, "321")
 except RuntimeError:
     print("stats guard")
+perm.avoids = lambda word, pattern: True
+try:
+    perm.two_one_classify((3, 2, 1))
+except RuntimeError:
+    print("two-one guard")
 """
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
@@ -171,4 +176,4 @@ except RuntimeError:
         text=True,
         check=True,
     )
-    assert result.stdout.split("\n") == ["rsk guard", "stats guard", ""]
+    assert result.stdout.split("\n") == ["rsk guard", "stats guard", "two-one guard", ""]
