@@ -22,9 +22,9 @@ from .perm import (
 from .verify import CHECKS, run_suite, stats_table
 
 _MAPS = {
-    "gamma": maps.gamma_template,
+    "gamma": maps.gamma,
     "gamma-iterative": maps.gamma_iterative,
-    "theta": maps.theta_corners,
+    "theta": maps.theta,
     "theta-rsk": maps.theta_rsk,
     "theta-slide-flip": maps.theta_slide_flip,
     "theta-via-gamma": maps.theta_via_gamma,

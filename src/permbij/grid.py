@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import Perm, avoids, bar, reverse_complement
+from .perm import Perm, avoids, bar, require_permutation, reverse_complement
 
 Square = tuple[int, int]
 
@@ -101,11 +101,6 @@ def bar_reflect(template: Template) -> Template:
     return Template(n, frozenset((bar(r, n), bar(c, n)) for r, c in template.shaded))
 
 
-def transpose(template: Template) -> Template:
-    """Flip the shading across the main diagonal: (i, j) -> (j, i)."""
-    return Template(template.n, frozenset((c, r) for r, c in template.shaded))
-
-
 def l_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
     """
     The (position, value) corner pairs of a 321-avoider, in generation
@@ -116,9 +111,17 @@ def l_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
     Positions and values both strictly decrease along the list, which is
     empty iff the word is increasing.
 
+    In a 321-avoider the 2s and the 1s both increase left to right, so one
+    right-to-left sweep finds every corner, in O(n) all told: the next
+    corner's 2 is the rightmost position x, left of the last one, with a
+    later value below both perm[x] and the last corner's 1.  Every later
+    value below perm[x] is a 1, so the corner's 1 is the rightmost of them
+    left of the last corner's 1, and it lies right of x.
+
     >>> l_corners((1, 4, 2, 3, 7, 5, 8, 6))
     [(7, 6), (5, 5), (2, 3)]
     """
+    require_permutation(perm)
     if not avoids(perm, "321"):
         raise ValueError("permutation contains a 321-pattern")
     n = len(perm)
@@ -129,26 +132,21 @@ def l_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
         after[x] = least
         least = min(least, perm[x])
     corners: list[tuple[int, int]] = []
-    two_cap = one_cap = n + 1
+    one_cap = n + 1
+    x = y = n
     while True:
-        # x is a 2 under the caps iff some later value lies below both
-        # perm[x] and one_cap; y is a 1 iff some earlier value below
-        # two_cap (the capped prefix maximum) lies above perm[y].  O(n).
-        two_val = one_val = two_pos = 0
-        before = 0
-        for x, v in enumerate(perm):
-            if v < two_cap:
-                if after[x] < v and after[x] < one_cap and v > two_val:
-                    two_val, two_pos = v, x + 1
-                if v > before:
-                    before = v
-                    continue
-            if v < one_cap and before > v and v > one_val:
-                one_val = v
-        if not two_val:
+        x -= 1
+        while x >= 0 and after[x] >= min(perm[x], one_cap):
+            x -= 1
+        if x < 0:
             return corners
-        corners.append((two_pos, one_val))
-        two_cap, one_cap = two_val, one_val
+        y -= 1
+        while y > x and perm[y] >= perm[x]:
+            y -= 1
+        if y == x:
+            raise RuntimeError("l_corners lost the 1 of a corner; this is a bug")
+        corners.append((x + 1, perm[y]))
+        one_cap = perm[y]
 
 
 def nested_template(perm: Sequence[int]) -> Template:

@@ -85,8 +85,9 @@ def theta_corners(perm: Sequence[int]) -> Perm:
     return grid.realize(theta_template(perm))
 
 
-#: the tableau map's default route: the corner template realization (the
-#: tableau route theta_rsk is faster at large n)
+#: the tableau map's default route: the corner template realization
+#: (faster than the tableau route theta_rsk at n = 9, level with it at
+#: n = 400, about 15 % slower at n = 1000)
 theta = theta_corners
 
 
@@ -100,9 +101,10 @@ def slide_flip_template(perm: Sequence[int]) -> grid.Template:
     squares = set()
     for i, (v, p) in enumerate(grid.rcl_corners(perm), start=1):
         # the L cornered at (p, v), reaching the bottom and right borders
-        ell = {(p, c) for c in range(v, n + 1)} | {(r, v) for r in range(p, n + 1)}
-        squares.update((r - p + i, c - v + i) for r, c in ell)
-    return grid.transpose(grid.Template(n, frozenset(squares)))
+        ell = [(p, c) for c in range(v, n + 1)] + [(r, v) for r in range(p, n + 1)]
+        # slid by (i - p, i - v), then flipped: (r, c) -> (c, r)
+        squares.update((c - v + i, r - p + i) for r, c in ell)
+    return grid.Template(n, frozenset(squares))
 
 
 def theta_slide_flip(perm: Sequence[int]) -> Perm:

@@ -281,6 +281,7 @@ def two_one_classify(perm: Sequence[int]) -> tuple[frozenset[int], frozenset[int
     >>> (sorted(two), sorted(one))
     ([1], [2])
     """
+    require_permutation(perm)
     if not avoids(perm, "321"):
         raise ValueError("permutation contains a 321-pattern")
     n = len(perm)

@@ -77,9 +77,7 @@ def rsk_tableaux(perm: Sequence[int]) -> tuple[TwoRowTableau, TwoRowTableau]:
         bumped = ins1[j]
         ins1[j] = value
         if ins2 and bumped < ins2[-1]:
-            raise ValueError(
-                "insertion needs a third row: permutation contains a 321-pattern"
-            )
+            raise ValueError("permutation contains a 321-pattern")
         ins2.append(bumped)
         rec2.append(step)
     return (

@@ -2,7 +2,8 @@
 Seeded cross-checks at sizes the exhaustive sweeps cannot reach.
 
 Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
-shares no code with the library.  Each input is held to route agreement,
+shares no code with the library.  The corner extractors are held to their
+literal oracles at n = 100.  Each input is held to route agreement,
 to the half-turn identity between the two maps, to 132-avoidance of the
 images (by an oracle), and to the Elizalde-Pak properties: fixed points
 and excedances preserved, and commuting with inverse.
@@ -12,6 +13,7 @@ import random
 
 import pytest
 
+from permbij.grid import l_corners, rcl_corners
 from permbij.maps import (
     gamma,
     gamma_iterative,
@@ -54,6 +56,13 @@ def test_pair_oracle_matches_the_triple_scan():
             assert helpers.contains_132_by_pairs(word) == helpers.contains_by_triples(
                 word, "132"
             )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_corners_match_their_oracles_at_n_100(seed):
+    sigma = helpers.uniform_321_avoider(100, random.Random(f"{seed}:100"))
+    assert l_corners(sigma) == helpers.l_corners_by_pair_scan(sigma)
+    assert rcl_corners(sigma) == helpers.rcl_corners_by_smallest_rule(sigma)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -1,5 +1,6 @@
 import pytest
 
+from permbij import grid
 from permbij.maps import (
     _rewrite_smallest_132,
     gamma,
@@ -22,6 +23,7 @@ from permbij.perm import (
     identity,
     inverse,
     inverse_reverse_complement,
+    two_one_classify,
 )
 
 GOLDEN = (1, 4, 2, 3, 7, 5, 8, 6)
@@ -30,6 +32,7 @@ GOLDEN_THETA = (7, 5, 4, 2, 3, 1, 6, 8)
 
 ALL_THETA_ROUTES = (theta_rsk, theta_corners, theta_slide_flip, theta_via_gamma)
 ALL_ROUTES = (gamma_iterative, gamma_template, *ALL_THETA_ROUTES)
+NON_PERMUTATIONS = [(1, 1), (2, 3), (0, 1), (5, 1), ()]
 
 
 # ------------------------------------------------------------ the rewriting map
@@ -108,17 +111,37 @@ def test_theta_template_golden_row_widths():
 
 @pytest.mark.parametrize("route", ALL_ROUTES)
 def test_routes_reject_321_containing_input(route):
-    with pytest.raises(ValueError, match="321"):
+    with pytest.raises(ValueError, match="^permutation contains a 321-pattern$"):
         route((3, 2, 1))
-    with pytest.raises(ValueError, match="321"):
+    with pytest.raises(ValueError, match="^permutation contains a 321-pattern$"):
         route((2, 5, 4, 1, 3))
 
 
-@pytest.mark.parametrize("word", [(1, 1), (2, 3), (0, 1), ()], ids=str)
+@pytest.mark.parametrize("word", NON_PERMUTATIONS, ids=str)
 @pytest.mark.parametrize("route", ALL_ROUTES)
 def test_routes_reject_non_permutations(route, word):
     with pytest.raises(ValueError, match="not a permutation"):
         route(word)
+
+
+@pytest.mark.parametrize("word", NON_PERMUTATIONS, ids=str)
+@pytest.mark.parametrize(
+    "builder",
+    (
+        grid.l_corners,
+        grid.rcl_corners,
+        grid.nested_template,
+        grid.diagonal_template,
+        grid.rc_template,
+        theta_template,
+        slide_flip_template,
+        two_one_classify,
+    ),
+    ids=lambda fn: fn.__name__,
+)
+def test_corner_builders_reject_non_permutations(builder, word):
+    with pytest.raises(ValueError, match="not a permutation"):
+        builder(word)
 
 
 def test_canonical_aliases():
