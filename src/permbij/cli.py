@@ -8,6 +8,7 @@ from typing import Sequence
 
 from . import grid, maps, rsk
 from .perm import (
+    PATTERNS,
     complement,
     enumerate_avoiders,
     excedances,
@@ -35,7 +36,15 @@ _MAPS = {
     "irc": inverse_reverse_complement,
 }
 
-_RENDERABLES = ("t-sigma", "t-hat", "rc-bar", "theta-template", "dyck", "tableaux")
+#: renderable templates: (builder, dot placement)
+_TEMPLATES = {
+    "t-sigma": (grid.nested_template, grid.realize),
+    "t-hat": (grid.diagonal_template, grid.realize),
+    "rc-bar": (grid.rc_template, grid.rc_realize),
+    "theta-template": (maps.theta_template, grid.realize),
+}
+
+_RENDERABLES = (*_TEMPLATES, "dyck", "tableaux")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,12 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="joint fixed-point/excedance table of one class")
     p_stats.add_argument("--n", type=int, required=True)
-    p_stats.add_argument("--class", dest="pattern", required=True, choices=("321", "132"))
+    p_stats.add_argument("--class", dest="pattern", required=True, choices=PATTERNS)
     p_stats.add_argument("--format", choices=("text", "json"), default="text")
 
     p_enum = sub.add_parser("enumerate", help="list an avoidance class in lexicographic order")
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--avoid", required=True, choices=("321", "132"))
+    p_enum.add_argument("--avoid", required=True, choices=PATTERNS)
     p_enum.add_argument("--compact", action="store_true")
 
     return parser
@@ -105,28 +114,17 @@ def _tableau_text(tableau: rsk.TwoRowTableau) -> str:
 
 def _run_render(args) -> int:
     sigma = parse_permutation(args.input)
-    if args.what == "dyck":
-        ins, rec = rsk.rsk_tableaux(sigma)
-        print(rsk.dyck_from_tableaux(ins, rec))
+    if args.what in _TEMPLATES:
+        build, place = _TEMPLATES[args.what]
+        template = build(sigma)
+        print(grid.render_ascii(template, place(template)))
         return 0
-    if args.what == "tableaux":
-        ins, rec = rsk.rsk_tableaux(sigma)
+    ins, rec = rsk.rsk_tableaux(sigma)
+    if args.what == "dyck":
+        print(rsk.dyck_from_tableaux(ins, rec))
+    else:
         print(f"insertion: {_tableau_text(ins)}")
         print(f"recording: {_tableau_text(rec)}")
-        return 0
-    if args.what == "t-sigma":
-        template = grid.nested_template(sigma)
-        dots = grid.realize(template)
-    elif args.what == "t-hat":
-        template = grid.diagonal_template(sigma)
-        dots = grid.realize(template)
-    elif args.what == "rc-bar":
-        template = grid.rc_template(sigma)
-        dots = grid.rc_realize(template)
-    else:
-        template = maps.theta_template(sigma)
-        dots = grid.realize(template)
-    print(grid.render_ascii(template, dots))
     return 0
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import Perm, avoids, bar, require_permutation, reverse_complement
+from .perm import Perm, bar, require_321_avoider, reverse_complement
 
 Square = tuple[int, int]
 
@@ -121,9 +121,12 @@ def l_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
     >>> l_corners((1, 4, 2, 3, 7, 5, 8, 6))
     [(7, 6), (5, 5), (2, 3)]
     """
-    require_permutation(perm)
-    if not avoids(perm, "321"):
-        raise ValueError("permutation contains a 321-pattern")
+    require_321_avoider(perm)
+    return _corner_sweep(perm)
+
+
+def _corner_sweep(perm: Sequence[int]) -> list[tuple[int, int]]:
+    # l_corners without the input check, for callers that have made it
     n = len(perm)
     # after[x] is the least value right of position x
     after = [0] * n
@@ -204,8 +207,9 @@ def rcl_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
     >>> rcl_corners((1, 4, 2, 3, 7, 5, 8, 6))
     [(4, 3), (7, 6), (8, 8)]
     """
+    require_321_avoider(perm)
     n = len(perm)
-    flipped = l_corners(reverse_complement(perm))
+    flipped = _corner_sweep(reverse_complement(perm))
     return sorted((bar(b, n), bar(a, n)) for a, b in flipped)
 
 

@@ -8,9 +8,11 @@ is available through four routes: the full tableau/lattice-path pipeline
 (theta_rsk), the corner template (theta_corners), a slide-and-flip of the
 rc-template (theta_slide_flip), and transport of the rewriting map through
 the half-turn (theta_via_gamma).  All routes agree point for point; the
-verification suite holds them against each other exhaustively.  Every route
-first checks that its input is a permutation (require_permutation), so all
-six reject the same bad words with the same ValueError.
+verification suite holds them against each other exhaustively.  All six
+reject a word that is not a 321-avoiding permutation with the same
+ValueError, and each call checks its input once: the template routes
+through the corner layer (grid.l_corners, grid.rcl_corners), the others at
+entry.
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from typing import Sequence
 from . import grid, rsk
 from .perm import (
     Perm,
-    avoids,
     bar,
     inverse_reverse_complement,
+    require_321_avoider,
     require_permutation,
     smallest_132,
 )
@@ -47,9 +49,7 @@ def gamma_iterative(perm: Sequence[int]) -> Perm:
     >>> gamma_iterative((1, 4, 2, 3, 7, 5, 8, 6))
     (7, 8, 6, 4, 3, 5, 2, 1)
     """
-    require_permutation(perm)
-    if not avoids(perm, "321"):
-        raise ValueError("permutation contains a 321-pattern")
+    require_321_avoider(perm)
     word = list(perm)
     # n**3 rewrites is far beyond what any valid input needs
     for _ in range(len(word) ** 3 + 1):
@@ -60,7 +60,6 @@ def gamma_iterative(perm: Sequence[int]) -> Perm:
 
 def gamma_template(perm: Sequence[int]) -> Perm:
     """One-shot route: realize the diagonal redrawing of the nested template."""
-    require_permutation(perm)
     return grid.realize(grid.diagonal_template(perm))
 
 
@@ -81,7 +80,6 @@ def theta_template(perm: Sequence[int]) -> grid.Template:
 
 def theta_corners(perm: Sequence[int]) -> Perm:
     """Corner route: realize the rcl-corner template."""
-    require_permutation(perm)
     return grid.realize(theta_template(perm))
 
 
@@ -109,7 +107,6 @@ def slide_flip_template(perm: Sequence[int]) -> grid.Template:
 
 def theta_slide_flip(perm: Sequence[int]) -> Perm:
     """Slide-and-flip route: realize the slid and flipped rc-template."""
-    require_permutation(perm)
     return grid.realize(slide_flip_template(perm))
 
 

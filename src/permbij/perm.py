@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import repeat
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -29,19 +30,21 @@ ENUMERATION_CAP = 12
 
 def is_permutation(word: Sequence[int]) -> bool:
     """
-    Check that ``word`` contains each of 1..len(word) exactly once.
+    Check that ``word`` holds ints and contains each of 1..len(word)
+    exactly once.
 
-    >>> [is_permutation(w) for w in [(1,), (2, 1), (), (1, 3), (1, 1, 2)]]
-    [True, True, False, False, False]
+    >>> [is_permutation(w) for w in [(1,), (2, 1), (), (1, 3), (1, 1, 2), (2.0, 1)]]
+    [True, True, False, False, False, False]
     """
     n = len(word)
-    return n >= 1 and sorted(word) == list(range(1, n + 1))
+    ints = all(map(isinstance, word, repeat(int)))
+    return n >= 1 and ints and sorted(word) == list(range(1, n + 1))
 
 
 def require_permutation(word: Sequence[int]) -> None:
     """
-    The input contract of every map route: raise ValueError unless
-    ``word`` is a permutation of 1..n for some n >= 1.
+    Raise ValueError unless ``word`` is a permutation of 1..n for some
+    n >= 1.
 
     >>> require_permutation((1, 1))
     Traceback (most recent call last):
@@ -50,6 +53,22 @@ def require_permutation(word: Sequence[int]) -> None:
     """
     if not is_permutation(word):
         raise ValueError(f"not a permutation of 1..n (n={len(word)})")
+
+
+def require_321_avoider(word: Sequence[int]) -> None:
+    """
+    The input contract of every map route and corner builder: raise
+    ValueError unless ``word`` is a permutation (require_permutation) that
+    avoids 321.
+
+    >>> require_321_avoider((3, 2, 1))
+    Traceback (most recent call last):
+    ...
+    ValueError: permutation contains a 321-pattern
+    """
+    require_permutation(word)
+    if not avoids(word, "321"):
+        raise ValueError("permutation contains a 321-pattern")
 
 
 def parse_permutation(text: str) -> Perm:
@@ -179,7 +198,7 @@ def avoids(perm: Sequence[int], pattern: str) -> bool:
     if pattern == "321":
         return not _contains_321(perm)
     if pattern == "132":
-        return not _contains_132(perm)
+        return smallest_132(perm) is None
     raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
 
 
@@ -198,21 +217,6 @@ def _contains_321(word: Sequence[int]) -> bool:
     return False
 
 
-def _contains_132(word: Sequence[int]) -> bool:
-    # Right to left, ``two`` is the largest value seen so far with a larger
-    # value between it and the current position (popped off the stack of
-    # values not yet so covered); a value below ``two`` starts a 132.  O(n).
-    stack: list[int] = []
-    two = -math.inf
-    for v in reversed(word):
-        if v < two:
-            return True
-        while stack and stack[-1] < v:
-            two = stack.pop()
-        stack.append(v)
-    return False
-
-
 def smallest_132(perm: Sequence[int]) -> tuple[int, int, int] | None:
     """
     The lexicographically least position triple (i, j, k), 1-based, forming
@@ -224,9 +228,12 @@ def smallest_132(perm: Sequence[int]) -> tuple[int, int, int] | None:
     >>> smallest_132((1, 2, 3)) is None
     True
     """
-    # Right to left as in _contains_132, keeping the last (leftmost) start.
-    # A start is not pushed: its value lies below ``two``, so it can neither
-    # raise ``two`` as a 2 nor as a 3, and every stacked value stays >= two.
+    # Right to left, ``two`` is the largest value seen so far with a larger
+    # value between it and the current position (popped off the stack of
+    # values not yet so covered); a value below ``two`` starts a 132, and
+    # the pass keeps the last (leftmost) start.  A start is not pushed: its
+    # value lies below ``two``, so it can neither raise ``two`` as a 2 nor
+    # as a 3, and every stacked value stays >= two.
     n = len(perm)
     stack: list[int] = []
     two = -math.inf
@@ -281,9 +288,7 @@ def two_one_classify(perm: Sequence[int]) -> tuple[frozenset[int], frozenset[int
     >>> (sorted(two), sorted(one))
     ([1], [2])
     """
-    require_permutation(perm)
-    if not avoids(perm, "321"):
-        raise ValueError("permutation contains a 321-pattern")
+    require_321_avoider(perm)
     n = len(perm)
     twos = frozenset(
         i + 1 for i in range(n) if any(perm[j] < perm[i] for j in range(i + 1, n))

@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from . import grid, maps, rsk
 from .perm import (
     ENUMERATION_CAP,
+    PATTERNS,
     Perm,
     bar,
     catalan,
@@ -67,28 +68,14 @@ class CheckReport:
         return f"{status} {self.check} n={self.n} cases={self.cases} failures={len(self.failures)}"
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "n": self.n,
-                "cases": self.cases,
-                "passed": self.passed,
-                "failures": list(self.failures),
-                "elapsed_ms": self.elapsed_ms,
-            },
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "passed": self.passed}, sort_keys=True)
 
     @classmethod
     def from_json_line(cls, line: str) -> "CheckReport":
         record = json.loads(line)
-        return cls(
-            check=record["check"],
-            n=record["n"],
-            cases=record["cases"],
-            failures=tuple(record["failures"]),
-            elapsed_ms=record["elapsed_ms"],
-        )
+        record.pop("passed", None)
+        record["failures"] = tuple(record["failures"])
+        return cls(**record)
 
 
 def _sweep(*pairs) -> Callable[[int], Iterator[dict]]:
@@ -170,7 +157,7 @@ def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
 
 def _check_catalan_counts(n: int) -> Iterator[dict]:
     want = catalan(n)
-    for pattern in ("321", "132"):
+    for pattern in PATTERNS:
         count = sum(1 for _ in enumerate_avoiders(n, pattern))
         if count != want:
             yield _failure(pattern, want, count)

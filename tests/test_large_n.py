@@ -25,6 +25,7 @@ from permbij.maps import (
     theta_via_gamma,
 )
 from permbij.perm import (
+    avoids,
     excedances,
     fixed_points,
     inverse,
@@ -84,6 +85,7 @@ def test_routes_and_properties_at_large_n(n, seed):
     for image in (image_gamma, thetas[0]):
         assert is_permutation(image)
         assert not helpers.contains_132_by_pairs(image)
+        assert avoids(image, "132")
         assert fixed_points(image) == fixed_points(sigma)
         assert excedances(image) == excedances(sigma)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from permbij import grid
+from permbij import grid, perm
 from permbij.maps import (
     _rewrite_smallest_132,
     gamma,
@@ -32,7 +32,7 @@ GOLDEN_THETA = (7, 5, 4, 2, 3, 1, 6, 8)
 
 ALL_THETA_ROUTES = (theta_rsk, theta_corners, theta_slide_flip, theta_via_gamma)
 ALL_ROUTES = (gamma_iterative, gamma_template, *ALL_THETA_ROUTES)
-NON_PERMUTATIONS = [(1, 1), (2, 3), (0, 1), (5, 1), ()]
+NON_PERMUTATIONS = [(1, 1), (2, 3), (0, 1), (5, 1), (), (2.0, 1.0), ("1", "2")]
 
 
 # ------------------------------------------------------------ the rewriting map
@@ -142,6 +142,25 @@ def test_routes_reject_non_permutations(route, word):
 def test_corner_builders_reject_non_permutations(builder, word):
     with pytest.raises(ValueError, match="not a permutation"):
         builder(word)
+
+
+# theta_via_gamma checks twice: its transport maps the non-permutation (2, 3) to (2, 1)
+@pytest.mark.parametrize(
+    "route",
+    (gamma_iterative, gamma_template, theta_corners, theta_slide_flip, theta_rsk),
+    ids=lambda fn: fn.__name__,
+)
+def test_routes_check_their_input_once(route, monkeypatch):
+    calls = []
+    check = perm.is_permutation
+
+    def counted(word):
+        calls.append(word)
+        return check(word)
+
+    monkeypatch.setattr(perm, "is_permutation", counted)
+    route(GOLDEN)
+    assert calls == [GOLDEN]
 
 
 def test_canonical_aliases():

@@ -80,6 +80,7 @@ def test_is_permutation():
     assert not is_permutation(())
     assert not is_permutation((1, 3))
     assert not is_permutation((1, 1, 2))
+    assert not is_permutation((2.0, 1.0))
 
 
 # ------------------------------------------------------------- symmetries
