@@ -1,0 +1,150 @@
+"""
+Direct-call timings of the template layers and the four template routes.
+
+    python bench/layers.py OUT.json LABEL [--src CHECKOUT]
+
+imports permbij from CHECKOUT/src (default: this checkout) and times, at
+each n in SIZES, every layer layers() lists on one seeded uniform 321-avoider
+drawn by tests/helpers.uniform_321_avoider, which shares no code with the
+library.  A row holds the median of up to 7 calls (fewer once the calls
+add up to MIN_TOTAL_S) in ms, with the call count.  The arguments a layer
+takes (a template, an up-down word) are built before timing.
+
+A layer skips a size, and records the skip with its reason, when the
+layer's last two sizes project that size's call or set-up past BUDGET_S:
+the projection extends the growth exponent measured between those sizes.
+This keeps quadratic code away from sizes whose square sets would not fit
+in memory.  Rows are merged into OUT.json under LABEL, so two checkouts
+measured in turn sit side by side in one file.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SIZES = (10, 100, 400, 1_000, 10_000, 100_000)
+BUDGET_S = 10.0
+MAX_CALLS = 7
+MIN_TOTAL_S = 0.2
+
+
+def layers():
+    """(name, set-up from sigma to the call's arguments, timed call)."""
+    from permbij import grid, maps, perm, rsk
+
+    def dyck(sigma):
+        return (rsk.dyck_from_tableaux(*rsk.rsk_tableaux(sigma)), len(sigma))
+
+    def on_sigma(fn):
+        return (f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}", lambda s: (s,), fn)
+
+    return [
+        on_sigma(grid.l_corners),
+        on_sigma(grid.rcl_corners),
+        on_sigma(perm.two_one_classify),
+        on_sigma(grid.nested_template),
+        on_sigma(grid.diagonal_template),
+        on_sigma(grid.rc_template),
+        on_sigma(maps.theta_template),
+        on_sigma(maps.slide_flip_template),
+        ("rsk.template_from_dyck", dyck, rsk.template_from_dyck),
+        ("grid.bar_reflect", lambda s: (grid.rc_template(s),), grid.bar_reflect),
+        ("grid.realize", lambda s: (grid.diagonal_template(s),), grid.realize),
+        ("grid.rc_realize", lambda s: (grid.rc_template(s),), grid.rc_realize),
+        on_sigma(maps.gamma_template),
+        on_sigma(maps.theta_corners),
+        on_sigma(maps.theta_slide_flip),
+        on_sigma(maps.theta_rsk),
+    ]
+
+
+def projection(history, n):
+    """Seconds projected at n from the last two (n, seconds) points, or None."""
+    if len(history) < 2:
+        return None
+    (n1, t1), (n2, t2) = history[-2:]
+    exponent = math.log(max(t2, 1e-9) / max(t1, 1e-9)) / math.log(n2 / n1)
+    return t2 * (n / n2) ** max(exponent, 1.0)
+
+
+def measure(name, prepare, call, inputs):
+    rows = []
+    call_history, setup_history = [], []
+    for n in SIZES:
+        projected = max(
+            projection(call_history, n) or 0.0, projection(setup_history, n) or 0.0
+        )
+        if projected > BUDGET_S:
+            rows.append(
+                {"layer": name, "n": n,
+                 "skipped": f"projected {projected:.3g} s, over the {BUDGET_S:g} s budget"}
+            )
+            continue
+        start = time.perf_counter()
+        args = prepare(inputs[n])
+        setup_history.append((n, time.perf_counter() - start))
+        times = []
+        while len(times) < MAX_CALLS and sum(times) < MIN_TOTAL_S:
+            start = time.perf_counter()
+            call(*args)
+            times.append(time.perf_counter() - start)
+        call_history.append((n, statistics.median(times)))
+        rows.append(
+            {"layer": name, "n": n, "ms": round(statistics.median(times) * 1e3, 4),
+             "calls": len(times)}
+        )
+        print(f"{name:28s} n={n:<7d} {rows[-1]['ms']:10.3f} ms", file=sys.stderr)
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="JSON file to merge the rows into")
+    parser.add_argument("label", help="name of this set of rows in the file")
+    parser.add_argument("--src", type=Path, default=ROOT, help="checkout to measure")
+    args = parser.parse_args(argv)
+
+    src = args.src.resolve() / "src"
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(ROOT / "tests"))
+    import helpers  # noqa: E402
+    import permbij  # noqa: E402
+
+    if Path(permbij.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"permbij imported from {permbij.__file__}, not from {src}")
+    inputs = {n: helpers.uniform_321_avoider(n, random.Random(f"bench:{n}")) for n in SIZES}
+    rows = []
+    for name, prepare, call in layers():
+        rows.extend(measure(name, prepare, call, inputs))
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.setdefault("sizes", list(SIZES))
+    record.setdefault(
+        "method",
+        f"direct calls; median of up to {MAX_CALLS} calls per row, fewer once they "
+        f"add up to {MIN_TOTAL_S} s; a size is skipped when projected past {BUDGET_S} s",
+    )
+    record.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "src_lines": sum(
+            len(path.read_text().splitlines()) for path in (src / "permbij").glob("*.py")
+        ),
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

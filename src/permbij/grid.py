@@ -2,11 +2,21 @@
 Shaded-square templates on an n-by-n grid.
 
 Squares are (row, column) pairs with rows counted from the top and columns
-from the left, both 1-based.  A template determines a permutation through
-greedy dot placement: realize() fills rows top to bottom, putting a dot in
-the leftmost unshaded square of each row whose column is still dot-free;
-rc_realize() is the half-turned rule, filling rows bottom to top with the
-rightmost unshaded square whose column holds no dot below.
+from the left, both 1-based.  A template stores its shading as runs: a row
+run (row, first column, last column) shades a segment of one row, and a
+column run (column, first row, last row) a segment of one column.  An
+inverted L is one run of each kind and a staircase row is one row run, so
+every builder here costs O(n) in all and never lists squares; the square
+set is materialized only on demand (Template.shaded), for rendering and
+for template equality.
+
+A template determines a permutation through greedy dot placement:
+realize() fills rows top to bottom, putting a dot in the leftmost unshaded
+square of each row whose column is still dot-free; rc_realize() is the
+half-turned rule, filling rows bottom to top with the rightmost unshaded
+square whose column holds no dot below.  Both work on the runs directly:
+after sorting the runs, each row costs a few operations on 64-bit words
+and on one summary word of n/64 bits.
 
 The builders consume the corner data of a 321-avoiding permutation:
 
@@ -22,33 +32,66 @@ The builders consume the corner data of a 321-avoiding permutation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .perm import Perm, bar, require_321_avoider, reverse_complement
 
 Square = tuple[int, int]
 
+#: (line, first, last): a row run shades columns first..last of one row,
+#: a column run rows first..last of one column
+Run = tuple[int, int, int]
 
-@dataclass(frozen=True)
+_FIRST = itemgetter(1)
+_LAST = itemgetter(2)
+_FULL_WORD = (1 << 64) - 1
+
+
+@dataclass(frozen=True, eq=False)
 class Template:
-    """A set of shaded squares inside an n-by-n grid."""
+    """
+    The shaded squares of an n-by-n grid, as row runs and column runs that
+    may overlap; runs given as lists are stored as tuples.  Equality and
+    hashing go by the square set, so two run decompositions of one shading
+    are equal templates.
+    """
 
     n: int
-    shaded: frozenset[Square] = frozenset()
+    row_runs: tuple[Run, ...] = ()
+    col_runs: tuple[Run, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "shaded", frozenset(self.shaded))
-        if self.n < 1:
-            raise ValueError(f"grid size must be positive, got {self.n}")
-        for row, col in self.shaded:
-            if not (1 <= row <= self.n and 1 <= col <= self.n):
-                raise ValueError(
-                    f"square ({row}, {col}) lies outside the {self.n}x{self.n} grid"
-                )
+        # a list first: tuple() of an unsized iterator over-allocates and
+        # shrinks, which lifts peak memory on sweeps of many small templates
+        object.__setattr__(self, "row_runs", tuple(list(map(tuple, self.row_runs))))
+        object.__setattr__(self, "col_runs", tuple(list(map(tuple, self.col_runs))))
+        n = self.n
+        if n < 1:
+            raise ValueError(f"grid size must be positive, got {n}")
+        for kind, runs in (("row", self.row_runs), ("column", self.col_runs)):
+            for line, first, last in runs:
+                if not (1 <= line <= n and 1 <= first <= last <= n):
+                    raise ValueError(
+                        f"{kind} run {(line, first, last)} is empty or lies "
+                        f"outside the {n}x{n} grid"
+                    )
 
-    def row(self, i: int) -> frozenset[int]:
-        """The shaded columns of row i."""
-        return frozenset(c for r, c in self.shaded if r == i)
+    @cached_property
+    def shaded(self) -> frozenset[Square]:
+        """The shaded squares, materialized from the runs once."""
+        across = [(r, c) for r, a, b in self.row_runs for c in range(a, b + 1)]
+        down = [(r, c) for c, a, b in self.col_runs for r in range(a, b + 1)]
+        return frozenset(across + down)
+
+    def __eq__(self, other):
+        if not isinstance(other, Template):
+            return NotImplemented
+        return self.n == other.n and self.shaded == other.shaded
+
+    def __hash__(self):
+        return hash((self.n, self.shaded))
 
 
 def realize(template: Template) -> Perm:
@@ -58,47 +101,115 @@ def realize(template: Template) -> Perm:
     dot columns.  Raises when some row has no admissible square, i.e. when
     the shading is not a template for any permutation.
     """
-    n = template.n
-    shaded = template.shaded
-    used_cols = set()
-    word = []
-    for row in range(1, n + 1):
-        for col in range(1, n + 1):
-            if col not in used_cols and (row, col) not in shaded:
-                used_cols.add(col)
-                word.append(col)
-                break
-        else:
-            raise ValueError(f"no admissible square in row {row}")
-    return tuple(word)
+    dots = _leftmost_dots(template.n, template.row_runs, template.col_runs)
+    if len(dots) < template.n:
+        raise ValueError(f"no admissible square in row {len(dots) + 1}")
+    return tuple(dots)
 
 
 def rc_realize(template: Template) -> Perm:
     """
     The half-turned placement rule: rows bottom to top, each dot in the
     rightmost unshaded square whose column holds no dot in the rows below.
-    Equivalent to bar-reflecting the template, realizing, and
+    Computed as bar-reflecting the template, realizing, and
     reverse-complementing the result.
     """
     n = template.n
-    shaded = template.shaded
-    used_cols = set()
-    word = [0] * n
-    for row in range(n, 0, -1):
-        for col in range(n, 0, -1):
-            if col not in used_cols and (row, col) not in shaded:
-                used_cols.add(col)
-                word[row - 1] = col
+    dots = _leftmost_dots(n, *_half_turn(template))
+    if len(dots) < n:
+        raise ValueError(f"no admissible square in row {n - len(dots)}")
+    return tuple(n + 1 - c for c in reversed(dots))
+
+
+def _leftmost_dots(n: int, row_runs: Sequence[Run], col_runs: Sequence[Run]) -> list[int]:
+    """
+    realize()'s dot columns for the shading of these runs, row by row,
+    stopping before the first row that has no admissible square.
+
+    ``cover`` counts, per column, the column runs over the current row,
+    plus one for good once the column holds a dot; a column is free while
+    its count is 0.  The free columns form a two-level bitset: column c is
+    bit c & 63 of words[c >> 6], and bit q of ``top`` is set iff words[q]
+    is nonzero, so the least free column at or right of x takes two word
+    lookups.  A row's dot is that search from column 1, repeated past the
+    end of every row run of the row that the candidate lands in.
+    """
+    last_word = n >> 6
+    # words for columns 0..n, then a spare 0 so a search may start at n + 1
+    words = [_FULL_WORD] * last_word
+    words += ((2 << (n & 63)) - 1, 0)
+    words[0] -= 1  # there is no column 0
+    top = (2 << last_word) - 1
+    cover = [0] * (n + 1)
+    # each list ends in a sentinel that stops its scan
+    opening = sorted(col_runs, key=_FIRST)
+    opening.append((0, n + 1, n + 1))
+    closing = sorted(col_runs, key=_LAST)
+    closing.append((0, n + 1, n + 1))
+    row_runs = sorted(row_runs)
+    row_runs.append((n + 1, 0, 0))
+    o = c = k = 0
+    dots = []
+    for row in range(1, n + 1):
+        while opening[o][1] == row:
+            col = opening[o][0]
+            o += 1
+            cover[col] += 1
+            if cover[col] == 1:
+                q = col >> 6
+                words[q] &= ~(1 << (col & 63))
+                if not words[q]:
+                    top &= ~(1 << q)
+        while closing[c][2] < row:
+            col = closing[c][0]
+            c += 1
+            cover[col] -= 1
+            if not cover[col]:
+                q = col >> 6
+                words[q] |= 1 << (col & 63)
+                top |= 1 << q
+        while row_runs[k][0] < row:
+            k += 1
+        x = 1
+        while True:
+            q = x >> 6
+            w = words[q] >> (x & 63)
+            if w:
+                col = x + (w & -w).bit_length() - 1
+            else:
+                t = top >> (q + 1)
+                if not t:
+                    return dots
+                q += (t & -t).bit_length()
+                w = words[q]
+                col = (q << 6) + (w & -w).bit_length() - 1
+            while row_runs[k][0] == row and row_runs[k][1] <= col:
+                if row_runs[k][2] >= x:
+                    x = row_runs[k][2] + 1
+                k += 1
+            if x <= col:
                 break
-        else:
-            raise ValueError(f"no admissible square in row {row}")
-    return tuple(word)
+        cover[col] += 1
+        q = col >> 6
+        words[q] &= ~(1 << (col & 63))
+        if not words[q]:
+            top &= ~(1 << q)
+        dots.append(col)
+    return dots
 
 
 def bar_reflect(template: Template) -> Template:
     """Rotate the shading by a half turn: (i, j) -> (n+1-i, n+1-j)."""
-    n = template.n
-    return Template(n, frozenset((bar(r, n), bar(c, n)) for r, c in template.shaded))
+    return Template(template.n, *_half_turn(template))
+
+
+def _half_turn(template: Template) -> tuple[list[Run], list[Run]]:
+    # the row runs and column runs of the half-turned shading
+    m = template.n + 1
+    return (
+        [(m - r, m - b, m - a) for r, a, b in template.row_runs],
+        [(m - c, m - b, m - a) for c, a, b in template.col_runs],
+    )
 
 
 def l_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
@@ -159,12 +270,10 @@ def nested_template(perm: Sequence[int]) -> Template:
     smallest L may degenerate to a segment; realizing the union returns
     the original permutation.
     """
-    n = len(perm)
-    squares = set()
-    for p, v in l_corners(perm):
-        squares.update((p, j) for j in range(1, v + 1))
-        squares.update((i, v) for i in range(1, p + 1))
-    return Template(n, frozenset(squares))
+    corners = l_corners(perm)
+    return Template(
+        len(perm), [(p, 1, v) for p, v in corners], [(v, 1, p) for p, v in corners]
+    )
 
 
 def diagonal_ls(n: int, legs: Sequence[tuple[int, int]]) -> Template:
@@ -174,15 +283,18 @@ def diagonal_ls(n: int, legs: Sequence[tuple[int, int]]) -> Template:
     and a horizontal leg of legs[i-1][1] squares running right, with the
     corner counted in both legs.  Zero-length legs contribute nothing.
     """
-    squares = set()
+    row_runs = []
+    col_runs = []
     for i, (vert, horiz) in enumerate(legs, start=1):
         if i + vert - 1 > n or i + horiz - 1 > n:
             raise ValueError(
                 f"inverted L at ({i}, {i}) with legs ({vert}, {horiz}) leaves the grid"
             )
-        squares.update((r, i) for r in range(i, i + vert))
-        squares.update((i, c) for c in range(i, i + horiz))
-    return Template(n, frozenset(squares))
+        if vert:
+            col_runs.append((i, i, i + vert - 1))
+        if horiz:
+            row_runs.append((i, i, i + horiz - 1))
+    return Template(n, row_runs, col_runs)
 
 
 def diagonal_template(perm: Sequence[int]) -> Template:
@@ -221,11 +333,8 @@ def rc_template(perm: Sequence[int]) -> Template:
     equals the bar-reflection of the reverse-complement's nested template.
     """
     n = len(perm)
-    squares = set()
-    for v, p in rcl_corners(perm):
-        squares.update((p, j) for j in range(v, n + 1))
-        squares.update((i, v) for i in range(p, n + 1))
-    return Template(n, frozenset(squares))
+    corners = rcl_corners(perm)
+    return Template(n, [(p, v, n) for v, p in corners], [(v, p, n) for v, p in corners])
 
 
 def render_ascii(template: Template, dots: Perm | None = None) -> str:
@@ -237,12 +346,13 @@ def render_ascii(template: Template, dots: Perm | None = None) -> str:
     n = template.n
     if dots is not None and len(dots) != n:
         raise ValueError(f"dots have length {len(dots)}, grid has n={n}")
+    shading = template.shaded
     lines = []
     for row in range(1, n + 1):
         dot_col = dots[row - 1] if dots is not None else 0
         glyphs = []
         for col in range(1, n + 1):
-            shaded = (row, col) in template.shaded
+            shaded = (row, col) in shading
             if col == dot_col:
                 glyphs.append("@" if shaded else "o")
             else:

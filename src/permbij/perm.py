@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -30,15 +29,13 @@ ENUMERATION_CAP = 12
 
 def is_permutation(word: Sequence[int]) -> bool:
     """
-    Check that ``word`` holds ints and contains each of 1..len(word)
-    exactly once.
+    Check that ``word`` is nonempty, holds ints (not bools, whose type is
+    a subclass of int) and contains each of 1..len(word) exactly once.
 
-    >>> [is_permutation(w) for w in [(1,), (2, 1), (), (1, 3), (1, 1, 2), (2.0, 1)]]
-    [True, True, False, False, False, False]
+    >>> [is_permutation(w) for w in [(1,), (2, 1), (), (1, 3), (1, 1, 2), (2.0, 1), (True, 2)]]
+    [True, True, False, False, False, False, False]
     """
-    n = len(word)
-    ints = all(map(isinstance, word, repeat(int)))
-    return n >= 1 and ints and sorted(word) == list(range(1, n + 1))
+    return set(map(type, word)) == {int} and sorted(word) == list(range(1, len(word) + 1))
 
 
 def require_permutation(word: Sequence[int]) -> None:
@@ -289,20 +286,28 @@ def two_one_classify(perm: Sequence[int]) -> tuple[frozenset[int], frozenset[int
     ([1], [2])
     """
     require_321_avoider(perm)
-    n = len(perm)
-    twos = frozenset(
-        i + 1 for i in range(n) if any(perm[j] < perm[i] for j in range(i + 1, n))
-    )
-    ones = frozenset(
-        j + 1 for j in range(n) if any(perm[i] > perm[j] for i in range(j))
-    )
-    if twos & ones:
+    # i is a 2 iff the least value right of it lies below perm[i], and a 1
+    # iff the largest value left of it lies above perm[i]
+    twos = []
+    least = math.inf
+    for i in range(len(perm) - 1, -1, -1):
+        if least < perm[i]:
+            twos.append(i + 1)
+        least = min(least, perm[i])
+    twos.reverse()
+    ones = []
+    most = -math.inf
+    for j, value in enumerate(perm, start=1):
+        if most > value:
+            ones.append(j)
+        most = max(most, value)
+    if frozenset(twos) & frozenset(ones):
         raise RuntimeError("a position acted as both a 2 and a 1")
     for positions in (twos, ones):
-        values = [perm[p - 1] for p in sorted(positions)]
+        values = [perm[p - 1] for p in positions]
         if values != sorted(values):
             raise RuntimeError("class values are not increasing")
-    return twos, ones
+    return frozenset(twos), frozenset(ones)
 
 
 def catalan(n: int) -> int:

@@ -134,8 +134,8 @@ def template_from_dyck(word: str, n: int) -> Template:
     """
     Walk the word as a lattice path from the grid's lower-left corner, one
     edge up per 'u' and one edge right per 'd', and shade every square
-    strictly left of the path.  Row i from the top receives as many squares
-    as there are d's before the (n - i + 1)-th u.
+    strictly left of the path.  Row i from the top is one row run from
+    column 1, as wide as the number of d's before the (n - i + 1)-th u.
 
     >>> sorted(template_from_dyck("udud", 2).shaded)
     [(1, 1)]
@@ -149,11 +149,10 @@ def template_from_dyck(word: str, n: int) -> Template:
             downs += 1
         else:
             downs_before_up.append(downs)
-    squares = set()
-    for i in range(1, n + 1):
-        width = downs_before_up[n - i]
-        squares.update((i, j) for j in range(1, width + 1))
-    return Template(n, frozenset(squares))
+    row_runs = [
+        (i, 1, width) for i, width in enumerate(reversed(downs_before_up), start=1) if width
+    ]
+    return Template(n, row_runs)
 
 
 def second_half_from_top_right(rec: TwoRowTableau, n: int) -> tuple[str, ...]:

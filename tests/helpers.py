@@ -5,6 +5,7 @@ scans, polygon membership, recursive generation) so that a library bug
 cannot hide behind shared code.  The uniform sampler of S_n(321) at the
 end feeds the large-n checks, and likewise uses nothing from the library.
 """
+import bisect
 import itertools
 
 
@@ -183,9 +184,123 @@ def uniform_321_avoider(n, rng):
         if t in recorded_below:
             x = bottom.pop()
             # x was bumped out of the top row by the value it now replaces:
-            # the largest top-row entry below x
-            spot = max(r for r, y in enumerate(top) if y < x)
+            # the largest top-row entry below x (the top row increases)
+            spot = bisect.bisect_left(top, x) - 1
             word[t - 1], top[spot] = top[spot], x
         else:
             word[t - 1] = top.pop()
     return tuple(word)
+
+
+# ------------------------------------------------- templates, square by square
+
+def shaded_row(template, i):
+    """The shaded columns of row i, read off the template's square set."""
+    return frozenset(c for r, c in template.shaded if r == i)
+
+
+def realize_by_squares(n, shaded):
+    """
+    Literal dot placement: rows top to bottom, each dot in the leftmost
+    square outside ``shaded`` whose column holds no dot yet.
+    """
+    used_cols = set()
+    word = []
+    for row in range(1, n + 1):
+        for col in range(1, n + 1):
+            if col not in used_cols and (row, col) not in shaded:
+                used_cols.add(col)
+                word.append(col)
+                break
+        else:
+            raise ValueError(f"no admissible square in row {row}")
+    return tuple(word)
+
+
+def rc_realize_by_squares(n, shaded):
+    """
+    Literal half-turned placement: rows bottom to top, each dot in the
+    rightmost square outside ``shaded`` whose column holds no dot below.
+    """
+    used_cols = set()
+    word = [0] * n
+    for row in range(n, 0, -1):
+        for col in range(n, 0, -1):
+            if col not in used_cols and (row, col) not in shaded:
+                used_cols.add(col)
+                word[row - 1] = col
+                break
+        else:
+            raise ValueError(f"no admissible square in row {row}")
+    return tuple(word)
+
+
+def reversed_ls_squares(corners):
+    """Each corner (p, v): row p from column 1 to v, column v from row 1 to p."""
+    squares = set()
+    for p, v in corners:
+        squares.update((p, j) for j in range(1, v + 1))
+        squares.update((i, v) for i in range(1, p + 1))
+    return squares
+
+
+def diagonal_ls_squares(legs):
+    """The i-th L: column i from row i down legs[i-1][0] squares, row i right legs[i-1][1]."""
+    squares = set()
+    for i, (vert, horiz) in enumerate(legs, start=1):
+        squares.update((r, i) for r in range(i, i + vert))
+        squares.update((i, c) for c in range(i, i + horiz))
+    return squares
+
+
+def rc_ls_squares(n, corners):
+    """Each corner pair (v, p): row p from column v to n, column v from row p to n."""
+    squares = set()
+    for v, p in corners:
+        squares.update((p, j) for j in range(v, n + 1))
+        squares.update((i, v) for i in range(p, n + 1))
+    return squares
+
+
+def slide_flip_squares(n, corners):
+    """
+    The i-th rc L, cornered at (p, v) for corner pair (v, p), slid square by
+    square so its corner lands on (i, i), then flipped (r, c) -> (c, r).
+    """
+    squares = set()
+    for i, (v, p) in enumerate(corners, start=1):
+        ell = [(p, c) for c in range(v, n + 1)] + [(r, v) for r in range(p, n + 1)]
+        squares.update((c - v + i, r - p + i) for r, c in ell)
+    return squares
+
+
+def staircase_squares(word, n):
+    """Row i from the top: columns 1 .. (d's before the (n - i + 1)-th u)."""
+    widths = []
+    downs = 0
+    for step in word:
+        if step == "d":
+            downs += 1
+        else:
+            widths.append(downs)
+    return {(i, j) for i in range(1, n + 1) for j in range(1, widths[n - i] + 1)}
+
+
+def bar_reflect_squares(n, squares):
+    """Every square (i, j) sent to (n + 1 - i, n + 1 - j)."""
+    return {(n + 1 - i, n + 1 - j) for i, j in squares}
+
+
+def two_one_classify_by_definition(perm):
+    """
+    Positions that are a "2" (some later value smaller) and a "1" (some
+    earlier value larger), by scanning every pair.
+    """
+    n = len(perm)
+    twos = frozenset(
+        i + 1 for i in range(n) if any(perm[j] < perm[i] for j in range(i + 1, n))
+    )
+    ones = frozenset(
+        j + 1 for j in range(n) if any(perm[i] > perm[j] for i in range(j))
+    )
+    return twos, ones

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from permbij.grid import (
@@ -13,7 +15,16 @@ from permbij.grid import (
     realize,
     render_ascii,
 )
-from permbij.perm import enumerate_avoiders, identity, reverse_complement
+from permbij.maps import (
+    gamma_template,
+    slide_flip_template,
+    theta_corners,
+    theta_rsk,
+    theta_slide_flip,
+    theta_template,
+)
+from permbij.perm import bar, enumerate_avoiders, identity, reverse_complement
+from permbij.rsk import dyck_from_tableaux, rsk_tableaux, template_from_dyck
 
 import helpers
 
@@ -22,6 +33,11 @@ GOLDEN = (1, 4, 2, 3, 7, 5, 8, 6)
 
 def rows_to_squares(rows):
     return frozenset((r, c) for r, cols in rows.items() for c in cols)
+
+
+def squares_template(n, squares):
+    """A template with one single-square row run per square."""
+    return Template(n, [(r, c, c) for r, c in squares])
 
 
 # shaded columns per row of the three worked-example figures
@@ -57,16 +73,32 @@ RC_ROWS = {
 
 def test_template_rejects_out_of_grid_squares():
     with pytest.raises(ValueError, match="outside"):
-        Template(2, {(3, 1)})
+        Template(2, [(3, 1, 1)])
+    with pytest.raises(ValueError, match="outside"):
+        Template(2, [], [(1, 2, 3)])
+    with pytest.raises(ValueError, match="empty"):
+        Template(2, [(1, 2, 1)])
     with pytest.raises(ValueError, match="positive"):
-        Template(0, set())
+        Template(0)
 
 
 def test_template_coerces_shading_to_frozenset():
-    t = Template(2, [(1, 1), (1, 1)])
+    t = Template(2, [[1, 1, 1], (1, 1, 1)])
+    assert t.row_runs == ((1, 1, 1), (1, 1, 1))
     assert t.shaded == frozenset({(1, 1)})
-    assert t.row(1) == frozenset({1})
-    assert t.row(2) == frozenset()
+    assert helpers.shaded_row(t, 1) == frozenset({1})
+    assert helpers.shaded_row(t, 2) == frozenset()
+
+
+def test_template_equality_goes_by_squares():
+    # an L as one row run and one column run, as three single squares,
+    # and as two overlapping runs of the same row: one shading
+    ell = Template(3, [(1, 1, 2)], [(1, 1, 2)])
+    assert ell == squares_template(3, {(1, 1), (1, 2), (2, 1)})
+    assert ell == Template(3, [(1, 1, 1), (1, 1, 2), (2, 1, 1)])
+    assert hash(ell) == hash(squares_template(3, ell.shaded))
+    assert ell != Template(3, [(1, 1, 2)])
+    assert ell != Template(4, [(1, 1, 2)], [(1, 1, 2)])
 
 
 # ------------------------------------------------------------ realizations
@@ -76,13 +108,62 @@ def test_realize_empty_grid_gives_identity():
 
 
 def test_realize_golden_figures():
-    assert realize(Template(8, rows_to_squares(NESTED_ROWS))) == GOLDEN
-    assert realize(Template(8, rows_to_squares(DIAGONAL_ROWS))) == (7, 8, 6, 4, 3, 5, 2, 1)
+    assert realize(squares_template(8, rows_to_squares(NESTED_ROWS))) == GOLDEN
+    assert realize(squares_template(8, rows_to_squares(DIAGONAL_ROWS))) == (7, 8, 6, 4, 3, 5, 2, 1)
 
 
 def test_realize_raises_when_a_row_is_blocked():
     with pytest.raises(ValueError, match="no admissible square in row 1"):
-        realize(Template(1, {(1, 1)}))
+        realize(Template(1, [(1, 1, 1)]))
+
+
+def test_a_fully_shaded_row_raises_like_the_literal_placement():
+    for n in range(1, 6):
+        for row in range(1, n + 1):
+            # a full row, once as one run and once as a column run per square
+            for t in (
+                Template(n, [(row, 1, n)]),
+                Template(n, [], [(c, row, row) for c in range(1, n + 1)]),
+            ):
+                message = f"^no admissible square in row {row}$"
+                for placement, oracle in (
+                    (realize, helpers.realize_by_squares),
+                    (rc_realize, helpers.rc_realize_by_squares),
+                ):
+                    with pytest.raises(ValueError, match=message):
+                        oracle(n, t.shaded)
+                    with pytest.raises(ValueError, match=message):
+                        placement(t)
+
+
+def random_runs(n, rng):
+    """Up to 2n runs of each kind, anywhere in the grid, free to overlap."""
+    runs = []
+    for _ in range(2):
+        kind = []
+        for _ in range(rng.randrange(2 * n + 1)):
+            first = rng.randint(1, n)
+            kind.append((rng.randint(1, n), first, rng.randint(first, n)))
+        runs.append(kind)
+    return runs
+
+
+def outcome(placement, *args):
+    try:
+        return placement(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_placements_match_the_literal_rules_on_random_runs():
+    # overlapping runs, several per line, and blocked rows: shapes that no
+    # builder draws
+    rng = random.Random(0)
+    for n in range(1, 13):
+        for _ in range(300):
+            t = Template(n, *random_runs(n, rng))
+            assert outcome(realize, t) == outcome(helpers.realize_by_squares, n, t.shaded)
+            assert outcome(rc_realize, t) == outcome(helpers.rc_realize_by_squares, n, t.shaded)
 
 
 def test_rc_realize_empty_grid_gives_identity():
@@ -90,13 +171,13 @@ def test_rc_realize_empty_grid_gives_identity():
 
 
 def test_rc_realize_golden_figure():
-    assert rc_realize(Template(8, rows_to_squares(RC_ROWS))) == GOLDEN
+    assert rc_realize(squares_template(8, rows_to_squares(RC_ROWS))) == GOLDEN
 
 
 def test_rc_realize_blocked_grid_raises_on_both_routes():
     # {(1,1)} with n=2: the direct rule blocks row 1, and the bar-reflected
     # grid blocks row 2 under realize; the two rules must fail together.
-    t = Template(2, {(1, 1)})
+    t = Template(2, [(1, 1, 1)])
     with pytest.raises(ValueError, match="no admissible square"):
         rc_realize(t)
     with pytest.raises(ValueError, match="no admissible square"):
@@ -112,7 +193,7 @@ def test_rc_realize_matches_bar_reflection_route():
 
 
 def test_bar_reflect_is_an_involution():
-    t = Template(8, rows_to_squares(RC_ROWS))
+    t = squares_template(8, rows_to_squares(RC_ROWS))
     assert bar_reflect(bar_reflect(t)) == t
 
 
@@ -217,6 +298,56 @@ def test_realize_round_trips_whole_classes():
             assert rc_realize(rc_template(p)) == p
 
 
+def builders_against_square_rules(p):
+    """
+    Every builder's template for p, each beside the square set that the
+    per-square drawing rule gives from the same corner or path data, and
+    the image of the route that realizes it (None for the builders no
+    route realizes).
+    """
+    n = len(p)
+    corners = l_corners(p)
+    rc_corners = rcl_corners(p)
+    word = dyck_from_tableaux(*rsk_tableaux(p))
+    theta_legs = [(bar(v, n), bar(q, n)) for v, q in rc_corners]
+    rc = rc_template(p)
+    rc_squares = helpers.rc_ls_squares(n, rc_corners)
+    return [
+        (nested_template(p), helpers.reversed_ls_squares(corners), None),
+        (diagonal_template(p), helpers.diagonal_ls_squares(corners), gamma_template(p)),
+        (rc, rc_squares, None),
+        (theta_template(p), helpers.diagonal_ls_squares(theta_legs), theta_corners(p)),
+        (slide_flip_template(p), helpers.slide_flip_squares(n, rc_corners), theta_slide_flip(p)),
+        (template_from_dyck(word, n), helpers.staircase_squares(word, n), theta_rsk(p)),
+        (bar_reflect(rc), helpers.bar_reflect_squares(n, rc_squares), None),
+    ]
+
+
+def assert_builders_match_square_rules(p):
+    n = len(p)
+    for template, squares, image in builders_against_square_rules(p):
+        assert template.n == n
+        assert template.shaded == squares
+        placed = outcome(helpers.realize_by_squares, n, squares)
+        assert outcome(realize, template) == placed
+        assert image is None or image == placed
+        assert outcome(rc_realize, template) == outcome(
+            helpers.rc_realize_by_squares, n, squares
+        )
+
+
+def test_builders_match_square_rules_on_whole_classes():
+    for n in range(1, 10):
+        for p in enumerate_avoiders(n, "321"):
+            assert_builders_match_square_rules(p)
+
+
+def test_builders_match_square_rules_at_n_1000():
+    assert_builders_match_square_rules(
+        helpers.uniform_321_avoider(1000, random.Random("1:1000"))
+    )
+
+
 # ---------------------------------------------------------------- rendering
 
 def test_render_empty_with_identity_dots():
@@ -224,11 +355,11 @@ def test_render_empty_with_identity_dots():
 
 
 def test_render_shading_without_dots():
-    assert render_ascii(Template(2, {(1, 1)})) == "#.\n.."
+    assert render_ascii(Template(2, [(1, 1, 1)])) == "#.\n.."
 
 
 def test_render_diagnostic_glyph_for_dot_on_shading():
-    assert render_ascii(Template(2, {(1, 1)}), (1, 2)) == "@.\n.o"
+    assert render_ascii(Template(2, [(1, 1, 1)]), (1, 2)) == "@.\n.o"
 
 
 def test_render_rejects_mismatched_dots():

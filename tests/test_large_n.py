@@ -5,8 +5,10 @@ Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  The corner extractors are held to their
 literal oracles at n = 100.  Each input is held to route agreement,
 to the half-turn identity between the two maps, to 132-avoidance of the
-images (by an oracle), and to the Elizalde-Pak properties: fixed points
-and excedances preserved, and commuting with inverse.
+images, and to the Elizalde-Pak properties: fixed points and excedances
+preserved, and commuting with inverse.  At n = 10^4 only the four
+template routes run; the rewriting routes and the quadratic 132 oracle
+stay at n <= 400.
 """
 import collections
 import random
@@ -35,7 +37,7 @@ from permbij.perm import (
 
 import helpers
 
-SIZES = (100, 400)
+SIZES = (100, 400, 10_000)
 SEEDS = (1, 2, 3)
 
 
@@ -72,10 +74,10 @@ def test_routes_and_properties_at_large_n(n, seed):
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     assert is_permutation(sigma)
 
-    thetas = [
-        route(sigma)
-        for route in (theta_corners, theta_rsk, theta_slide_flip, theta_via_gamma)
-    ]
+    theta_routes = [theta_corners, theta_rsk, theta_slide_flip]
+    if n <= 400:
+        theta_routes.append(theta_via_gamma)
+    thetas = [route(sigma) for route in theta_routes]
     assert thetas.count(thetas[0]) == len(thetas)
     image_gamma = gamma_template(sigma)
     assert image_gamma == theta_rsk(inverse_reverse_complement(sigma))
@@ -84,7 +86,8 @@ def test_routes_and_properties_at_large_n(n, seed):
 
     for image in (image_gamma, thetas[0]):
         assert is_permutation(image)
-        assert not helpers.contains_132_by_pairs(image)
+        if n <= 400:
+            assert not helpers.contains_132_by_pairs(image)
         assert avoids(image, "132")
         assert fixed_points(image) == fixed_points(sigma)
         assert excedances(image) == excedances(sigma)

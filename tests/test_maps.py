@@ -26,13 +26,17 @@ from permbij.perm import (
     two_one_classify,
 )
 
+import helpers
+
 GOLDEN = (1, 4, 2, 3, 7, 5, 8, 6)
 GOLDEN_GAMMA = (7, 8, 6, 4, 3, 5, 2, 1)
 GOLDEN_THETA = (7, 5, 4, 2, 3, 1, 6, 8)
 
 ALL_THETA_ROUTES = (theta_rsk, theta_corners, theta_slide_flip, theta_via_gamma)
 ALL_ROUTES = (gamma_iterative, gamma_template, *ALL_THETA_ROUTES)
-NON_PERMUTATIONS = [(1, 1), (2, 3), (0, 1), (5, 1), (), (2.0, 1.0), ("1", "2")]
+NON_PERMUTATIONS = [
+    (1, 1), (2, 3), (0, 1), (5, 1), (), (2.0, 1.0), ("1", "2"), (True, 2), (2, True),
+]
 
 
 # ------------------------------------------------------------ the rewriting map
@@ -103,7 +107,7 @@ def test_theta_templates_agree_square_for_square():
 
 def test_theta_template_golden_row_widths():
     t = theta_template(GOLDEN)
-    widths = [len(t.row(i)) for i in range(1, 9)]
+    widths = [len(helpers.shaded_row(t, i)) for i in range(1, 9)]
     assert widths == [6, 4, 3, 1, 1, 0, 0, 0]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -81,6 +82,10 @@ def test_is_permutation():
     assert not is_permutation((1, 3))
     assert not is_permutation((1, 1, 2))
     assert not is_permutation((2.0, 1.0))
+    # bool is a subclass of int, yet True is no entry of a permutation
+    assert not is_permutation((True, 2))
+    assert not is_permutation((2, True))
+    assert not is_permutation((True,))
 
 
 # ------------------------------------------------------------- symmetries
@@ -207,6 +212,15 @@ def test_two_one_classify_trivial():
 def test_two_one_classify_rejects_321():
     with pytest.raises(ValueError, match="321"):
         two_one_classify((3, 2, 1))
+
+
+def test_two_one_classify_matches_the_pair_scan():
+    for n in range(1, 10):
+        for p in enumerate_avoiders(n, "321"):
+            assert two_one_classify(p) == helpers.two_one_classify_by_definition(p)
+    for seed in range(3):
+        sigma = helpers.uniform_321_avoider(400, random.Random(f"{seed}:400"))
+        assert two_one_classify(sigma) == helpers.two_one_classify_by_definition(sigma)
 
 
 def test_two_one_classes_disjoint_and_increasing():
