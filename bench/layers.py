@@ -1,5 +1,6 @@
 """
-Direct-call timings of the template layers and the four template routes.
+Direct-call timings of the template layers and the four template routes,
+and per-check timings of the exhaustive verifier.
 
     python bench/layers.py OUT.json LABEL [--src CHECKOUT]
 
@@ -14,8 +15,19 @@ A layer skips a size, and records the skip with its reason, when the
 layer's last two sizes project that size's call or set-up past BUDGET_S:
 the projection extends the growth exponent measured between those sizes.
 This keeps quadratic code away from sizes whose square sets would not fit
-in memory.  Rows are merged into OUT.json under LABEL, so two checkouts
-measured in turn sit side by side in one file.
+in memory.
+
+The verifier rows come from SUITE_RUNS runs of run_suite(1, SUITE_N_MAX),
+each in a fresh interpreter so that the enumeration cache starts cold, as
+in a `permbij verify` process.  Row "verify.<check>" at n is the median of
+that check's elapsed_ms at n, for n in SUITE_ROW_SIZES; a check's time
+includes whatever shared work it is the first to do at that n (class
+enumeration, and where run_suite memoizes route images, the fills it is
+the first to make).  Row "verify.run_suite" is the median wall time of the
+whole call, imports left out.
+
+Rows are merged into OUT.json under LABEL, so two checkouts measured in
+turn sit side by side in one file.
 """
 from __future__ import annotations
 
@@ -26,6 +38,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -36,6 +49,19 @@ SIZES = (10, 100, 400, 1_000, 10_000, 100_000)
 BUDGET_S = 10.0
 MAX_CALLS = 7
 MIN_TOTAL_S = 0.2
+SUITE_N_MAX = 10
+SUITE_ROW_SIZES = (9, 10)
+SUITE_RUNS = 3
+
+#: one run_suite(1, n_max) in a fresh interpreter: its wall time, then (check, n, ms) rows
+SUITE_SCRIPT = """
+import json, sys, time
+from permbij.verify import run_suite
+start = time.perf_counter()
+reports = run_suite(1, int(sys.argv[1]))
+total = time.perf_counter() - start
+print(json.dumps([total * 1e3, [[r.check, r.n, r.elapsed_ms] for r in reports]]))
+"""
 
 
 def layers():
@@ -107,6 +133,34 @@ def measure(name, prepare, call, inputs):
     return rows
 
 
+def suite_rows(src: Path) -> list[dict]:
+    runs = []
+    for _ in range(SUITE_RUNS):
+        out = subprocess.run(
+            [sys.executable, "-c", SUITE_SCRIPT, str(SUITE_N_MAX)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        runs.append(json.loads(out))
+    per_check: dict[tuple[str, int], list[float]] = {}
+    for _, reports in runs:
+        for check, n, ms in reports:
+            if n in SUITE_ROW_SIZES:
+                per_check.setdefault((check, n), []).append(ms)
+    rows = [
+        {"layer": f"verify.{check}", "n": n, "ms": round(statistics.median(times), 4),
+         "calls": len(times)}
+        for (check, n), times in sorted(per_check.items())
+    ]
+    rows.append(
+        {"layer": "verify.run_suite", "n_min": 1, "n": SUITE_N_MAX,
+         "ms": round(statistics.median(total for total, _ in runs), 4), "calls": SUITE_RUNS}
+    )
+    for row in rows:
+        print(f"{row['layer']:28s} n={row['n']:<7d} {row['ms']:10.3f} ms", file=sys.stderr)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON file to merge the rows into")
@@ -126,13 +180,16 @@ def main(argv=None) -> int:
     rows = []
     for name, prepare, call in layers():
         rows.extend(measure(name, prepare, call, inputs))
+    rows.extend(suite_rows(src))
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("sizes", list(SIZES))
     record.setdefault(
         "method",
         f"direct calls; median of up to {MAX_CALLS} calls per row, fewer once they "
-        f"add up to {MIN_TOTAL_S} s; a size is skipped when projected past {BUDGET_S} s",
+        f"add up to {MIN_TOTAL_S} s; a size is skipped when projected past {BUDGET_S} s; "
+        f"verify.* rows: median of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}), "
+        "each in a fresh interpreter",
     )
     record.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),

@@ -46,6 +46,8 @@ _TEMPLATES = {
 
 _RENDERABLES = (*_TEMPLATES, "dyck", "tableaux")
 
+_INPUT_HELP = "permutation, e.g. '1 4 2 3' or '1423'; '-' reads it from standard input"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,13 +58,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("map", help="apply a bijection or symmetry to a permutation")
     p_map.add_argument("--bijection", required=True, choices=sorted(_MAPS))
-    p_map.add_argument("--input", required=True, help="permutation, e.g. '1 4 2 3' or '1423'")
+    p_map.add_argument("--input", required=True, help=_INPUT_HELP)
     p_map.add_argument("--compact", action="store_true", help="print a digit string (n <= 9)")
     p_map.add_argument("--format", choices=("text", "json"), default="text")
 
     p_render = sub.add_parser("render", help="draw a template, the up-down word, or the tableaux")
     p_render.add_argument("--what", required=True, choices=_RENDERABLES)
-    p_render.add_argument("--input", required=True)
+    p_render.add_argument("--input", required=True, help=_INPUT_HELP)
 
     p_verify = sub.add_parser("verify", help="run exhaustive cross-checks over whole classes")
     p_verify.add_argument("--n-min", type=int, default=1)
@@ -83,8 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_permutation(text: str):
+    """The permutation --input names: its text, or standard input for '-'."""
+    return parse_permutation(sys.stdin.read() if text == "-" else text)
+
+
 def _run_map(args) -> int:
-    sigma = parse_permutation(args.input)
+    sigma = _read_permutation(args.input)
     image = _MAPS[args.bijection](sigma)
     if args.format == "json":
         print(
@@ -113,7 +120,7 @@ def _tableau_text(tableau: rsk.TwoRowTableau) -> str:
 
 
 def _run_render(args) -> int:
-    sigma = parse_permutation(args.input)
+    sigma = _read_permutation(args.input)
     if args.what in _TEMPLATES:
         build, place = _TEMPLATES[args.what]
         template = build(sigma)

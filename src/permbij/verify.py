@@ -6,12 +6,23 @@ Every check sweeps all of S_n(321) for one n (whole-class checks compare
 entire images at once) and reports counterexamples, capped so a broken
 build stays readable.  Reports serialize to JSON Lines and back without
 loss.
+
+run_suite sweeps n in the outer loop and the checks in the inner one.
+While it runs one n, the images of the default routes (maps.gamma,
+maps.gamma_template and maps.theta) are memoized over that class, keyed by
+the function looked up at call time and then by the input, so each route
+runs once per class member however many checks read it.  The memo holds
+images only, never a tableau, template or corner list, and no other route
+reads it; it is dropped before the next n, and a direct CHECKS[name](n)
+call outside run_suite is not memoized.
 """
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -95,6 +106,60 @@ def _sweep(*pairs) -> Callable[[int], Iterator[dict]]:
     return run
 
 
+class _Images:
+    """
+    Images of the memoized routes over S_n(321) for one n, keyed by the
+    route function and then by the input.  An image that is a tuple of ints
+    equal to a member of S_n(132) is stored as that member of the cached
+    class, so the memo holds no image tuples of its own; any other image is
+    stored, and returned, as the route returned it.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.by_route: dict[Callable, dict] = {}
+        #: S_n(132) in lexicographic order, read on the first fill
+        self._targets: tuple[Perm, ...] = ()
+
+    def image(self, fn: Callable, p: Perm):
+        images = self.by_route.get(fn)
+        if images is None:
+            images = self.by_route[fn] = {}
+        q = images.get(p)
+        if q is None:
+            q = images[p] = self._canonical(fn(p))
+        return q
+
+    def _canonical(self, q):
+        if type(q) is not tuple or set(map(type, q)) != {int}:
+            return q
+        if not self._targets:
+            self._targets = tuple(enumerate_avoiders(self.n, "132"))
+        # a binary search, not a dict, so that the lookup adds no table
+        i = bisect_left(self._targets, q)
+        return self._targets[i] if i < len(self._targets) and self._targets[i] == q else q
+
+
+#: the memo of the class run_suite is sweeping; None outside run_suite, so a
+#: direct CHECKS[name](n) call is unmemoized
+_MEMO: ContextVar[_Images | None] = ContextVar("route_memo", default=None)
+
+
+def _route(name: str) -> Callable[[Perm], Perm]:
+    """maps.<name>, looked up at call time and read through the memo inside run_suite."""
+
+    def image(p: Perm) -> Perm:
+        fn = getattr(maps, name)
+        memo = _MEMO.get()
+        return fn(p) if memo is None else memo.image(fn, p)
+
+    return image
+
+
+_gamma = _route("gamma")
+_theta = _route("theta")
+
+
 def _itself(p: Perm) -> Perm:
     return p
 
@@ -129,8 +194,8 @@ def _second_rows(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _preserves(stat) -> Callable[[int], Iterator[dict]]:
     return _sweep(
-        (stat, lambda p: stat(maps.gamma(p))),
-        (stat, lambda p: stat(maps.theta(p))),
+        (stat, lambda p: stat(_gamma(p))),
+        (stat, lambda p: stat(_theta(p))),
     )
 
 
@@ -174,13 +239,13 @@ CHECKS: dict[str, Callable[[int], Iterator[dict]]] = {
     "theorem1-route": _sweep((_dyck_template, lambda p: maps.theta_template(p))),
     "theorem2-route": _sweep((_dyck_template, lambda p: maps.slide_flip_template(p))),
     "theorem3": _sweep((maps.theta_via_gamma, maps.theta_rsk)),
-    "fact3-route-agreement": _sweep((maps.gamma_iterative, maps.gamma_template)),
+    "fact3-route-agreement": _sweep((maps.gamma_iterative, _route("gamma_template"))),
     "fixed-points": _preserves(fixed_points),
     "excedances": _preserves(excedances),
-    "inverse-commute-gamma": _commutes_with_inverse(maps.gamma),
-    "inverse-commute-theta": _commutes_with_inverse(maps.theta),
-    "bijectivity-gamma": _check_bijectivity(maps.gamma),
-    "bijectivity-theta": _check_bijectivity(maps.theta),
+    "inverse-commute-gamma": _commutes_with_inverse(_gamma),
+    "inverse-commute-theta": _commutes_with_inverse(_theta),
+    "bijectivity-gamma": _check_bijectivity(_gamma),
+    "bijectivity-theta": _check_bijectivity(_theta),
     "catalan-counts": _check_catalan_counts,
 }
 
@@ -191,6 +256,12 @@ def run_suite(
     """
     Run the named checks (default: all) for every n in n_min..n_max and
     return one report per (check, n), sorted by check name then n.
+
+    The sweep runs n in the outer loop and the checks, in name order, in
+    the inner one, with one memo of route images per n (see the module
+    docstring).  A report's elapsed_ms is the wall time of its
+    CHECKS[name](n) call, so it includes the memo fills that check is the
+    first to make and any enumeration it is the first to cache.
     """
     if checks is None:
         names = sorted(CHECKS)
@@ -203,18 +274,23 @@ def run_suite(
     if not 1 <= n_min <= n_max <= ENUMERATION_CAP:
         raise ValueError(f"n range {n_min}..{n_max} outside 1..{ENUMERATION_CAP}")
     reports = []
-    for name in names:
-        for n in range(n_min, n_max + 1):
-            start = time.perf_counter()
-            failures = []
-            for failure in CHECKS[name](n):
-                failures.append(failure)
-                if len(failures) >= FAILURE_LIMIT:
-                    break
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            reports.append(
-                CheckReport(name, n, catalan(n), tuple(failures), elapsed_ms)
-            )
+    for n in range(n_min, n_max + 1):
+        token = _MEMO.set(_Images(n))
+        try:
+            for name in names:
+                start = time.perf_counter()
+                failures = []
+                for failure in CHECKS[name](n):
+                    failures.append(failure)
+                    if len(failures) >= FAILURE_LIMIT:
+                        break
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                reports.append(
+                    CheckReport(name, n, catalan(n), tuple(failures), elapsed_ms)
+                )
+        finally:
+            _MEMO.reset(token)
+    reports.sort(key=lambda r: (r.check, r.n))
     return reports
 
 

@@ -1,6 +1,16 @@
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 from permbij.cli import cli_main
+from permbij.maps import gamma
+from permbij.perm import format_permutation
+
+import helpers
 
 GOLDEN_TEXT = "1 4 2 3 7 5 8 6"
 
@@ -220,6 +230,43 @@ def test_verify_over_cap_exits_2(capsys):
     assert status == 2
     assert out == ""
     assert "outside 1..12" in err
+
+
+def test_input_dash_reads_standard_input(capsys, monkeypatch):
+    for argv in (
+        ("map", "--bijection", "theta"),
+        ("map", "--bijection", "gamma", "--compact"),
+        ("render", "--what", "t-sigma"),
+        ("render", "--what", "tableaux"),
+    ):
+        from_argument = run(capsys, *argv, "--input", GOLDEN_TEXT)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(GOLDEN_TEXT + "\n"))
+        assert run(capsys, *argv, "--input", "-") == from_argument
+
+
+def test_input_dash_with_empty_standard_input_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    status, out, err = run(capsys, "map", "--bijection", "theta", "--input", "-")
+    assert status == 2
+    assert out == ""
+    assert "empty permutation text" in err
+
+
+def test_map_reads_an_input_over_the_argument_cap_from_stdin():
+    # Linux refuses one command-line argument over 128 KiB
+    sigma = helpers.uniform_321_avoider(30_000, random.Random("cli:stdin:30000"))
+    text = format_permutation(sigma)
+    assert len(text.encode()) > 128 * 1024
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "permbij", "map", "--bijection", "gamma", "--input", "-"],
+        input=text,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == format_permutation(gamma(sigma)) + "\n"
 
 
 # --------------------------------------------------------------------- stats

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from permbij.perm import catalan
+from permbij import maps, verify
+from permbij.perm import catalan, enumerate_avoiders
 from permbij.verify import (
     CHECKS,
     FAILURE_LIMIT,
@@ -115,6 +117,129 @@ def test_check_report_json_round_trip():
     assert CheckReport.from_json_line(synthetic.json_line()) == synthetic
     record = json.loads(synthetic.json_line())
     assert record["passed"] is False
+
+
+# --------------------------------------------------------------- route memo
+
+def _faulty(route, at, image):
+    """``route``, except that it returns ``image`` at the input ``at``."""
+
+    def wrapped(p):
+        return image if tuple(p) == at else route(p)
+
+    return wrapped
+
+
+def _counted(route, calls):
+    def wrapped(p):
+        calls.append(p)
+        return route(p)
+
+    return wrapped
+
+
+def _direct_reports(n_min, n_max):
+    """(check, n, cases, failures) from direct CHECKS calls, outside run_suite."""
+    return [
+        (name, n, catalan(n), tuple(itertools.islice(CHECKS[name](n), FAILURE_LIMIT)))
+        for name in sorted(CHECKS)
+        for n in range(n_min, n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        # theta sends (2,3,1,5,4) to theta((2,1,3,5,4)): a collision inside S_5(132)
+        {"theta": ((2, 3, 1, 5, 4), (5, 3, 2, 4, 1))},
+        # gamma sends (3,1,2,4) to a word containing 132, outside S_4(132)
+        {"gamma": ((3, 1, 2, 4), (1, 3, 2, 4))},
+        {
+            "theta": ((2, 3, 1, 5, 4), (5, 3, 2, 4, 1)),
+            "gamma": ((2, 3, 1, 5, 6, 4), (1, 2, 3, 4, 5, 6)),
+        },
+    ],
+)
+def test_memo_changes_no_verdict(faults, monkeypatch):
+    for name, (at, image) in faults.items():
+        faulty = _faulty(getattr(maps, name), at, image)
+        monkeypatch.setattr(maps, name, faulty)
+        if name == "gamma":
+            # gamma is the gamma_template route; fault both names alike
+            monkeypatch.setattr(maps, "gamma_template", faulty)
+    memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(1, 6)]
+    assert memoized == _direct_reports(1, 6)
+    failed = {check for check, _, _, failures in memoized if failures}
+    for name in faults:
+        assert {f"bijectivity-{name}", f"inverse-commute-{name}"} <= failed
+
+
+def test_memo_is_keyed_by_route_function(monkeypatch):
+    # gamma rebound to the rewriting route: fact3 must still hold the
+    # rewriting route against the faulty template route, never against a
+    # memoized gamma image
+    monkeypatch.setattr(maps, "gamma", maps.gamma_iterative)
+    monkeypatch.setattr(
+        maps, "gamma_template", _faulty(maps.gamma_template, (3, 1, 2, 4), (4, 3, 1, 2))
+    )
+    reports = run_suite(1, 6)
+    assert {r.check for r in reports if not r.passed} == {"fact3-route-agreement"}
+    (fact3,) = [r for r in reports if r.check == "fact3-route-agreement" and r.n == 4]
+    assert fact3.failures == (
+        {"input": [3, 1, 2, 4], "expected": [3, 1, 2, 4], "actual": [4, 3, 1, 2]},
+    )
+
+
+def test_each_route_image_is_computed_once_per_class_member(monkeypatch):
+    gamma_calls, template_calls, theta_calls = [], [], []
+    monkeypatch.setattr(maps, "gamma", _counted(maps.gamma, gamma_calls))
+    monkeypatch.setattr(maps, "gamma_template", _counted(maps.gamma_template, template_calls))
+    monkeypatch.setattr(maps, "theta", _counted(maps.theta, theta_calls))
+    run_suite(1, 6)
+    members = [p for n in range(1, 7) for p in enumerate_avoiders(n, "321")]
+    for calls in (gamma_calls, template_calls, theta_calls):
+        assert sorted(calls) == sorted(members)
+    # outside run_suite nothing is memoized
+    theta_calls.clear()
+    list(CHECKS["inverse-commute-theta"](5))
+    assert len(theta_calls) == 2 * catalan(5)
+
+
+def test_no_memo_outlives_run_suite(monkeypatch):
+    run_suite(1, 4)
+    assert verify._MEMO.get() is None
+    monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (2, 1, 3), [3, 2, 1]))
+    with pytest.raises(TypeError):  # bijectivity-theta hashes the list image
+        run_suite(1, 4)
+    assert verify._MEMO.get() is None
+    gamma_calls = []
+    monkeypatch.setattr(maps, "gamma", _counted(maps.gamma, gamma_calls))
+    list(CHECKS["inverse-commute-gamma"](4))
+    assert len(gamma_calls) == 2 * catalan(4)
+
+
+def test_each_n_gets_a_fresh_memo(monkeypatch):
+    seen = []
+
+    def probe(n):
+        memo = verify._MEMO.get()
+        seen.append((n, memo.n, len(memo.by_route)))
+        return iter(())
+
+    # fact2 runs before fixed-points at each n, so it sees the memo unfilled
+    monkeypatch.setitem(CHECKS, "fact2", probe)
+    run_suite(1, 3, ["fact2", "fixed-points"])
+    assert seen == [(1, 1, 0), (2, 2, 0), (3, 3, 0)]
+
+
+def test_memo_stores_only_class_members_canonically():
+    memo = verify._Images(3)
+    member = next(q for q in enumerate_avoiders(3, "132") if q == (2, 3, 1))
+    fresh = tuple([2, 3, 1])
+    assert fresh is not member
+    assert memo.image(lambda p: fresh, (1, 2, 3)) is member
+    for odd in [(2.0, 3.0, 1.0), [2, 3, 1], (1, 3, 2), (2, True, 1), (4, 3, 2, 1)]:
+        assert memo.image(lambda p: odd, ("input", repr(odd))) is odd
 
 
 # ------------------------------------------------------------------- tables
