@@ -66,7 +66,7 @@ print(json.dumps([total * 1e3, [[r.check, r.n, r.elapsed_ms] for r in reports]])
 
 def layers():
     """(name, set-up from sigma to the call's arguments, timed call)."""
-    from permbij import grid, maps, perm, rsk
+    from permbij import grid, maps, rsk
 
     def dyck(sigma):
         return (rsk.dyck_from_tableaux(*rsk.rsk_tableaux(sigma)), len(sigma))
@@ -77,7 +77,6 @@ def layers():
     return [
         on_sigma(grid.l_corners),
         on_sigma(grid.rcl_corners),
-        on_sigma(perm.two_one_classify),
         on_sigma(grid.nested_template),
         on_sigma(grid.diagonal_template),
         on_sigma(grid.rc_template),

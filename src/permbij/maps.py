@@ -11,8 +11,8 @@ the half-turn (theta_via_gamma).  All routes agree point for point; the
 verification suite holds them against each other exhaustively.  All six
 reject a word that is not a 321-avoiding permutation with the same
 ValueError, and each call checks its input once: the template routes
-through the corner layer (grid.l_corners, grid.rcl_corners), the others at
-entry.
+through the corner layer (grid.l_corners, grid.rcl_corners), theta_rsk
+through rsk.rsk_tableaux, the other two at entry.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .perm import (
     bar,
     inverse_reverse_complement,
     require_321_avoider,
-    require_permutation,
     smallest_132,
 )
 
@@ -39,6 +38,16 @@ def _rewrite_smallest_132(word: list[int]) -> bool:
     return True
 
 
+def _rewrite_until_132_free(perm: Sequence[int]) -> Perm:
+    """The rewriting map's loop, on a word its caller has already checked."""
+    word = list(perm)
+    # n**3 rewrites is far beyond what any valid input needs
+    for _ in range(len(word) ** 3 + 1):
+        if not _rewrite_smallest_132(word):
+            return tuple(word)
+    raise RuntimeError("132-rewriting did not terminate; this is a bug")
+
+
 def gamma_iterative(perm: Sequence[int]) -> Perm:
     """
     Repeatedly rewrite the lexicographically first 132-pattern, rotating
@@ -50,12 +59,7 @@ def gamma_iterative(perm: Sequence[int]) -> Perm:
     (7, 8, 6, 4, 3, 5, 2, 1)
     """
     require_321_avoider(perm)
-    word = list(perm)
-    # n**3 rewrites is far beyond what any valid input needs
-    for _ in range(len(word) ** 3 + 1):
-        if not _rewrite_smallest_132(word):
-            return tuple(word)
-    raise RuntimeError("132-rewriting did not terminate; this is a bug")
+    return _rewrite_until_132_free(perm)
 
 
 def gamma_template(perm: Sequence[int]) -> Perm:
@@ -125,13 +129,16 @@ def theta_rsk(perm: Sequence[int]) -> Perm:
     >>> theta_rsk((1, 4, 2, 3, 7, 5, 8, 6))
     (7, 5, 4, 2, 3, 1, 6, 8)
     """
-    require_permutation(perm)
     insertion, recording = rsk.rsk_tableaux(perm)
     word = rsk.dyck_from_tableaux(insertion, recording)
     return grid.realize(rsk.template_from_dyck(word, len(perm)))
 
 
 def theta_via_gamma(perm: Sequence[int]) -> Perm:
-    """Transport route: the rewriting map after inverse-reverse-complement."""
-    require_permutation(perm)
-    return gamma_iterative(inverse_reverse_complement(perm))
+    """
+    Transport route: the rewriting map after inverse-reverse-complement.
+    The input is checked once, before the transport, which keeps a
+    321-avoiding permutation 321-avoiding.
+    """
+    require_321_avoider(perm)
+    return _rewrite_until_132_free(inverse_reverse_complement(perm))

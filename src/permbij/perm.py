@@ -273,43 +273,6 @@ def excedances(perm: Sequence[int]) -> int:
     return sum(1 for pos, v in enumerate(perm, start=1) if v > pos)
 
 
-def two_one_classify(perm: Sequence[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """
-    Split the positions of a 321-avoider by their role in 21-patterns:
-    position i is a "2" when some later value is smaller, and a "1" when
-    some earlier value is larger.  No position plays both roles (that would
-    make a 321-pattern) and the values along each class increase left to
-    right; both facts are checked, and a breach raises RuntimeError.
-
-    >>> two, one = two_one_classify((2, 1))
-    >>> (sorted(two), sorted(one))
-    ([1], [2])
-    """
-    require_321_avoider(perm)
-    # i is a 2 iff the least value right of it lies below perm[i], and a 1
-    # iff the largest value left of it lies above perm[i]
-    twos = []
-    least = math.inf
-    for i in range(len(perm) - 1, -1, -1):
-        if least < perm[i]:
-            twos.append(i + 1)
-        least = min(least, perm[i])
-    twos.reverse()
-    ones = []
-    most = -math.inf
-    for j, value in enumerate(perm, start=1):
-        if most > value:
-            ones.append(j)
-        most = max(most, value)
-    if frozenset(twos) & frozenset(ones):
-        raise RuntimeError("a position acted as both a 2 and a 1")
-    for positions in (twos, ones):
-        values = [perm[p - 1] for p in positions]
-        if values != sorted(values):
-            raise RuntimeError("class values are not increasing")
-    return frozenset(twos), frozenset(ones)
-
-
 def catalan(n: int) -> int:
     """
     The n-th Catalan number (2n choose n) / (n + 1), the common size of

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grid import Template
-from .perm import Perm
+from .perm import Perm, require_permutation
 
 UP = "u"
 DOWN = "d"
@@ -55,8 +55,10 @@ def rsk_tableaux(perm: Sequence[int]) -> tuple[TwoRowTableau, TwoRowTableau]:
     first row is appended there; otherwise it bumps the leftmost larger
     first-row entry to the end of the second row.  The recording tableau
     stores, in the cell each step fills for the first time, the index of
-    that step.  Raises when a bumped entry would land below the current end
-    of the second row, which happens iff the input contains a 321-pattern.
+    that step.  Raises ValueError unless the input is a permutation
+    (require_permutation), and when a bumped entry would land below the
+    current end of the second row, which happens iff the input contains a
+    321-pattern.
 
     >>> ins, rec = rsk_tableaux((1, 4, 2, 3, 7, 5, 8, 6))
     >>> ins.row1, ins.row2
@@ -64,6 +66,7 @@ def rsk_tableaux(perm: Sequence[int]) -> tuple[TwoRowTableau, TwoRowTableau]:
     >>> rec.row1, rec.row2
     ((1, 2, 4, 5, 7), (3, 6, 8))
     """
+    require_permutation(perm)
     ins1: list[int] = []
     ins2: list[int] = []
     rec1: list[int] = []
@@ -154,16 +157,3 @@ def template_from_dyck(word: str, n: int) -> Template:
     ]
     return Template(n, row_runs)
 
-
-def second_half_from_top_right(rec: TwoRowTableau, n: int) -> tuple[str, ...]:
-    """
-    The second half of the lattice path traced backward from the grid's
-    upper-right corner: one edge per value 1..n, going left when the value
-    sits in the recording tableau's first row and down when in its second.
-    Edge for edge, this retraces the reversed-and-interchanged half that
-    dyck_from_tableaux() appends.
-    """
-    if n != rec.size:
-        raise ValueError(f"n={n} does not match the tableau size {rec.size}")
-    first_row = set(rec.row1)
-    return tuple("left" if i in first_row else "down" for i in range(1, n + 1))

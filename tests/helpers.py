@@ -290,17 +290,3 @@ def bar_reflect_squares(n, squares):
     """Every square (i, j) sent to (n + 1 - i, n + 1 - j)."""
     return {(n + 1 - i, n + 1 - j) for i, j in squares}
 
-
-def two_one_classify_by_definition(perm):
-    """
-    Positions that are a "2" (some later value smaller) and a "1" (some
-    earlier value larger), by scanning every pair.
-    """
-    n = len(perm)
-    twos = frozenset(
-        i + 1 for i in range(n) if any(perm[j] < perm[i] for j in range(i + 1, n))
-    )
-    ones = frozenset(
-        j + 1 for j in range(n) if any(perm[i] > perm[j] for i in range(j))
-    )
-    return twos, ones

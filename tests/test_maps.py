@@ -1,6 +1,6 @@
 import pytest
 
-from permbij import grid, perm
+from permbij import grid, perm, rsk
 from permbij.maps import (
     _rewrite_smallest_132,
     gamma,
@@ -23,7 +23,6 @@ from permbij.perm import (
     identity,
     inverse,
     inverse_reverse_complement,
-    two_one_classify,
 )
 
 import helpers
@@ -139,7 +138,7 @@ def test_routes_reject_non_permutations(route, word):
         grid.rc_template,
         theta_template,
         slide_flip_template,
-        two_one_classify,
+        rsk.rsk_tableaux,
     ),
     ids=lambda fn: fn.__name__,
 )
@@ -148,12 +147,7 @@ def test_corner_builders_reject_non_permutations(builder, word):
         builder(word)
 
 
-# theta_via_gamma checks twice: its transport maps the non-permutation (2, 3) to (2, 1)
-@pytest.mark.parametrize(
-    "route",
-    (gamma_iterative, gamma_template, theta_corners, theta_slide_flip, theta_rsk),
-    ids=lambda fn: fn.__name__,
-)
+@pytest.mark.parametrize("route", ALL_ROUTES, ids=lambda fn: fn.__name__)
 def test_routes_check_their_input_once(route, monkeypatch):
     calls = []
     check = perm.is_permutation

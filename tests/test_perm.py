@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -20,7 +19,6 @@ from permbij.perm import (
     reverse,
     reverse_complement,
     smallest_132,
-    two_one_classify,
 )
 
 import helpers
@@ -196,41 +194,6 @@ def test_excedances():
     assert excedances(GOLDEN) == 3
     assert excedances(identity(5)) == 0
     assert excedances((7, 8, 6, 4, 3, 5, 2, 1)) == 3
-
-
-def test_two_one_classify_golden():
-    twos, ones = two_one_classify(GOLDEN)
-    assert twos == frozenset({2, 5, 7})
-    assert ones == frozenset({3, 4, 6, 8})
-
-
-def test_two_one_classify_trivial():
-    assert two_one_classify(identity(4)) == (frozenset(), frozenset())
-    assert two_one_classify((2, 1)) == (frozenset({1}), frozenset({2}))
-
-
-def test_two_one_classify_rejects_321():
-    with pytest.raises(ValueError, match="321"):
-        two_one_classify((3, 2, 1))
-
-
-def test_two_one_classify_matches_the_pair_scan():
-    for n in range(1, 10):
-        for p in enumerate_avoiders(n, "321"):
-            assert two_one_classify(p) == helpers.two_one_classify_by_definition(p)
-    for seed in range(3):
-        sigma = helpers.uniform_321_avoider(400, random.Random(f"{seed}:400"))
-        assert two_one_classify(sigma) == helpers.two_one_classify_by_definition(sigma)
-
-
-def test_two_one_classes_disjoint_and_increasing():
-    # the checks inside two_one_classify enforce both facts; drive them
-    # over the whole class
-    for n in range(1, 9):
-        for p in enumerate_avoiders(n, "321"):
-            twos, ones = two_one_classify(p)
-            assert not (twos & ones)
-            assert twos | ones <= set(range(1, n + 1))
 
 
 # -------------------------------------------------------------- enumeration

@@ -6,7 +6,6 @@ from permbij.rsk import (
     TwoRowTableau,
     dyck_from_tableaux,
     rsk_tableaux,
-    second_half_from_top_right,
     template_from_dyck,
     validate_dyck,
 )
@@ -168,37 +167,6 @@ def test_left_of_path_region_always_realizes_a_132_avoider():
     for n in range(1, 10):
         for word in helpers.dyck_words(n):
             assert avoids(realize(template_from_dyck(word, n)), "132")
-
-
-# -------------------------------------------------- second half, retraced
-
-def test_second_half_from_top_right_golden():
-    _, rec = rsk_tableaux(GOLDEN)
-    assert second_half_from_top_right(rec, 8) == (
-        "left", "left", "down", "left", "left", "down", "left", "down",
-    )
-
-
-def test_second_half_single_row():
-    _, rec = rsk_tableaux(identity(3))
-    assert second_half_from_top_right(rec, 3) == ("left", "left", "left")
-
-
-def test_second_half_transposition():
-    _, rec = rsk_tableaux((2, 1))
-    assert second_half_from_top_right(rec, 2) == ("left", "down")
-
-
-def test_second_half_retraces_the_appended_half():
-    # walking the reversed second half backward turns d into left, u into down
-    for n in range(1, 10):
-        for p in enumerate_avoiders(n, "321"):
-            ins, rec = rsk_tableaux(p)
-            second = dyck_from_tableaux(ins, rec)[n:]
-            retraced = tuple(
-                "left" if step == "d" else "down" for step in reversed(second)
-            )
-            assert second_half_from_top_right(rec, n) == retraced
 
 
 # --------------------------------------------- inverted-L shape of the region
