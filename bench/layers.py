@@ -1,6 +1,6 @@
 """
-Direct-call timings of the template layers and the four template routes,
-and per-check timings of the exhaustive verifier.
+Direct-call timings of the template layers, the four template routes and
+the two rewriting routes, and per-check timings of the exhaustive verifier.
 
     python bench/layers.py OUT.json LABEL [--src CHECKOUT]
 
@@ -90,6 +90,8 @@ def layers():
         on_sigma(maps.theta_corners),
         on_sigma(maps.theta_slide_flip),
         on_sigma(maps.theta_rsk),
+        on_sigma(maps.gamma_iterative),
+        on_sigma(maps.theta_via_gamma),
     ]
 
 

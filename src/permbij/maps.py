@@ -13,14 +13,36 @@ reject a word that is not a 321-avoiding permutation with the same
 ValueError, and each call checks its input once: the template routes
 through the corner layer (grid.l_corners, grid.rcl_corners), theta_rsk
 through rsk.rsk_tableaux, the other two at entry.
+
+The literal iteration rotates the least 132 (i, j, k), values a < c < b at
+positions i < j < k, to b, c, a, and two facts spare it a whole-word search
+per rewrite:
+
+(a) The start i never decreases.  Take h < i, with x at h.  Before the
+    rotation h started no 132: the values above x right of h rose from
+    left to right, and c < x, as (h, j, k) was no 132.  So the rotation
+    moves no value above x but b, from j left to i, and a 132 from h after
+    it would need some v in (x, b) between positions i and j; then
+    (i, pos(v), k), with a < c < v, was a 132 with its middle before j.
+(b) At one start i, j strictly increases.  Every value between positions
+    i and j lies below b, or it would have been an earlier middle for i.
+    The rotation puts b at i and values below b at j and k, so the next
+    middle lies right of j, and right of j every value above the new
+    entry at i stands where it stood when i became the start.
+
+So each start is one phase (_least_132_rewrites): a right-to-left stack
+pass from the last start for the next one, one scan of j against the
+sorted values right of it, and a forward scan from j for each k.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Sequence
 
 from . import grid, rsk
 from .perm import (
     Perm,
+    _least_132_start,
     bar,
     inverse_reverse_complement,
     require_321_avoider,
@@ -28,24 +50,44 @@ from .perm import (
 )
 
 
-def _rewrite_smallest_132(word: list[int]) -> bool:
-    """Rotate the values of the first 132-pattern in place; False if none."""
-    triple = smallest_132(word)
-    if triple is None:
-        return False
-    i, j, k = (t - 1 for t in triple)
-    word[i], word[j], word[k] = word[j], word[k], word[i]
-    return True
+def _least_132_rewrites(word: list[int]) -> Iterator[tuple[int, int, int]]:
+    """
+    Rotate the values of the least 132-pattern of ``word`` in place until
+    none is left, yielding each pattern's 1-based triple after its rewrite;
+    one phase per start, by facts (a) and (b) above.
+    """
+    n = len(word)
+    i = _least_132_start(word, 0)
+    while i >= 0:
+        a = word[i]
+        # the values right of i as the phase began; a position rewritten
+        # in the phase drops below the start value a, which only rises, so
+        # a value above a still stands where it stood at the phase start
+        above = sorted(word[i + 1 :])
+        for j in range(i + 1, n):
+            b = word[j]
+            if b < a:
+                continue
+            del above[bisect_left(above, b)]
+            s = bisect_right(above, a)
+            if s < len(above) and above[s] < b:
+                k = j + 1
+                while not a < word[k] < b:
+                    k += 1
+                word[i], word[j], word[k] = b, word[k], a
+                yield (i + 1, j + 1, k + 1)
+                a = b
+        i = _least_132_start(word, i + 1)
 
 
 def _rewrite_until_132_free(perm: Sequence[int]) -> Perm:
     """The rewriting map's loop, on a word its caller has already checked."""
     word = list(perm)
-    # n**3 rewrites is far beyond what any valid input needs
-    for _ in range(len(word) ** 3 + 1):
-        if not _rewrite_smallest_132(word):
-            return tuple(word)
-    raise RuntimeError("132-rewriting did not terminate; this is a bug")
+    for _ in _least_132_rewrites(word):
+        pass
+    if smallest_132(word) is not None:
+        raise RuntimeError("132-rewriting stopped short of a 132-free word; this is a bug")
+    return tuple(word)
 
 
 def gamma_iterative(perm: Sequence[int]) -> Perm:

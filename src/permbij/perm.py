@@ -214,6 +214,29 @@ def _contains_321(word: Sequence[int]) -> bool:
     return False
 
 
+def _least_132_start(perm: Sequence[int], lo: int) -> int:
+    """The least 0-based position >= lo that starts a 132-pattern, or -1."""
+    # Right to left, ``two`` is the largest value seen so far with a larger
+    # value between it and the current position (popped off the stack of
+    # values not yet so covered); a value below ``two`` starts a 132, and
+    # the pass keeps the last (leftmost) start.  A start is not pushed: its
+    # value lies below ``two``, so it can neither raise ``two`` as a 2 nor
+    # as a 3, and every stacked value stays >= two.  Both depend only on
+    # the positions right of the current one, so the pass can stop at lo.
+    stack: list[int] = []
+    two = -math.inf
+    i = -1
+    for pos in range(len(perm) - 1, lo - 1, -1):
+        v = perm[pos]
+        if v < two:
+            i = pos
+            continue
+        while stack and stack[-1] < v:
+            two = stack.pop()
+        stack.append(v)
+    return i
+
+
 def smallest_132(perm: Sequence[int]) -> tuple[int, int, int] | None:
     """
     The lexicographically least position triple (i, j, k), 1-based, forming
@@ -225,26 +248,10 @@ def smallest_132(perm: Sequence[int]) -> tuple[int, int, int] | None:
     >>> smallest_132((1, 2, 3)) is None
     True
     """
-    # Right to left, ``two`` is the largest value seen so far with a larger
-    # value between it and the current position (popped off the stack of
-    # values not yet so covered); a value below ``two`` starts a 132, and
-    # the pass keeps the last (leftmost) start.  A start is not pushed: its
-    # value lies below ``two``, so it can neither raise ``two`` as a 2 nor
-    # as a 3, and every stacked value stays >= two.
-    n = len(perm)
-    stack: list[int] = []
-    two = -math.inf
-    i = -1
-    for pos in range(n - 1, -1, -1):
-        v = perm[pos]
-        if v < two:
-            i = pos
-            continue
-        while stack and stack[-1] < v:
-            two = stack.pop()
-        stack.append(v)
+    i = _least_132_start(perm, 0)
     if i < 0:
         return None
+    n = len(perm)
     # j works iff it exceeds the least value above perm[i] to its right.
     a = perm[i]
     low = math.inf

@@ -55,6 +55,21 @@ def smallest_132_by_triples(word):
     return min(hits) if hits else None
 
 
+def least_132_rewrites(word, search):
+    """
+    The rewriting map, literally: rotate the values of the 132 triple that
+    ``search`` returns (1-based, None once there is none) until there is
+    none.  Returns the triples in order and the final word.
+    """
+    word = list(word)
+    triples = []
+    while (triple := search(word)) is not None:
+        i, j, k = (t - 1 for t in triple)
+        word[i], word[j], word[k] = word[j], word[k], word[i]
+        triples.append(triple)
+    return triples, tuple(word)
+
+
 def dyck_words(n):
     """All balanced up-down words of length 2n, by recursive extension."""
 

@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -15,5 +16,12 @@ import permbij.rsk
 )
 def test_module_doctests(module):
     results = doctest.testmod(module, verbose=False)
+    assert results.failed == 0
+    assert results.attempted > 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False, encoding="utf-8")
     assert results.failed == 0
     assert results.attempted > 0

@@ -3,9 +3,11 @@ Seeded cross-checks at sizes the exhaustive sweeps cannot reach.
 
 Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  The corner extractors are held to their
-literal oracles at n = 100.  Each input is held to route agreement,
-to the half-turn identity between the two maps, to 132-avoidance of the
-images, and to the Elizalde-Pak properties: fixed points and excedances
+literal oracles at n = 100, and the phase-by-phase 132 rewriting to the
+literal loop, rewrite for rewrite, at n = 100 and 400.  Each input is held
+to route agreement (both rewriting routes included up to n = 400), to the
+half-turn identity between the two maps, to 132-avoidance of the images,
+and to the Elizalde-Pak properties: fixed points and excedances
 preserved, and commuting with inverse.  At n = 10^4 only the four
 template routes run; the rewriting routes and the quadratic 132 oracle
 stay at n <= 400.
@@ -17,6 +19,7 @@ import pytest
 
 from permbij.grid import l_corners, rcl_corners
 from permbij.maps import (
+    _least_132_rewrites,
     gamma,
     gamma_iterative,
     gamma_template,
@@ -33,6 +36,7 @@ from permbij.perm import (
     inverse,
     inverse_reverse_complement,
     is_permutation,
+    smallest_132,
 )
 
 import helpers
@@ -68,6 +72,15 @@ def test_corners_match_their_oracles_at_n_100(seed):
     assert rcl_corners(sigma) == helpers.rcl_corners_by_smallest_rule(sigma)
 
 
+@pytest.mark.parametrize("n", (100, 400))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rewrites_step_for_step_at_large_n(n, seed):
+    sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
+    word = list(sigma)
+    triples = list(_least_132_rewrites(word))
+    assert (triples, tuple(word)) == helpers.least_132_rewrites(sigma, smallest_132)
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_routes_and_properties_at_large_n(n, seed):
@@ -81,7 +94,7 @@ def test_routes_and_properties_at_large_n(n, seed):
     assert thetas.count(thetas[0]) == len(thetas)
     image_gamma = gamma_template(sigma)
     assert image_gamma == theta_rsk(inverse_reverse_complement(sigma))
-    if n <= 100:
+    if n <= 400:
         assert gamma_iterative(sigma) == image_gamma
 
     for image in (image_gamma, thetas[0]):

@@ -2,7 +2,7 @@ import pytest
 
 from permbij import grid, perm, rsk
 from permbij.maps import (
-    _rewrite_smallest_132,
+    _least_132_rewrites,
     gamma,
     gamma_iterative,
     gamma_template,
@@ -42,14 +42,24 @@ NON_PERMUTATIONS = [
 
 def test_single_rewrite_rotates_the_first_pattern():
     word = list(GOLDEN)
-    assert _rewrite_smallest_132(word)
+    assert next(_least_132_rewrites(word)) == (1, 2, 3)
     assert tuple(word) == (4, 2, 1, 3, 7, 5, 8, 6)
 
 
 def test_rewrite_reports_exhaustion():
     word = [3, 2, 1]
-    assert not _rewrite_smallest_132(word)
+    assert list(_least_132_rewrites(word)) == []
     assert word == [3, 2, 1]
+
+
+def test_rewrites_step_for_step_with_the_literal_loop():
+    for n in range(1, 9):
+        for p in enumerate_avoiders(n, "321"):
+            word = list(p)
+            triples = list(_least_132_rewrites(word))
+            assert (triples, tuple(word)) == helpers.least_132_rewrites(
+                p, helpers.smallest_132_by_triples
+            )
 
 
 def test_gamma_iterative_golden():
