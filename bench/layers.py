@@ -1,6 +1,7 @@
 """
-Direct-call timings of the template layers, the four template routes and
-the two rewriting routes, and per-check timings of the exhaustive verifier.
+Direct-call timings of two-row insertion, the up-down word, the template
+layers, template equality, the four template routes and the two rewriting
+routes, and per-check timings of the exhaustive verifier.
 
     python bench/layers.py OUT.json LABEL [--src CHECKOUT]
 
@@ -9,7 +10,7 @@ each n in SIZES, every layer layers() lists on one seeded uniform 321-avoider
 drawn by tests/helpers.uniform_321_avoider, which shares no code with the
 library.  A row holds the median of up to 7 calls (fewer once the calls
 add up to MIN_TOTAL_S) in ms, with the call count.  The arguments a layer
-takes (a template, an up-down word) are built before timing.
+takes (tableaux, templates, an up-down word) are built before timing.
 
 A layer skips a size, and records the skip with its reason, when the
 layer's last two sizes project that size's call or set-up past BUDGET_S:
@@ -71,6 +72,15 @@ def layers():
     def dyck(sigma):
         return (rsk.dyck_from_tableaux(*rsk.rsk_tableaux(sigma)), len(sigma))
 
+    def theorem1_templates(sigma):
+        return (rsk.template_from_dyck(*dyck(sigma)), maps.theta_template(sigma))
+
+    def equal_copies(a, b):
+        # fresh copies, so that no call reuses a square set an earlier call cached
+        return grid.Template(a.n, a.row_runs, a.col_runs) == grid.Template(
+            b.n, b.row_runs, b.col_runs
+        )
+
     def on_sigma(fn):
         return (f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}", lambda s: (s,), fn)
 
@@ -82,10 +92,13 @@ def layers():
         on_sigma(grid.rc_template),
         on_sigma(maps.theta_template),
         on_sigma(maps.slide_flip_template),
+        on_sigma(rsk.rsk_tableaux),
+        ("rsk.dyck_from_tableaux", rsk.rsk_tableaux, rsk.dyck_from_tableaux),
         ("rsk.template_from_dyck", dyck, rsk.template_from_dyck),
         ("grid.bar_reflect", lambda s: (grid.rc_template(s),), grid.bar_reflect),
         ("grid.realize", lambda s: (grid.diagonal_template(s),), grid.realize),
         ("grid.rc_realize", lambda s: (grid.rc_template(s),), grid.rc_realize),
+        ("grid.Template.__eq__", theorem1_templates, equal_copies),
         on_sigma(maps.gamma_template),
         on_sigma(maps.theta_corners),
         on_sigma(maps.theta_slide_flip),

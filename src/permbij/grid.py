@@ -6,9 +6,9 @@ from the left, both 1-based.  A template stores its shading as runs: a row
 run (row, first column, last column) shades a segment of one row, and a
 column run (column, first row, last row) a segment of one column.  An
 inverted L is one run of each kind and a staircase row is one row run, so
-every builder here costs O(n) in all and never lists squares; the square
-set is materialized only on demand (Template.shaded), for rendering and
-for template equality.
+every builder here costs O(n) in all and never lists squares.  Templates
+compare by a bitmask of shaded columns per row, built from the runs; the
+square set (Template.shaded) is built only for rendering and reports.
 
 A template determines a permutation through greedy dot placement:
 realize() fills rows top to bottom, putting a dot in the leftmost unshaded
@@ -32,11 +32,11 @@ The builders consume the corner data of a 321-avoiding permutation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
-from .perm import Perm, bar, require_321_avoider, reverse_complement
+from .perm import Perm, require_321_avoider, reverse_complement
 
 Square = tuple[int, int]
 
@@ -78,20 +78,32 @@ class Template:
                         f"outside the {n}x{n} grid"
                     )
 
-    @cached_property
+    @property
     def shaded(self) -> frozenset[Square]:
-        """The shaded squares, materialized from the runs once."""
+        """The shaded squares, materialized from the runs on each access."""
         across = [(r, c) for r, a, b in self.row_runs for c in range(a, b + 1)]
         down = [(r, c) for c, a, b in self.col_runs for r in range(a, b + 1)]
         return frozenset(across + down)
 
+    def _row_masks(self) -> list[int]:
+        # bit c of entry r is set iff square (r, c) is shaded, so two run
+        # decompositions of one shading give equal lists
+        rows = [0] * (self.n + 1)
+        for r, a, b in self.row_runs:
+            rows[r] |= (2 << b) - (1 << a)
+        for c, a, b in self.col_runs:
+            bit = 1 << c
+            for r in range(a, b + 1):
+                rows[r] |= bit
+        return rows
+
     def __eq__(self, other):
         if not isinstance(other, Template):
             return NotImplemented
-        return self.n == other.n and self.shaded == other.shaded
+        return self.n == other.n and self._row_masks() == other._row_masks()
 
     def __hash__(self):
-        return hash((self.n, self.shaded))
+        return hash((self.n, *self._row_masks()))
 
 
 def realize(template: Template) -> Perm:
@@ -240,17 +252,13 @@ def _corner_sweep(perm: Sequence[int]) -> list[tuple[int, int]]:
     # l_corners without the input check, for callers that have made it
     n = len(perm)
     # after[x] is the least value right of position x
-    after = [0] * n
-    least = n + 1
-    for x in range(n - 1, -1, -1):
-        after[x] = least
-        least = min(least, perm[x])
+    after = list(accumulate(reversed(perm), min, initial=n + 1))[-2::-1]
     corners: list[tuple[int, int]] = []
     one_cap = n + 1
     x = y = n
     while True:
         x -= 1
-        while x >= 0 and after[x] >= min(perm[x], one_cap):
+        while x >= 0 and (after[x] >= perm[x] or after[x] >= one_cap):
             x -= 1
         if x < 0:
             return corners
@@ -320,9 +328,10 @@ def rcl_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
     [(4, 3), (7, 6), (8, 8)]
     """
     require_321_avoider(perm)
-    n = len(perm)
-    flipped = _corner_sweep(reverse_complement(perm))
-    return sorted((bar(b, n), bar(a, n)) for a, b in flipped)
+    m = len(perm) + 1
+    # the sweep lists the flipped corners with both coordinates falling, so
+    # their pull-backs through v -> m - v come out already increasing
+    return [(m - b, m - a) for a, b in _corner_sweep(reverse_complement(perm))]
 
 
 def rc_template(perm: Sequence[int]) -> Template:

@@ -35,7 +35,8 @@ def is_permutation(word: Sequence[int]) -> bool:
     >>> [is_permutation(w) for w in [(1,), (2, 1), (), (1, 3), (1, 1, 2), (2.0, 1), (True, 2)]]
     [True, True, False, False, False, False, False]
     """
-    return set(map(type, word)) == {int} and sorted(word) == list(range(1, len(word) + 1))
+    n = len(word)
+    return n > 0 and list(map(type, word)).count(int) == n and sorted(word) == list(range(1, n + 1))
 
 
 def require_permutation(word: Sequence[int]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
 from .grid import Template
@@ -33,11 +34,12 @@ class TwoRowTableau:
         if len(r1) < len(r2):
             raise ValueError("first row is shorter than the second")
         for row in (r1, r2):
-            if any(a >= b for a, b in zip(row, row[1:])):
+            if not all(map(lt, row, row[1:])):
                 raise ValueError(f"row {row} is not strictly increasing")
         if sorted(r1 + r2) != list(range(1, len(r1) + len(r2) + 1)):
             raise ValueError("rows must partition 1..n")
-        if any(r2[j] <= r1[j] for j in range(len(r2))):
+        # map stops at the end of r2, which is no longer than r1
+        if not all(map(lt, r1, r2)):
             raise ValueError("columns must increase downward")
 
     @property

@@ -101,6 +101,54 @@ def test_template_equality_goes_by_squares():
     assert ell != Template(4, [(1, 1, 2)], [(1, 1, 2)])
 
 
+def random_cover(squares, rng):
+    """
+    Row runs and column runs whose union is exactly ``squares``: every run
+    lies inside the set, and runs may overlap, abut or repeat.
+    """
+    runs = ([], [])
+    left = set(squares)
+    while left:
+        r, c = rng.choice(sorted(left))
+        down = rng.random() < 0.5
+        line, first = (c, r) if down else (r, c)
+
+        def square(x):
+            return (x, line) if down else (line, x)
+
+        last = first
+        while square(first - 1) in squares and rng.random() < 0.8:
+            first -= 1
+        while square(last + 1) in squares and rng.random() < 0.8:
+            last += 1
+        runs[down].extend([(line, first, last)] * rng.choice((1, 1, 1, 1, 2)))
+        left -= {square(x) for x in range(first, last + 1)}
+    return runs
+
+
+def test_template_equality_is_square_set_equality_on_random_runs():
+    rng = random.Random(10)
+    for n in range(1, 8):
+        for _ in range(400):
+            row_runs, col_runs = random_runs(n, rng)
+            # inverted L's, whose two runs share the corner, and full lines
+            for _ in range(rng.randrange(3)):
+                r, c = rng.randint(1, n), rng.randint(1, n)
+                row_runs.append((r, c, n))
+                col_runs.append((c, r, n))
+            if rng.random() < 0.3:
+                row_runs.append((rng.randint(1, n), 1, n))
+            a = Template(n, row_runs, col_runs)
+            squares = a.shaded
+            if rng.random() < 0.5:
+                squares = squares ^ {(rng.randint(1, n), rng.randint(1, n))}
+            b = Template(n, *random_cover(squares, rng))
+            assert b.shaded == squares
+            assert (a == b) == (a.shaded == b.shaded)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
 # ------------------------------------------------------------ realizations
 
 def test_realize_empty_grid_gives_identity():

@@ -32,6 +32,12 @@ def test_tableau_validation(row1, row2, fragment):
         TwoRowTableau(row1, row2)
 
 
+def test_tableau_column_violation_in_the_last_column_of_row2():
+    # the column scan stops at the end of row2, so its last entry must count
+    with pytest.raises(ValueError, match="columns"):
+        TwoRowTableau((1, 4, 5), (2, 3))
+
+
 def test_tableau_shape_and_size():
     t = TwoRowTableau((1, 2, 3, 5, 6), (4, 7, 8))
     assert t.shape == (5, 3)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permbij import maps, verify
+from permbij import grid, maps, verify
 from permbij.perm import catalan, enumerate_avoiders
 from permbij.verify import (
     CHECKS,
@@ -68,6 +68,15 @@ def test_template_coherence_checks_through_n9():
     # the two checks no acceptance criterion reaches at full depth
     reports = run_suite(1, 9, ["rc-template", "bar-reflection"])
     assert all(r.passed for r in reports)
+
+
+def test_template_checks_compare_without_square_sets(monkeypatch):
+    def no_square_sets(self):
+        raise AssertionError("a template comparison built a square set")
+
+    monkeypatch.setattr(grid.Template, "shaded", property(no_square_sets))
+    for name in ("theorem1-route", "bar-reflection"):
+        assert list(CHECKS[name](6)) == []
 
 
 def test_cases_count_the_whole_class():
