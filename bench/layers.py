@@ -1,7 +1,9 @@
 """
-Direct-call timings of two-row insertion, the up-down word, the template
-layers, template equality, the four template routes and the two rewriting
-routes, and per-check timings of the exhaustive verifier.
+Direct-call timings of the 132 test, two-row insertion, the up-down word,
+the template layers, template equality, the four template routes and the
+two rewriting routes; cold class enumeration; per-check timings of the
+exhaustive verifier; the tier-1 test suite's wall time; and the line count
+of the library.
 
     python bench/layers.py OUT.json LABEL [--src CHECKOUT]
 
@@ -11,6 +13,8 @@ drawn by tests/helpers.uniform_321_avoider, which shares no code with the
 library.  A row holds the median of up to 7 calls (fewer once the calls
 add up to MIN_TOTAL_S) in ms, with the call count.  The arguments a layer
 takes (tableaux, templates, an up-down word) are built before timing.
+The 132 test runs on sigma, which usually contains a 132, and on its
+132-free image theta(sigma).
 
 A layer skips a size, and records the skip with its reason, when the
 layer's last two sizes project that size's call or set-up past BUDGET_S:
@@ -25,7 +29,13 @@ that check's elapsed_ms at n, for n in SUITE_ROW_SIZES; a check's time
 includes whatever shared work it is the first to do at that n (class
 enumeration, and where run_suite memoizes route images, the fills it is
 the first to make).  Row "verify.run_suite" is the median wall time of the
-whole call, imports left out.
+whole call, imports left out.  Rows "perm.enumerate_avoiders.<pattern>"
+at n are likewise the median of ENUM_RUNS fresh interpreters, each timing
+one list(enumerate_avoiders(n, pattern)) with nothing cached.
+
+Row "tier1.pytest" is the wall time of one run of the checkout's own test
+suite (python -m pytest -q in the checkout, PYTHONPATH=src), with its
+summary line.  Row "src.lines" counts the lines of src/permbij/*.py.
 
 Rows are merged into OUT.json under LABEL, so two checkouts measured in
 turn sit side by side in one file.
@@ -53,6 +63,7 @@ MIN_TOTAL_S = 0.2
 SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
 SUITE_RUNS = 3
+ENUM_RUNS = 3
 
 #: one run_suite(1, n_max) in a fresh interpreter: its wall time, then (check, n, ms) rows
 SUITE_SCRIPT = """
@@ -64,10 +75,19 @@ total = time.perf_counter() - start
 print(json.dumps([total * 1e3, [[r.check, r.n, r.elapsed_ms] for r in reports]]))
 """
 
+#: one cold enumeration in a fresh interpreter: its wall time in ms
+ENUM_SCRIPT = """
+import sys, time
+from permbij.perm import enumerate_avoiders
+start = time.perf_counter()
+list(enumerate_avoiders(int(sys.argv[1]), sys.argv[2]))
+print((time.perf_counter() - start) * 1e3)
+"""
+
 
 def layers():
     """(name, set-up from sigma to the call's arguments, timed call)."""
-    from permbij import grid, maps, rsk
+    from permbij import grid, maps, perm, rsk
 
     def dyck(sigma):
         return (rsk.dyck_from_tableaux(*rsk.rsk_tableaux(sigma)), len(sigma))
@@ -76,7 +96,6 @@ def layers():
         return (rsk.template_from_dyck(*dyck(sigma)), maps.theta_template(sigma))
 
     def equal_copies(a, b):
-        # fresh copies, so that no call reuses a square set an earlier call cached
         return grid.Template(a.n, a.row_runs, a.col_runs) == grid.Template(
             b.n, b.row_runs, b.col_runs
         )
@@ -85,6 +104,8 @@ def layers():
         return (f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}", lambda s: (s,), fn)
 
     return [
+        ("perm.avoids.132.sigma", lambda s: (s, "132"), perm.avoids),
+        ("perm.avoids.132.theta_sigma", lambda s: (maps.theta(s), "132"), perm.avoids),
         on_sigma(grid.l_corners),
         on_sigma(grid.rcl_corners),
         on_sigma(grid.nested_template),
@@ -147,15 +168,32 @@ def measure(name, prepare, call, inputs):
     return rows
 
 
+def fresh_run(src: Path, script: str, *args) -> str:
+    """Standard output of ``script`` run with ``args`` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def enumeration_rows(src: Path) -> list[dict]:
+    from permbij.perm import ENUMERATION_CAP, PATTERNS
+
+    rows = []
+    for pattern in PATTERNS:
+        for n in range(1, ENUMERATION_CAP + 1):
+            times = [float(fresh_run(src, ENUM_SCRIPT, n, pattern)) for _ in range(ENUM_RUNS)]
+            rows.append(
+                {"layer": f"perm.enumerate_avoiders.{pattern}", "n": n,
+                 "ms": round(statistics.median(times), 4), "calls": ENUM_RUNS}
+            )
+            print(f"{rows[-1]['layer']:28s} n={n:<7d} {rows[-1]['ms']:10.3f} ms", file=sys.stderr)
+    return rows
+
+
 def suite_rows(src: Path) -> list[dict]:
-    runs = []
-    for _ in range(SUITE_RUNS):
-        out = subprocess.run(
-            [sys.executable, "-c", SUITE_SCRIPT, str(SUITE_N_MAX)],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, check=True,
-        ).stdout
-        runs.append(json.loads(out))
+    runs = [json.loads(fresh_run(src, SUITE_SCRIPT, SUITE_N_MAX)) for _ in range(SUITE_RUNS)]
     per_check: dict[tuple[str, int], list[float]] = {}
     for _, reports in runs:
         for check, n, ms in reports:
@@ -173,6 +211,20 @@ def suite_rows(src: Path) -> list[dict]:
     for row in rows:
         print(f"{row['layer']:28s} n={row['n']:<7d} {row['ms']:10.3f} ms", file=sys.stderr)
     return rows
+
+
+def tier1_row(checkout: Path) -> dict:
+    """One run of the checkout's test suite: wall time and summary line."""
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True,
+    ).stdout
+    ms = (time.perf_counter() - start) * 1e3
+    summary = out.strip().splitlines()[-1] if out.strip() else ""
+    print(f"{'tier1.pytest':28s} {ms:10.3f} ms  {summary}", file=sys.stderr)
+    return {"layer": "tier1.pytest", "ms": round(ms, 1), "calls": 1, "summary": summary}
 
 
 def main(argv=None) -> int:
@@ -194,7 +246,14 @@ def main(argv=None) -> int:
     rows = []
     for name, prepare, call in layers():
         rows.extend(measure(name, prepare, call, inputs))
+    rows.extend(enumeration_rows(src))
     rows.extend(suite_rows(src))
+    rows.append(tier1_row(args.src.resolve()))
+    rows.append(
+        {"layer": "src.lines", "count": sum(
+            len(path.read_text().splitlines()) for path in (src / "permbij").glob("*.py")
+        )}
+    )
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("sizes", list(SIZES))
@@ -203,14 +262,13 @@ def main(argv=None) -> int:
         f"direct calls; median of up to {MAX_CALLS} calls per row, fewer once they "
         f"add up to {MIN_TOTAL_S} s; a size is skipped when projected past {BUDGET_S} s; "
         f"verify.* rows: median of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}), "
-        "each in a fresh interpreter",
+        f"each in a fresh interpreter; perm.enumerate_avoiders.* rows: median of "
+        f"{ENUM_RUNS} cold enumerations, each in a fresh interpreter; tier1.pytest: "
+        "one run of the checkout's test suite",
     )
     record.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "src_lines": sum(
-            len(path.read_text().splitlines()) for path in (src / "permbij").glob("*.py")
-        ),
         "rows": rows,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

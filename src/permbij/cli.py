@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run exhaustive cross-checks over whole classes")
     p_verify.add_argument("--n-min", type=int, default=1)
-    p_verify.add_argument("--n-max", type=int, default=8)
+    p_verify.add_argument("--n-max", type=int, default=None, help="default: max(n-min, 8)")
     p_verify.add_argument("--checks", default=None, help="comma-separated check names (default: all)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -141,7 +141,8 @@ def _run_verify(args) -> int:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
         if not checks:
             raise ValueError("--checks given but no check names found")
-    reports = run_suite(args.n_min, args.n_max, checks)
+    n_max = max(args.n_min, 8) if args.n_max is None else args.n_max
+    reports = run_suite(args.n_min, n_max, checks)
     for report in reports:
         print(report.json_line() if args.format == "json" else report.text_line())
     return 0 if all(report.passed for report in reports) else 1

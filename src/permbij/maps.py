@@ -46,7 +46,6 @@ from .perm import (
     bar,
     inverse_reverse_complement,
     require_321_avoider,
-    smallest_132,
 )
 
 
@@ -85,7 +84,7 @@ def _rewrite_until_132_free(perm: Sequence[int]) -> Perm:
     word = list(perm)
     for _ in _least_132_rewrites(word):
         pass
-    if smallest_132(word) is not None:
+    if _least_132_start(word, 0) >= 0:
         raise RuntimeError("132-rewriting stopped short of a 132-free word; this is a bug")
     return tuple(word)
 

@@ -196,7 +196,7 @@ def avoids(perm: Sequence[int], pattern: str) -> bool:
     if pattern == "321":
         return not _contains_321(perm)
     if pattern == "132":
-        return smallest_132(perm) is None
+        return _least_132_start(perm, 0) < 0
     raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
 
 
@@ -236,39 +236,6 @@ def _least_132_start(perm: Sequence[int], lo: int) -> int:
             two = stack.pop()
         stack.append(v)
     return i
-
-
-def smallest_132(perm: Sequence[int]) -> tuple[int, int, int] | None:
-    """
-    The lexicographically least position triple (i, j, k), 1-based, forming
-    a 132-pattern, or None when the word avoids 132.  Three linear passes:
-    the least i, then the least j for that i, then the least k for both.
-
-    >>> smallest_132((1, 4, 2, 3, 7, 5, 8, 6))
-    (1, 2, 3)
-    >>> smallest_132((1, 2, 3)) is None
-    True
-    """
-    i = _least_132_start(perm, 0)
-    if i < 0:
-        return None
-    n = len(perm)
-    # j works iff it exceeds the least value above perm[i] to its right.
-    a = perm[i]
-    low = math.inf
-    j = -1
-    for pos in range(n - 1, i, -1):
-        v = perm[pos]
-        if v > a:
-            if v > low:
-                j = pos
-            else:
-                low = v
-    b = perm[j]
-    for k in range(j + 1, n):
-        if a < perm[k] < b:
-            return (i + 1, j + 1, k + 1)
-    raise RuntimeError("smallest_132 lost its witness; this is a bug")
 
 
 def fixed_points(perm: Sequence[int]) -> int:
@@ -333,11 +300,12 @@ def _avoider_list(n: int, pattern: str) -> tuple[Perm, ...]:
 
 def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
     """
-    Yield S_n(pattern) in lexicographic order, for 1 <= n <= ENUMERATION_CAP.
-    The class is generated directly, in time about catalan(n) times n,
-    instead of by filtering the n! words of S_n: 321-avoiders
-    by choosing each entry as a new maximum or the smallest unplaced value,
-    132-avoiders by the decomposition alpha n beta.
+    An iterator over S_n(pattern) in lexicographic order, for
+    1 <= n <= ENUMERATION_CAP.  The arguments are checked at the call, not
+    at the first next().  The class is generated directly, in time about
+    catalan(n) times n, instead of by filtering the n! words of S_n:
+    321-avoiders by choosing each entry as a new maximum or the smallest
+    unplaced value, 132-avoiders by the decomposition alpha n beta.
 
     >>> [format_permutation(p, compact=True) for p in enumerate_avoiders(3, "321")]
     ['123', '132', '213', '231', '312']
@@ -346,4 +314,4 @@ def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"n={n} outside 1..{ENUMERATION_CAP}")
-    yield from _avoider_list(n, pattern)
+    return iter(_avoider_list(n, pattern))

@@ -272,7 +272,9 @@ def run_suite(
             raise ValueError(f"unknown checks {unknown}; known checks: {known}")
         names = sorted(set(checks))
     if not 1 <= n_min <= n_max <= ENUMERATION_CAP:
-        raise ValueError(f"n range {n_min}..{n_max} outside 1..{ENUMERATION_CAP}")
+        raise ValueError(
+            f"n range {n_min}..{n_max} is empty or outside 1..{ENUMERATION_CAP}"
+        )
     reports = []
     for n in range(n_min, n_max + 1):
         token = _MEMO.set(_Images(n))

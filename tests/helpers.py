@@ -55,6 +55,46 @@ def smallest_132_by_triples(word):
     return min(hits) if hits else None
 
 
+def smallest_132_by_passes(word):
+    """
+    The least 132 triple (1-based), or None, in three linear passes: the
+    least i, then the least j for that i, then the least k for both.  Linear,
+    for words too long for the pair scan.
+    """
+    n = len(word)
+    # i: right to left, every value waits on a stack until the first larger
+    # value left of it pops it; ``two``, the largest value popped so far, is
+    # the largest value right of the current position with a larger value
+    # between them, so any value below it starts a 132
+    stack = []
+    two = float("-inf")
+    i = None
+    for pos in range(n - 1, -1, -1):
+        v = word[pos]
+        if v < two:
+            i = pos
+        while stack and stack[-1] < v:
+            two = max(two, stack.pop())
+        stack.append(v)
+    if i is None:
+        return None
+    # j: the least position whose value exceeds some smaller value above
+    # word[i] to its right, i.e. exceeds the least such value
+    a = word[i]
+    low = float("inf")
+    j = None
+    for pos in range(n - 1, i, -1):
+        v = word[pos]
+        if v > a:
+            if v > low:
+                j = pos
+            else:
+                low = v
+    b = word[j]
+    k = next(k for k in range(j + 1, n) if a < word[k] < b)
+    return (i + 1, j + 1, k + 1)
+
+
 def least_132_rewrites(word, search):
     """
     The rewriting map, literally: rotate the values of the 132 triple that

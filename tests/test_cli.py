@@ -225,6 +225,22 @@ def test_verify_n11_runs_without_warning(capsys):
     assert out == "PASS catalan-counts n=11 cases=58786 failures=0\n"
 
 
+def test_verify_n_min_above_the_default_n_max_runs_that_n(capsys):
+    status, out, err = run(capsys, "verify", "--n-min", "9", "--checks", "catalan-counts")
+    assert status == 0
+    assert err == ""
+    assert out == "PASS catalan-counts n=9 cases=4862 failures=0\n"
+
+
+def test_verify_reversed_range_exits_2(capsys):
+    status, out, err = run(
+        capsys, "verify", "--n-min", "9", "--n-max", "8", "--checks", "catalan-counts"
+    )
+    assert status == 2
+    assert out == ""
+    assert "n range 9..8 is empty or outside 1..12" in err
+
+
 def test_verify_over_cap_exits_2(capsys):
     status, out, err = run(capsys, "verify", "--n-max", "13", "--checks", "fact2")
     assert status == 2

@@ -6,11 +6,11 @@ shares no code with the library.  The corner extractors are held to their
 literal oracles at n = 100, and the phase-by-phase 132 rewriting to the
 literal loop, rewrite for rewrite, at n = 100 and 400.  Each input is held
 to route agreement (both rewriting routes included up to n = 400), to the
-half-turn identity between the two maps, to 132-avoidance of the images,
-and to the Elizalde-Pak properties: fixed points and excedances
-preserved, and commuting with inverse.  At n = 10^4 only the four
-template routes run; the rewriting routes and the quadratic 132 oracle
-stay at n <= 400.
+half-turn identity between the two maps, to 132-avoidance of the images
+(by avoids and by the linear three-pass oracle at every size), and to the
+Elizalde-Pak properties: fixed points and excedances preserved, and
+commuting with inverse.  At n = 10^4 only the four template routes run;
+the rewriting routes and the quadratic 132 oracle stay at n <= 400.
 """
 import collections
 import random
@@ -36,7 +36,6 @@ from permbij.perm import (
     inverse,
     inverse_reverse_complement,
     is_permutation,
-    smallest_132,
 )
 
 import helpers
@@ -78,7 +77,9 @@ def test_rewrites_step_for_step_at_large_n(n, seed):
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     word = list(sigma)
     triples = list(_least_132_rewrites(word))
-    assert (triples, tuple(word)) == helpers.least_132_rewrites(sigma, smallest_132)
+    assert (triples, tuple(word)) == helpers.least_132_rewrites(
+        sigma, helpers.smallest_132_by_passes
+    )
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -102,6 +103,7 @@ def test_routes_and_properties_at_large_n(n, seed):
         if n <= 400:
             assert not helpers.contains_132_by_pairs(image)
         assert avoids(image, "132")
+        assert helpers.smallest_132_by_passes(image) is None
         assert fixed_points(image) == fixed_points(sigma)
         assert excedances(image) == excedances(sigma)
 

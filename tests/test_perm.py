@@ -18,7 +18,6 @@ from permbij.perm import (
     parse_permutation,
     reverse,
     reverse_complement,
-    smallest_132,
 )
 
 import helpers
@@ -171,15 +170,15 @@ def test_avoids_matches_literal_triple_scan():
 
 
 def test_smallest_132_golden():
-    assert smallest_132(GOLDEN) == (1, 2, 3)
-    assert smallest_132(identity(6)) is None
-    assert smallest_132((1, 3, 2)) == (1, 2, 3)
+    assert helpers.smallest_132_by_passes(GOLDEN) == (1, 2, 3)
+    assert helpers.smallest_132_by_passes(identity(6)) is None
+    assert helpers.smallest_132_by_passes((1, 3, 2)) == (1, 2, 3)
 
 
 def test_smallest_132_matches_brute_force_minimum():
     for n in range(1, 8):
         for word in helpers.all_words(n):
-            assert smallest_132(word) == helpers.smallest_132_by_triples(word)
+            assert helpers.smallest_132_by_passes(word) == helpers.smallest_132_by_triples(word)
 
 
 # --------------------------------------------------------------- statistics
@@ -238,6 +237,13 @@ def test_enumerate_cap():
         next(enumerate_avoiders(0, "132"))
     with pytest.raises(ValueError, match="unknown pattern"):
         next(enumerate_avoiders(3, "231"))
+
+
+def test_enumerate_checks_its_arguments_at_the_call():
+    with pytest.raises(ValueError, match="outside 1..12"):
+        enumerate_avoiders(13, "321")
+    with pytest.raises(ValueError, match="unknown pattern"):
+        enumerate_avoiders(3, "231")
 
 
 def test_catalan_against_recurrence():
