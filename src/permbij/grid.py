@@ -15,8 +15,9 @@ realize() fills rows top to bottom, putting a dot in the leftmost unshaded
 square of each row whose column is still dot-free; rc_realize() is the
 half-turned rule, filling rows bottom to top with the rightmost unshaded
 square whose column holds no dot below.  Both work on the runs directly:
-after sorting the runs, each row costs a few operations on 64-bit words
-and on one summary word of n/64 bits.
+after sorting the runs, the free columns are the 1 bytes of a bytearray,
+and each search for the least free column at or right of a point is one
+bytearray.find (a memchr in C); all told they scan Theta(n^2) bytes at worst.
 
 The builders consume the corner data of a 321-avoiding permutation:
 
@@ -46,7 +47,6 @@ Run = tuple[int, int, int]
 
 _FIRST = itemgetter(1)
 _LAST = itemgetter(2)
-_FULL_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +140,13 @@ def _leftmost_dots(n: int, row_runs: Sequence[Run], col_runs: Sequence[Run]) -> 
 
     ``cover`` counts, per column, the column runs over the current row,
     plus one for good once the column holds a dot; a column is free while
-    its count is 0.  The free columns form a two-level bitset: column c is
-    bit c & 63 of words[c >> 6], and bit q of ``top`` is set iff words[q]
-    is nonzero, so the least free column at or right of x takes two word
-    lookups.  A row's dot is that search from column 1, repeated past the
-    end of every row run of the row that the candidate lands in.
+    its count is 0.  Byte c of ``free`` is 1 iff column c is free, and
+    byte 0, for the missing column 0, stays 0, so the least free column at
+    or right of x is free.find(1, x), and -1 when there is none.  A row's
+    dot is that search from column 1, repeated past the end of every row
+    run of the row that the candidate lands in.
     """
-    last_word = n >> 6
-    # words for columns 0..n, then a spare 0 so a search may start at n + 1
-    words = [_FULL_WORD] * last_word
-    words += ((2 << (n & 63)) - 1, 0)
-    words[0] -= 1  # there is no column 0
-    top = (2 << last_word) - 1
+    free = bytearray(b"\0" + b"\1" * n)
     cover = [0] * (n + 1)
     # each list ends in a sentinel that stops its scan
     opening = sorted(col_runs, key=_FIRST)
@@ -167,34 +162,20 @@ def _leftmost_dots(n: int, row_runs: Sequence[Run], col_runs: Sequence[Run]) -> 
             col = opening[o][0]
             o += 1
             cover[col] += 1
-            if cover[col] == 1:
-                q = col >> 6
-                words[q] &= ~(1 << (col & 63))
-                if not words[q]:
-                    top &= ~(1 << q)
+            free[col] = 0
         while closing[c][2] < row:
             col = closing[c][0]
             c += 1
             cover[col] -= 1
             if not cover[col]:
-                q = col >> 6
-                words[q] |= 1 << (col & 63)
-                top |= 1 << q
+                free[col] = 1
         while row_runs[k][0] < row:
             k += 1
         x = 1
         while True:
-            q = x >> 6
-            w = words[q] >> (x & 63)
-            if w:
-                col = x + (w & -w).bit_length() - 1
-            else:
-                t = top >> (q + 1)
-                if not t:
-                    return dots
-                q += (t & -t).bit_length()
-                w = words[q]
-                col = (q << 6) + (w & -w).bit_length() - 1
+            col = free.find(1, x)
+            if col < 0:
+                return dots
             while row_runs[k][0] == row and row_runs[k][1] <= col:
                 if row_runs[k][2] >= x:
                     x = row_runs[k][2] + 1
@@ -202,10 +183,7 @@ def _leftmost_dots(n: int, row_runs: Sequence[Run], col_runs: Sequence[Run]) -> 
             if x <= col:
                 break
         cover[col] += 1
-        q = col >> 6
-        words[q] &= ~(1 << (col & 63))
-        if not words[q]:
-            top &= ~(1 << q)
+        free[col] = 0
         dots.append(col)
     return dots
 

@@ -263,6 +263,8 @@ def run_suite(
     CHECKS[name](n) call, so it includes the memo fills that check is the
     first to make and any enumeration it is the first to cache.
     """
+    if isinstance(checks, str):
+        raise ValueError(f"pass a list of check names, not the string {checks!r}")
     if checks is None:
         names = sorted(CHECKS)
     else:

@@ -152,7 +152,13 @@ def test_template_equality_is_square_set_equality_on_random_runs():
 # ------------------------------------------------------------ realizations
 
 def test_realize_empty_grid_gives_identity():
-    assert realize(Template(3)) == (1, 2, 3)
+    # every row's search walks past all the dots placed so far
+    for n in (3, 64, 10_000):
+        assert realize(Template(n)) == tuple(range(1, n + 1))
+    # row r shaded over columns 1..n-r: the anti-staircase realizes to the
+    # reversal
+    n = 10_000
+    assert realize(Template(n, [(r, 1, n - r) for r in range(1, n)])) == tuple(range(n, 0, -1))
 
 
 def test_realize_golden_figures():
@@ -205,10 +211,12 @@ def outcome(placement, *args):
 
 def test_placements_match_the_literal_rules_on_random_runs():
     # overlapping runs, several per line, and blocked rows: shapes that no
-    # builder draws
+    # builder draws; the larger sizes straddle multiples of 64, where a
+    # word-based set of columns would split
     rng = random.Random(0)
-    for n in range(1, 13):
-        for _ in range(300):
+    sizes = [(n, 300) for n in range(1, 13)] + [(n, 20) for n in (63, 64, 65, 127, 128, 129)]
+    for n, draws in sizes:
+        for _ in range(draws):
             t = Template(n, *random_runs(n, rng))
             assert outcome(realize, t) == outcome(helpers.realize_by_squares, n, t.shaded)
             assert outcome(rc_realize, t) == outcome(helpers.rc_realize_by_squares, n, t.shaded)

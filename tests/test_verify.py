@@ -87,6 +87,9 @@ def test_cases_count_the_whole_class():
 def test_run_suite_rejects_unknown_checks_and_bad_ranges():
     with pytest.raises(ValueError, match="unknown checks"):
         run_suite(1, 3, ["fact2", "nonsense"])
+    # a bare string is a sequence of one-letter names, not one check name
+    with pytest.raises(ValueError, match=r"^pass a list of check names, not the string 'fact2'$"):
+        run_suite(1, 2, "fact2")
     with pytest.raises(ValueError, match="outside"):
         run_suite(0, 3)
     with pytest.raises(ValueError, match="outside"):
