@@ -3,42 +3,49 @@ Direct-call timings of the 132 test, two-row insertion, the up-down word,
 the template layers, template equality, the four template routes and the
 two rewriting routes; cold class enumeration; per-check timings of the
 exhaustive verifier; the tier-1 test suite's wall time; and the line count
-of the library.
+of the library, for two checkouts side by side.
 
-    python bench/layers.py OUT.json LABEL [--src CHECKOUT]
+    python bench/layers.py OUT.json PARENT [CHANGE]
 
-imports permbij from CHECKOUT/src (default: this checkout) and times, at
-each n in SIZES, every layer layers() lists on one seeded uniform 321-avoider
-drawn by tests/helpers.uniform_321_avoider, which shares no code with the
-library.  A row holds the median of up to 7 calls (fewer once the calls
-add up to MIN_TOTAL_S) in ms, with the call count.  The arguments a layer
-takes (tableaux, templates, an up-down word) are built before timing.
-The 132 test runs on sigma, which usually contains a 132, and on its
-132-free image theta(sigma).
+measures the checkouts PARENT and CHANGE (default: this checkout) in
+turn, one measurement at a time, so that a drift in the host's speed
+during the run falls on both alike: each layer, each enumeration, each
+verifier run and each test-suite run is taken in the order parent,
+change, change, parent (ABBA), and again for further runs, every run in
+a fresh interpreter that imports permbij from that checkout's src.  The
+rows are written to OUT.json under the labels "parent" and "change".
 
-A layer skips a size, and records the skip with its reason, when the
+Every layer that layers() lists runs, at each n in SIZES, on one seeded
+uniform 321-avoider drawn by tests/helpers.uniform_321_avoider, which
+shares no code with the library.  One run of a layer makes up to 7 calls
+per size (fewer once they add up to MIN_TOTAL_S); a row holds the median
+of the calls of both of its side's runs, in ms, with their count.  The
+arguments a layer takes (tableaux, templates, an up-down word) are built
+before timing.  The 132 test runs on sigma, which usually contains a 132,
+and on its 132-free image theta(sigma).
+
+A run skips a size, and records the skip with its reason, when the
 layer's last two sizes project that size's call or set-up past BUDGET_S:
 the projection extends the growth exponent measured between those sizes.
 This keeps quadratic code away from sizes whose square sets would not fit
-in memory.
+in memory.  A row is skipped when every run of its side skipped it.
 
-The verifier rows come from SUITE_RUNS runs of run_suite(1, SUITE_N_MAX),
-each in a fresh interpreter so that the enumeration cache starts cold, as
-in a `permbij verify` process.  Row "verify.<check>" at n is the median of
-that check's elapsed_ms at n, for n in SUITE_ROW_SIZES; a check's time
-includes whatever shared work it is the first to do at that n (class
-enumeration, and where run_suite memoizes route images, the fills it is
-the first to make).  Row "verify.run_suite" is the median wall time of the
-whole call, imports left out.  Rows "perm.enumerate_avoiders.<pattern>"
-at n are likewise the median of ENUM_RUNS fresh interpreters, each timing
-one list(enumerate_avoiders(n, pattern)) with nothing cached.
+The verifier rows come from SUITE_RUNS runs per side of run_suite(1,
+SUITE_N_MAX), each in a fresh interpreter so that the enumeration cache
+starts cold, as in a `permbij verify` process.  Row "verify.<check>" at n
+is the median of that check's elapsed_ms at n, for n in SUITE_ROW_SIZES;
+a check's time includes whatever shared work it is the first to do at
+that n (class enumeration, and where run_suite memoizes route images, the
+fills it is the first to make).  Row "verify.run_suite" is the median wall
+time of the whole call, imports left out.  Rows
+"perm.enumerate_avoiders.<pattern>" at n are likewise the median of
+ENUM_RUNS fresh interpreters per side, each timing one
+list(enumerate_avoiders(n, pattern)) with nothing cached.
 
-Row "tier1.pytest" is the wall time of one run of the checkout's own test
-suite (python -m pytest -q in the checkout, PYTHONPATH=src), with its
-summary line.  Row "src.lines" counts the lines of src/permbij/*.py.
-
-Rows are merged into OUT.json under LABEL, so two checkouts measured in
-turn sit side by side in one file.
+Row "tier1.pytest" is the median wall time of TIER1_RUNS runs per side of
+the checkout's own test suite (python -m pytest -q in the checkout,
+PYTHONPATH=src), with the summary line of the last.  Row "src.lines"
+counts the lines of src/permbij/*.py.
 """
 from __future__ import annotations
 
@@ -60,10 +67,21 @@ SIZES = (10, 100, 400, 1_000, 10_000, 100_000)
 BUDGET_S = 10.0
 MAX_CALLS = 7
 MIN_TOTAL_S = 0.2
+LAYER_RUNS = 2
 SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
 SUITE_RUNS = 3
 ENUM_RUNS = 3
+TIER1_RUNS = 2
+SIDES = ("parent", "change")
+
+#: one layer at every size in a fresh interpreter: a JSON list of its runs' sizes
+LAYER_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import layers
+print(json.dumps(layers.measure_layer(sys.argv[3], sys.argv[1])))
+"""
 
 #: one run_suite(1, n_max) in a fresh interpreter: its wall time, then (check, n, ms) rows
 SUITE_SCRIPT = """
@@ -138,21 +156,34 @@ def projection(history, n):
     return t2 * (n / n2) ** max(exponent, 1.0)
 
 
-def measure(name, prepare, call, inputs):
-    rows = []
+def measure_layer(name: str, src: str) -> list[dict]:
+    """
+    One run of the named layer at every size, in this interpreter, which
+    must import permbij from ``src``: per size either the call times in
+    seconds or the reason it was skipped.
+    """
+    sys.path.insert(0, str(ROOT / "tests"))
+    import helpers
+    import permbij
+
+    if Path(permbij.__file__).resolve().parent.parent != Path(src).resolve():
+        raise SystemExit(f"permbij imported from {permbij.__file__}, not from {src}")
+
+    prepare, call = next((p, c) for layer, p, c in layers() if layer == name)
     call_history, setup_history = [], []
+    rows = []
     for n in SIZES:
         projected = max(
             projection(call_history, n) or 0.0, projection(setup_history, n) or 0.0
         )
         if projected > BUDGET_S:
             rows.append(
-                {"layer": name, "n": n,
-                 "skipped": f"projected {projected:.3g} s, over the {BUDGET_S:g} s budget"}
+                {"n": n, "skipped": f"projected {projected:.3g} s, over the {BUDGET_S:g} s budget"}
             )
             continue
+        sigma = helpers.uniform_321_avoider(n, random.Random(f"bench:{n}"))
         start = time.perf_counter()
-        args = prepare(inputs[n])
+        args = prepare(sigma)
         setup_history.append((n, time.perf_counter() - start))
         times = []
         while len(times) < MAX_CALLS and sum(times) < MIN_TOTAL_S:
@@ -160,116 +191,160 @@ def measure(name, prepare, call, inputs):
             call(*args)
             times.append(time.perf_counter() - start)
         call_history.append((n, statistics.median(times)))
-        rows.append(
-            {"layer": name, "n": n, "ms": round(statistics.median(times) * 1e3, 4),
-             "calls": len(times)}
-        )
-        print(f"{name:28s} n={n:<7d} {rows[-1]['ms']:10.3f} ms", file=sys.stderr)
+        rows.append({"n": n, "times": times})
     return rows
 
 
-def fresh_run(src: Path, script: str, *args) -> str:
+def fresh_run(checkout: Path, script: str, *args) -> str:
     """Standard output of ``script`` run with ``args`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
         capture_output=True, text=True, check=True,
     ).stdout
 
 
-def enumeration_rows(src: Path) -> list[dict]:
+def alternating(checkouts: dict[str, Path], runs: int):
+    """(side, checkout) pairs, ``runs`` per side, in the order AB BA AB ..."""
+    for i in range(runs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            yield side, checkouts[side]
+
+
+def log(side: str, row: dict) -> None:
+    figure = f"{row['ms']:10.3f} ms" if "ms" in row else row.get("skipped", "")
+    print(f"{side:7s}{row['layer']:30s} n={row.get('n', '-')!s:<7s} {figure}", file=sys.stderr)
+
+
+def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
+    runs: dict[str, list[list[dict]]] = {side: [] for side in SIDES}
+    for side, checkout in alternating(checkouts, LAYER_RUNS):
+        script_args = (checkout / "src", ROOT / "bench", name)
+        runs[side].append(json.loads(fresh_run(checkout, LAYER_SCRIPT, *script_args)))
+    rows: dict[str, list[dict]] = {}
+    for side, side_runs in runs.items():
+        rows[side] = []
+        for sizes in zip(*side_runs):
+            times = [t for size in sizes for t in size.get("times", ())]
+            row = {"layer": name, "n": sizes[0]["n"]}
+            if times:
+                row.update(ms=round(statistics.median(times) * 1e3, 4), calls=len(times))
+            else:
+                row["skipped"] = sizes[0]["skipped"]
+            rows[side].append(row)
+            log(side, row)
+    return rows
+
+
+def enumeration_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
     from permbij.perm import ENUMERATION_CAP, PATTERNS
 
-    rows = []
+    rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for pattern in PATTERNS:
         for n in range(1, ENUMERATION_CAP + 1):
-            times = [float(fresh_run(src, ENUM_SCRIPT, n, pattern)) for _ in range(ENUM_RUNS)]
-            rows.append(
-                {"layer": f"perm.enumerate_avoiders.{pattern}", "n": n,
-                 "ms": round(statistics.median(times), 4), "calls": ENUM_RUNS}
-            )
-            print(f"{rows[-1]['layer']:28s} n={n:<7d} {rows[-1]['ms']:10.3f} ms", file=sys.stderr)
+            times: dict[str, list[float]] = {side: [] for side in SIDES}
+            for side, checkout in alternating(checkouts, ENUM_RUNS):
+                times[side].append(float(fresh_run(checkout, ENUM_SCRIPT, n, pattern)))
+            for side in SIDES:
+                rows[side].append(
+                    {"layer": f"perm.enumerate_avoiders.{pattern}", "n": n,
+                     "ms": round(statistics.median(times[side]), 4), "calls": ENUM_RUNS}
+                )
+                log(side, rows[side][-1])
     return rows
 
 
-def suite_rows(src: Path) -> list[dict]:
-    runs = [json.loads(fresh_run(src, SUITE_SCRIPT, SUITE_N_MAX)) for _ in range(SUITE_RUNS)]
-    per_check: dict[tuple[str, int], list[float]] = {}
-    for _, reports in runs:
-        for check, n, ms in reports:
-            if n in SUITE_ROW_SIZES:
-                per_check.setdefault((check, n), []).append(ms)
-    rows = [
-        {"layer": f"verify.{check}", "n": n, "ms": round(statistics.median(times), 4),
-         "calls": len(times)}
-        for (check, n), times in sorted(per_check.items())
-    ]
-    rows.append(
-        {"layer": "verify.run_suite", "n_min": 1, "n": SUITE_N_MAX,
-         "ms": round(statistics.median(total for total, _ in runs), 4), "calls": SUITE_RUNS}
-    )
-    for row in rows:
-        print(f"{row['layer']:28s} n={row['n']:<7d} {row['ms']:10.3f} ms", file=sys.stderr)
+def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
+    runs: dict[str, list] = {side: [] for side in SIDES}
+    for side, checkout in alternating(checkouts, SUITE_RUNS):
+        runs[side].append(json.loads(fresh_run(checkout, SUITE_SCRIPT, SUITE_N_MAX)))
+    rows: dict[str, list[dict]] = {}
+    for side, side_runs in runs.items():
+        per_check: dict[tuple[str, int], list[float]] = {}
+        for _, reports in side_runs:
+            for check, n, ms in reports:
+                if n in SUITE_ROW_SIZES:
+                    per_check.setdefault((check, n), []).append(ms)
+        rows[side] = [
+            {"layer": f"verify.{check}", "n": n, "ms": round(statistics.median(times), 4),
+             "calls": len(times)}
+            for (check, n), times in sorted(per_check.items())
+        ]
+        rows[side].append(
+            {"layer": "verify.run_suite", "n_min": 1, "n": SUITE_N_MAX,
+             "ms": round(statistics.median(total for total, _ in side_runs), 4),
+             "calls": SUITE_RUNS}
+        )
+        for row in rows[side]:
+            log(side, row)
     return rows
 
 
-def tier1_row(checkout: Path) -> dict:
-    """One run of the checkout's test suite: wall time and summary line."""
-    start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-        cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-        capture_output=True, text=True,
-    ).stdout
-    ms = (time.perf_counter() - start) * 1e3
-    summary = out.strip().splitlines()[-1] if out.strip() else ""
-    print(f"{'tier1.pytest':28s} {ms:10.3f} ms  {summary}", file=sys.stderr)
-    return {"layer": "tier1.pytest", "ms": round(ms, 1), "calls": 1, "summary": summary}
+def tier1_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
+    """TIER1_RUNS runs per side of the checkout's test suite: wall time and summary line."""
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    summary: dict[str, str] = {}
+    for side, checkout in alternating(checkouts, TIER1_RUNS):
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+            cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+            capture_output=True, text=True,
+        ).stdout
+        times[side].append((time.perf_counter() - start) * 1e3)
+        summary[side] = out.strip().splitlines()[-1] if out.strip() else ""
+    rows = {}
+    for side in SIDES:
+        rows[side] = [
+            {"layer": "tier1.pytest", "ms": round(statistics.median(times[side]), 1),
+             "calls": TIER1_RUNS, "summary": summary[side]}
+        ]
+        log(side, rows[side][0])
+    return rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", type=Path, help="JSON file to merge the rows into")
-    parser.add_argument("label", help="name of this set of rows in the file")
-    parser.add_argument("--src", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument("out", type=Path, help="JSON file to write the rows to")
+    parser.add_argument("parent", type=Path, help="checkout measured as the parent")
+    parser.add_argument("change", type=Path, nargs="?", default=ROOT,
+                        help="checkout measured as the change (default: this one)")
     args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    src = args.src.resolve() / "src"
-    sys.path.insert(0, str(src))
-    sys.path.insert(0, str(ROOT / "tests"))
-    import helpers  # noqa: E402
-    import permbij  # noqa: E402
+    # the layer names and the enumeration cap, read from this checkout
+    sys.path.insert(0, str(ROOT / "src"))
+    names = [name for name, _, _ in layers()]
+    parts = [layer_rows(checkouts, name) for name in names]
+    parts += [enumeration_rows(checkouts), suite_rows(checkouts), tier1_rows(checkouts)]
+    rows: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for part in parts:
+        for side, side_rows in part.items():
+            rows[side].extend(side_rows)
+    for side, checkout in checkouts.items():
+        rows[side].append(
+            {"layer": "src.lines", "count": sum(
+                len(path.read_text().splitlines())
+                for path in (checkout / "src" / "permbij").glob("*.py")
+            )}
+        )
 
-    if Path(permbij.__file__).resolve().parent.parent != src:
-        raise SystemExit(f"permbij imported from {permbij.__file__}, not from {src}")
-    inputs = {n: helpers.uniform_321_avoider(n, random.Random(f"bench:{n}")) for n in SIZES}
-    rows = []
-    for name, prepare, call in layers():
-        rows.extend(measure(name, prepare, call, inputs))
-    rows.extend(enumeration_rows(src))
-    rows.extend(suite_rows(src))
-    rows.append(tier1_row(args.src.resolve()))
-    rows.append(
-        {"layer": "src.lines", "count": sum(
-            len(path.read_text().splitlines()) for path in (src / "permbij").glob("*.py")
-        )}
-    )
-
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("sizes", list(SIZES))
-    record.setdefault(
-        "method",
-        f"direct calls; median of up to {MAX_CALLS} calls per row, fewer once they "
-        f"add up to {MIN_TOTAL_S} s; a size is skipped when projected past {BUDGET_S} s; "
-        f"verify.* rows: median of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}), "
-        f"each in a fresh interpreter; perm.enumerate_avoiders.* rows: median of "
-        f"{ENUM_RUNS} cold enumerations, each in a fresh interpreter; tier1.pytest: "
-        "one run of the checkout's test suite",
-    )
-    record.setdefault("runs", {})[args.label] = {
+    record = {
+        "sizes": list(SIZES),
+        "method": (
+            f"parent and change measured alternately, in the order parent, change, "
+            f"change, parent and so on, each run in a fresh interpreter; layer rows: "
+            f"median of the calls of {LAYER_RUNS} runs per side, each run up to "
+            f"{MAX_CALLS} calls per size, fewer once they add up to {MIN_TOTAL_S} s; "
+            f"a size is skipped when projected past {BUDGET_S} s; verify.* rows: median "
+            f"of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side; "
+            f"perm.enumerate_avoiders.* rows: median of {ENUM_RUNS} cold enumerations "
+            f"per side; tier1.pytest: median of {TIER1_RUNS} runs of the checkout's "
+            "test suite per side"
+        ),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "rows": rows,
+        "runs": {side: {"rows": side_rows} for side, side_rows in rows.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

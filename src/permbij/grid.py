@@ -9,6 +9,9 @@ inverted L is one run of each kind and a staircase row is one row run, so
 every builder here costs O(n) in all and never lists squares.  Templates
 compare by a bitmask of shaded columns per row, built from the runs; the
 square set (Template.shaded) is built only for rendering and reports.
+The public Template constructor validates every run.  Library builders,
+whose runs lie in the grid by construction, call Template._trusted, which
+does not: a verifier sweep to n = 9 builds about 10^5 templates.
 
 A template determines a permutation through greedy dot placement:
 realize() fills rows top to bottom, putting a dot in the leftmost unshaded
@@ -53,9 +56,10 @@ _LAST = itemgetter(2)
 class Template:
     """
     The shaded squares of an n-by-n grid, as row runs and column runs that
-    may overlap; runs given as lists are stored as tuples.  Equality and
-    hashing go by the square set, so two run decompositions of one shading
-    are equal templates.
+    may overlap.  Equality and hashing go by the square set, so two run
+    decompositions of one shading are equal.  The constructor stores runs
+    as tuples and rejects a run that is empty or leaves the grid; library
+    builders call _trusted, which skips both for runs valid by construction.
     """
 
     n: int
@@ -63,8 +67,7 @@ class Template:
     col_runs: tuple[Run, ...] = ()
 
     def __post_init__(self):
-        # a list first: tuple() of an unsized iterator over-allocates and
-        # shrinks, which lifts peak memory on sweeps of many small templates
+        # a list first: tuple() of an unsized iterator over-allocates
         object.__setattr__(self, "row_runs", tuple(list(map(tuple, self.row_runs))))
         object.__setattr__(self, "col_runs", tuple(list(map(tuple, self.col_runs))))
         n = self.n
@@ -77,6 +80,12 @@ class Template:
                         f"{kind} run {(line, first, last)} is empty or lies "
                         f"outside the {n}x{n} grid"
                     )
+
+    @classmethod
+    def _trusted(cls, n: int, row_runs: tuple[Run, ...], col_runs: tuple[Run, ...] = ()):
+        template = object.__new__(cls)
+        template.__dict__.update(n=n, row_runs=row_runs, col_runs=col_runs)
+        return template
 
     @property
     def shaded(self) -> frozenset[Square]:
@@ -190,15 +199,16 @@ def _leftmost_dots(n: int, row_runs: Sequence[Run], col_runs: Sequence[Run]) -> 
 
 def bar_reflect(template: Template) -> Template:
     """Rotate the shading by a half turn: (i, j) -> (n+1-i, n+1-j)."""
-    return Template(template.n, *_half_turn(template))
+    # the half turn maps the grid onto itself, so valid runs stay valid
+    return Template._trusted(template.n, *_half_turn(template))
 
 
-def _half_turn(template: Template) -> tuple[list[Run], list[Run]]:
+def _half_turn(template: Template) -> tuple[tuple[Run, ...], tuple[Run, ...]]:
     # the row runs and column runs of the half-turned shading
     m = template.n + 1
     return (
-        [(m - r, m - b, m - a) for r, a, b in template.row_runs],
-        [(m - c, m - b, m - a) for c, a, b in template.col_runs],
+        tuple([(m - r, m - b, m - a) for r, a, b in template.row_runs]),
+        tuple([(m - c, m - b, m - a) for c, a, b in template.col_runs]),
     )
 
 
@@ -257,8 +267,9 @@ def nested_template(perm: Sequence[int]) -> Template:
     the original permutation.
     """
     corners = l_corners(perm)
-    return Template(
-        len(perm), [(p, 1, v) for p, v in corners], [(v, 1, p) for p, v in corners]
+    # each corner (p, v) is a square, so both runs of its L lie in the grid
+    return Template._trusted(
+        len(perm), tuple([(p, 1, v) for p, v in corners]), tuple([(v, 1, p) for p, v in corners])
     )
 
 
@@ -269,6 +280,10 @@ def diagonal_ls(n: int, legs: Sequence[tuple[int, int]]) -> Template:
     and a horizontal leg of legs[i-1][1] squares running right, with the
     corner counted in both legs.  Zero-length legs contribute nothing.
     """
+    return Template(n, *_diagonal_runs(n, legs))
+
+
+def _diagonal_runs(n: int, legs: Sequence[tuple[int, int]]) -> tuple[tuple[Run, ...], ...]:
     row_runs = []
     col_runs = []
     for i, (vert, horiz) in enumerate(legs, start=1):
@@ -280,7 +295,7 @@ def diagonal_ls(n: int, legs: Sequence[tuple[int, int]]) -> Template:
             col_runs.append((i, i, i + vert - 1))
         if horiz:
             row_runs.append((i, i, i + horiz - 1))
-    return Template(n, row_runs, col_runs)
+    return tuple(row_runs), tuple(col_runs)
 
 
 def diagonal_template(perm: Sequence[int]) -> Template:
@@ -289,7 +304,8 @@ def diagonal_template(perm: Sequence[int]) -> Template:
     an inverted L at (i, i) with vertical leg p and horizontal leg v.
     Realizing it yields the image of the 132-rewriting map.
     """
-    return diagonal_ls(len(perm), l_corners(perm))
+    # both corner coordinates fall strictly from n down, so the i-th L stays in the grid
+    return Template._trusted(len(perm), *_diagonal_runs(len(perm), l_corners(perm)))
 
 
 def rcl_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
@@ -321,7 +337,10 @@ def rc_template(perm: Sequence[int]) -> Template:
     """
     n = len(perm)
     corners = rcl_corners(perm)
-    return Template(n, [(p, v, n) for v, p in corners], [(v, p, n) for v, p in corners])
+    # each corner (p, v) is a square, so both runs of its L lie in the grid
+    return Template._trusted(
+        n, tuple([(p, v, n) for v, p in corners]), tuple([(v, p, n) for v, p in corners])
+    )
 
 
 def render_ascii(template: Template, dots: Perm | None = None) -> str:

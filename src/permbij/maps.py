@@ -120,7 +120,8 @@ def theta_template(perm: Sequence[int]) -> grid.Template:
     """
     n = len(perm)
     legs = [(bar(v, n), bar(p, n)) for v, p in grid.rcl_corners(perm)]
-    return grid.diagonal_ls(n, legs)
+    # both corner coordinates rise strictly from 1 up, so the i-th L stays in the grid
+    return grid.Template._trusted(n, *grid._diagonal_runs(n, legs))
 
 
 def theta_corners(perm: Sequence[int]) -> Perm:
@@ -154,7 +155,8 @@ def slide_flip_template(perm: Sequence[int]) -> grid.Template:
         # and the column leg into a row leg
         col_runs.append((i, i, right_end))
         row_runs.append((i, i, bottom_end))
-    return grid.Template(n, row_runs, col_runs)
+    # v and p rise strictly from at least i, so both legs run from i to at most n
+    return grid.Template._trusted(n, tuple(row_runs), tuple(col_runs))
 
 
 def theta_slide_flip(perm: Sequence[int]) -> Perm:

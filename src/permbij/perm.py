@@ -173,8 +173,8 @@ def reverse_complement(perm: Sequence[int]) -> Perm:
     >>> reverse_complement((1, 4, 2, 3, 7, 5, 8, 6))
     (3, 1, 4, 2, 6, 7, 5, 8)
     """
-    n = len(perm)
-    return tuple(n + 1 - v for v in reversed(perm))
+    m = len(perm) + 1
+    return tuple([m - v for v in reversed(perm)])
 
 
 def inverse_reverse_complement(perm: Sequence[int]) -> Perm:

@@ -24,7 +24,10 @@ _SWAP_STEPS = str.maketrans({UP: DOWN, DOWN: UP})
 
 @dataclass(frozen=True)
 class TwoRowTableau:
-    """A standard Young tableau of at most two rows on {1, ..., n}."""
+    """
+    A standard Young tableau of at most two rows on {1, ..., n}, checked by the
+    constructor; rsk_tableaux's rows are standard by construction, so it calls _trusted.
+    """
 
     row1: tuple[int, ...]
     row2: tuple[int, ...] = ()
@@ -41,6 +44,12 @@ class TwoRowTableau:
         # map stops at the end of r2, which is no longer than r1
         if not all(map(lt, r1, r2)):
             raise ValueError("columns must increase downward")
+
+    @classmethod
+    def _trusted(cls, row1: tuple[int, ...], row2: tuple[int, ...]):
+        tableau = object.__new__(cls)
+        tableau.__dict__.update(row1=row1, row2=row2)
+        return tableau
 
     @property
     def size(self) -> int:
@@ -85,15 +94,18 @@ def rsk_tableaux(perm: Sequence[int]) -> tuple[TwoRowTableau, TwoRowTableau]:
             raise ValueError("permutation contains a 321-pattern")
         ins2.append(bumped)
         rec2.append(step)
+    # two-row insertion of a 321-free permutation yields standard tableaux
     return (
-        TwoRowTableau(tuple(ins1), tuple(ins2)),
-        TwoRowTableau(tuple(rec1), tuple(rec2)),
+        TwoRowTableau._trusted(tuple(ins1), tuple(ins2)),
+        TwoRowTableau._trusted(tuple(rec1), tuple(rec2)),
     )
 
 
 def _half_word(tableau: TwoRowTableau) -> str:
-    first_row = set(tableau.row1)
-    return "".join(UP if i in first_row else DOWN for i in range(1, tableau.size + 1))
+    steps = [DOWN] * tableau.size
+    for i in tableau.row1:
+        steps[i - 1] = UP
+    return "".join(steps)
 
 
 def dyck_from_tableaux(ins: TwoRowTableau, rec: TwoRowTableau) -> str:
@@ -147,6 +159,8 @@ def template_from_dyck(word: str, n: int) -> Template:
     """
     if len(word) != 2 * n or not validate_dyck(word):
         raise ValueError(f"not a balanced up-down word of length {2 * n}: {word!r}")
+    if not word:
+        return Template(n)  # n = 0: the public constructor rejects the empty grid
     downs_before_up = []
     downs = 0
     for step in word:
@@ -157,5 +171,6 @@ def template_from_dyck(word: str, n: int) -> Template:
     row_runs = [
         (i, 1, width) for i, width in enumerate(reversed(downs_before_up), start=1) if width
     ]
-    return Template(n, row_runs)
+    # a balanced word of length 2n gives n rows, each at most n wide
+    return Template._trusted(n, tuple(row_runs))
 

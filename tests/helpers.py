@@ -4,6 +4,8 @@ Everything here recomputes results from first principles (literal triple
 scans, polygon membership, recursive generation) so that a library bug
 cannot hide behind shared code.  The uniform sampler of S_n(321) at the
 end feeds the large-n checks, and likewise uses nothing from the library.
+The one exception is public_rebuild_problems, which holds the library's
+builders to its own public constructors.
 """
 import bisect
 import itertools
@@ -245,6 +247,60 @@ def uniform_321_avoider(n, rng):
         else:
             word[t - 1] = top.pop()
     return tuple(word)
+
+
+# ------------------------------------------------- builders, rebuilt in public
+
+def _ints_in_tuples(value):
+    """True iff value is an int (not a bool), or a tuple of such values."""
+    return type(value) is int or (type(value) is tuple and all(map(_ints_in_tuples, value)))
+
+
+def public_rebuild_problems(sigma, compare=True):
+    """
+    Every template a library builder draws for sigma and both tableaux of
+    rsk_tableaux, rebuilt through the public constructors, which run the
+    checks that the builders' private constructors skip.  Returns one line
+    per output that the rebuild rejects or changes: its fields must be
+    equal and be ints or tuples of them on both sides, and unless
+    ``compare`` is false the two must compare equal and hash alike.
+    Equality and hashing build a bitmask per row, and cost seconds per
+    template at n = 10^4.
+    """
+    from dataclasses import astuple
+
+    from permbij import grid, maps, rsk
+
+    ins, rec = rsk.rsk_tableaux(sigma)
+    rc = grid.rc_template(sigma)
+    outputs = {
+        "nested_template": grid.nested_template(sigma),
+        "diagonal_template": grid.diagonal_template(sigma),
+        "rc_template": rc,
+        "bar_reflect": grid.bar_reflect(rc),
+        "theta_template": maps.theta_template(sigma),
+        "slide_flip_template": maps.slide_flip_template(sigma),
+        "template_from_dyck": rsk.template_from_dyck(
+            rsk.dyck_from_tableaux(ins, rec), len(sigma)
+        ),
+        "insertion tableau": ins,
+        "recording tableau": rec,
+    }
+    problems = []
+    for name, built in outputs.items():
+        fields = astuple(built)
+        try:
+            rebuilt = type(built)(*fields)
+        except ValueError as exc:
+            problems.append(f"{name}: the public constructor rejects it: {exc}")
+            continue
+        if astuple(rebuilt) != fields:
+            problems.append(f"{name}: the public constructor changes its fields")
+        elif not (_ints_in_tuples(fields) and _ints_in_tuples(astuple(rebuilt))):
+            problems.append(f"{name}: a field is not an int or a tuple of ints")
+        elif compare and (rebuilt != built or hash(rebuilt) != hash(built)):
+            problems.append(f"{name}: the rebuilt copy compares or hashes differently")
+    return problems
 
 
 # ------------------------------------------------- templates, square by square

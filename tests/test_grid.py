@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -328,6 +329,25 @@ def test_diagonal_ls_rejects_legs_leaving_the_grid():
         diagonal_ls(3, [(4, 1)])
     with pytest.raises(ValueError, match="leaves the grid"):
         diagonal_ls(3, [(1, 1), (3, 1)])
+
+
+def test_diagonal_ls_rejects_negative_legs_with_the_run_message():
+    # a negative leg stays inside the grid's bound, so the public Template
+    # constructor is what rejects its run
+    message = "column run (1, 1, -1) is empty or lies outside the 3x3 grid"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diagonal_ls(3, [(-1, 1)])
+    message = "row run (1, 1, -1) is empty or lies outside the 3x3 grid"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diagonal_ls(3, [(1, -1)])
+
+
+def test_builders_rebuild_through_the_public_constructors():
+    # the builders skip the public constructors' checks; every output of
+    # every class member up to n = 8 must pass them unchanged
+    for n in range(1, 9):
+        for p in enumerate_avoiders(n, "321"):
+            assert helpers.public_rebuild_problems(p) == [], p
 
 
 def test_rc_template_golden_matches_figure():

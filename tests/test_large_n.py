@@ -10,7 +10,11 @@ half-turn identity between the two maps, to 132-avoidance of the images
 (by avoids and by the linear three-pass oracle at every size), and to the
 Elizalde-Pak properties: fixed points and excedances preserved, and
 commuting with inverse.  At n = 10^4 only the four template routes run;
-the rewriting routes and the quadratic 132 oracle stay at n <= 400.
+the rewriting routes and the quadratic 132 oracle stay at n <= 400.  At
+n = 10^3 and 10^4 every builder's output must also pass the public
+constructors' checks unchanged; equality and hashing of the rebuilt
+copies are compared at n = 10^3 only, since they cost seconds per
+template at n = 10^4, where equal fields already imply them.
 """
 import collections
 import random
@@ -80,6 +84,13 @@ def test_rewrites_step_for_step_at_large_n(n, seed):
     assert (triples, tuple(word)) == helpers.least_132_rewrites(
         sigma, helpers.smallest_132_by_passes
     )
+
+
+@pytest.mark.parametrize("n", (1000, 10_000))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_builders_rebuild_through_the_public_constructors_at_large_n(n, seed):
+    sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
+    assert helpers.public_rebuild_problems(sigma, compare=n <= 1000) == []
 
 
 @pytest.mark.parametrize("n", SIZES)

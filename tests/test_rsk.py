@@ -153,6 +153,8 @@ def test_template_from_dyck_rejects_bad_input():
         template_from_dyck("udud", 3)
     with pytest.raises(ValueError, match="not a balanced"):
         template_from_dyck("dduu", 2)
+    with pytest.raises(ValueError, match="grid size must be positive, got 0"):
+        template_from_dyck("", 0)
 
 
 def test_template_from_dyck_matches_polygon_membership():
