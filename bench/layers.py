@@ -1,9 +1,10 @@
 """
 Direct-call timings of the 132 test, two-row insertion, the up-down word,
 the template layers, template equality, the four template routes and the
-two rewriting routes; cold class enumeration; per-check timings of the
-exhaustive verifier; the tier-1 test suite's wall time; and the line count
-of the library, for two checkouts side by side.
+two rewriting routes; in-process `permbij map` calls of the six routes and
+one build of the CLI's argument parser; cold class enumeration; per-check
+timings of the exhaustive verifier; the tier-1 test suite's wall time; and
+the line count of the library, for two checkouts side by side.
 
     python bench/layers.py OUT.json PARENT [CHANGE]
 
@@ -22,7 +23,16 @@ per size (fewer once they add up to MIN_TOTAL_S); a row holds the median
 of the calls of both of its side's runs, in ms, with their count.  The
 arguments a layer takes (tableaux, templates, an up-down word) are built
 before timing.  The 132 test runs on sigma, which usually contains a 132,
-and on its 132-free image theta(sigma).
+and on its 132-free image theta(sigma).  Rows "cli.map.<bijection>" time
+cli_main(["map", "--bijection", <bijection>, "--input", <sigma's text>])
+with standard output captured, so parsing the text and printing the image
+count; a run's first call also pays for whatever parser set-up cli_main
+makes on a first call, and later calls only for what it repeats.  Row
+"cli.build_parser" takes no input and runs once per run, without a size:
+each call builds the CLI's argument parser anew, past the cache that
+cli_main keeps it in where it keeps one.  That is what a process's first
+call pays, less argparse's own one-time set-up, which the run's first
+build pays.
 
 A run skips a size, and records the skip with its reason, when the
 layer's last two sizes project that size's call or set-up past BUDGET_S:
@@ -36,8 +46,12 @@ starts cold, as in a `permbij verify` process.  Row "verify.<check>" at n
 is the median of that check's elapsed_ms at n, for n in SUITE_ROW_SIZES;
 a check's time includes whatever shared work it is the first to do at
 that n (class enumeration, and where run_suite memoizes route images, the
-fills it is the first to make).  Row "verify.run_suite" is the median wall
-time of the whole call, imports left out.  Rows
+fills it is the first to make).  Rows "verify.<check>" at each n in
+SUITE_PROJECTED_SIZES are not run: each is recorded as skipped with the
+time projection() gives from that check's rows at SUITE_ROW_SIZES.  That
+power law in n runs low of a class sweep's growth (C_n grows about as
+4^n), the more so the further n lies past them.  Row "verify.run_suite" is
+the median wall time of the whole call, imports left out.  Rows
 "perm.enumerate_avoiders.<pattern>" at n are likewise the median of
 ENUM_RUNS fresh interpreters per side, each timing one
 list(enumerate_avoiders(n, pattern)) with nothing cached.
@@ -50,6 +64,8 @@ counts the lines of src/permbij/*.py.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -70,6 +86,7 @@ MIN_TOTAL_S = 0.2
 LAYER_RUNS = 2
 SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
+SUITE_PROJECTED_SIZES = (11, 12)
 SUITE_RUNS = 3
 ENUM_RUNS = 3
 TIER1_RUNS = 2
@@ -104,8 +121,11 @@ print((time.perf_counter() - start) * 1e3)
 
 
 def layers():
-    """(name, set-up from sigma to the call's arguments, timed call)."""
-    from permbij import grid, maps, perm, rsk
+    """
+    (name, set-up from sigma to the call's arguments, timed call); a layer
+    whose set-up is None takes no arguments and runs once, at no size.
+    """
+    from permbij import cli, grid, maps, perm, rsk
 
     def dyck(sigma):
         return (rsk.dyck_from_tableaux(*rsk.rsk_tableaux(sigma)), len(sigma))
@@ -120,6 +140,20 @@ def layers():
 
     def on_sigma(fn):
         return (f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}", lambda s: (s,), fn)
+
+    def cli_map(bijection):
+        def arguments(sigma):
+            return (["map", "--bijection", bijection, "--input", perm.format_permutation(sigma)],)
+
+        def call(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.cli_main(argv) != 0:
+                    raise SystemExit(f"permbij map --bijection {bijection} failed")
+
+        return (f"cli.map.{bijection}", arguments, call)
+
+    # the undecorated builder where cli_main caches the parser
+    build_parser = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
 
     return [
         ("perm.avoids.132.sigma", lambda s: (s, "132"), perm.avoids),
@@ -144,6 +178,11 @@ def layers():
         on_sigma(maps.theta_rsk),
         on_sigma(maps.gamma_iterative),
         on_sigma(maps.theta_via_gamma),
+        *(cli_map(bijection) for bijection in (
+            "gamma", "theta", "theta-rsk", "theta-slide-flip", "gamma-iterative",
+            "theta-via-gamma",
+        )),
+        ("cli.build_parser", None, build_parser),
     ]
 
 
@@ -170,6 +209,8 @@ def measure_layer(name: str, src: str) -> list[dict]:
         raise SystemExit(f"permbij imported from {permbij.__file__}, not from {src}")
 
     prepare, call = next((p, c) for layer, p, c in layers() if layer == name)
+    if prepare is None:
+        return [{"n": None, "times": call_times(call, ())}]
     call_history, setup_history = [], []
     rows = []
     for n in SIZES:
@@ -185,14 +226,20 @@ def measure_layer(name: str, src: str) -> list[dict]:
         start = time.perf_counter()
         args = prepare(sigma)
         setup_history.append((n, time.perf_counter() - start))
-        times = []
-        while len(times) < MAX_CALLS and sum(times) < MIN_TOTAL_S:
-            start = time.perf_counter()
-            call(*args)
-            times.append(time.perf_counter() - start)
+        times = call_times(call, args)
         call_history.append((n, statistics.median(times)))
         rows.append({"n": n, "times": times})
     return rows
+
+
+def call_times(call, args) -> list[float]:
+    """Seconds of up to MAX_CALLS calls, fewer once they add up to MIN_TOTAL_S."""
+    times = []
+    while len(times) < MAX_CALLS and sum(times) < MIN_TOTAL_S:
+        start = time.perf_counter()
+        call(*args)
+        times.append(time.perf_counter() - start)
+    return times
 
 
 def fresh_run(checkout: Path, script: str, *args) -> str:
@@ -213,7 +260,7 @@ def alternating(checkouts: dict[str, Path], runs: int):
 
 def log(side: str, row: dict) -> None:
     figure = f"{row['ms']:10.3f} ms" if "ms" in row else row.get("skipped", "")
-    print(f"{side:7s}{row['layer']:30s} n={row.get('n', '-')!s:<7s} {figure}", file=sys.stderr)
+    print(f"{side:7s}{row['layer']:30s} n={row.get('n') or '-'!s:<7s} {figure}", file=sys.stderr)
 
 
 def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
@@ -269,6 +316,16 @@ def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
             {"layer": f"verify.{check}", "n": n, "ms": round(statistics.median(times), 4),
              "calls": len(times)}
             for (check, n), times in sorted(per_check.items())
+        ]
+        history: dict[str, list[tuple[int, float]]] = {}
+        for row in rows[side]:
+            history.setdefault(row["layer"], []).append((row["n"], row["ms"] / 1e3))
+        rows[side] += [
+            {"layer": layer, "n": n,
+             "skipped": f"projected {projection(points, n):.3g} s from n = "
+                        f"{points[-2][0]} and {points[-1][0]}, not run"}
+            for layer, points in history.items()
+            for n in SUITE_PROJECTED_SIZES
         ]
         rows[side].append(
             {"layer": "verify.run_suite", "n_min": 1, "n": SUITE_N_MAX,
@@ -337,7 +394,9 @@ def main(argv=None) -> int:
             f"median of the calls of {LAYER_RUNS} runs per side, each run up to "
             f"{MAX_CALLS} calls per size, fewer once they add up to {MIN_TOTAL_S} s; "
             f"a size is skipped when projected past {BUDGET_S} s; verify.* rows: median "
-            f"of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side; "
+            f"of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side, rows at "
+            f"n = {', '.join(map(str, SUITE_PROJECTED_SIZES))} projected from n = "
+            f"{', '.join(map(str, SUITE_ROW_SIZES))} and not run; "
             f"perm.enumerate_avoiders.* rows: median of {ENUM_RUNS} cold enumerations "
             f"per side; tier1.pytest: median of {TIER1_RUNS} runs of the checkout's "
             "test suite per side"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -49,6 +50,7 @@ _RENDERABLES = (*_TEMPLATES, "dyck", "tableaux")
 _INPUT_HELP = "permutation, e.g. '1 4 2 3' or '1423'; '-' reads it from standard input"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permbij",
@@ -175,7 +177,10 @@ _RUNNERS = {
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    """Exit status 0 on success, 1 on check failure, 2 on usage or domain error."""
+    """
+    Exit status 0 on success, 1 on check failure, 2 on usage or domain error.
+    The parser is built once per process and reused, as parsing leaves it unchanged.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

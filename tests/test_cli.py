@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -349,3 +350,58 @@ def test_no_arguments_is_a_usage_error(capsys):
 def test_unknown_bijection_is_a_usage_error(capsys):
     status, _, err = run(capsys, "map", "--bijection", "sigma", "--input", "1")
     assert status == 2
+
+
+# -------------------------------------------------------------- parser reuse
+
+def test_later_calls_build_no_parser(capsys, monkeypatch):
+    run(capsys, "map", "--bijection", "theta", "--input", GOLDEN_TEXT)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ("map", "--bijection", "gamma", "--input", GOLDEN_TEXT),
+        ("render", "--what", "dyck", "--input", GOLDEN_TEXT),
+        ("verify", "--n-max", "1", "--checks", "fact2"),
+        ("map", "--bijection", "sigma", "--input", "1"),
+    ):
+        run(capsys, *argv)
+    assert built == []
+
+
+def test_a_call_carries_nothing_into_the_next(capsys):
+    from permbij.verify import CHECKS
+
+    def map_golden(*extra):
+        return run(capsys, "map", "--bijection", "theta", "--input", GOLDEN_TEXT, *extra)
+
+    plain = (0, "7 5 4 2 3 1 6 8\n", "")
+    status, out, _ = map_golden("--format", "json")
+    assert status == 0 and json.loads(out)["image"] == [7, 5, 4, 2, 3, 1, 6, 8]
+    assert map_golden() == plain
+    assert map_golden("--compact") == (0, "75423168\n", "")
+    assert map_golden() == plain
+
+    status, out, err = run(capsys, "map", "--bijection", "sigma", "--input", "1")
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: permbij map ") and "invalid choice: 'sigma'" in err
+    assert map_golden() == plain
+
+    for argv in (("--help",), ("map", "--help")):
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert out.startswith(f"usage: {' '.join(('permbij', *argv[:-1]))} ")
+        assert map_golden() == plain
+
+    _, out, _ = run(capsys, "verify", "--checks", "fact2", "--n-max", "2")
+    assert out.count("\n") == 2
+    status, out, _ = run(capsys, "verify", "--n-max", "2")
+    lines = out.splitlines()
+    assert status == 0 and len(CHECKS) == 16 and len(lines) == 2 * 16
+    assert {line.split()[1] for line in lines} == set(CHECKS)
+    assert all(line.startswith("PASS ") for line in lines)
