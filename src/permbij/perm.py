@@ -71,9 +71,9 @@ def require_321_avoider(word: Sequence[int]) -> None:
 
 def parse_permutation(text: str) -> Perm:
     """
-    Parse whitespace- or comma-separated values, or a contiguous digit
-    string such as "14237586" (accepted only while every value is a single
-    digit, i.e. n <= 9).
+    Parse whitespace- or comma-separated values written in ASCII digits
+    alone, or a contiguous digit string such as "14237586" (accepted only
+    while every value is a single digit, i.e. n <= 9).
 
     >>> parse_permutation("1 4 2 3 7 5 8 6")
     (1, 4, 2, 3, 7, 5, 8, 6)
@@ -85,19 +85,20 @@ def parse_permutation(text: str) -> Perm:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty permutation text")
-    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
+    # int() alone would also take "+2", "1_0" and non-ASCII digits; one
+    # check in C over all tokens keeps long inputs from paying per token
+    digits = "".join(tokens)
+    if not (digits.isascii() and digits.isdigit()):
+        bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+        raise ValueError(f"invalid token {bad!r}")
+    if len(tokens) == 1 and len(tokens[0]) > 1:
         if len(tokens[0]) > 9:
             raise ValueError(
                 f"digit string {tokens[0]!r} has more than 9 entries; "
                 "use separators for n >= 10"
             )
         tokens = list(tokens[0])
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(f"invalid token {tok!r}") from None
+    values = list(map(int, tokens))
     n = len(values)
     seen = set()
     for v in values:

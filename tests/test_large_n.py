@@ -4,17 +4,20 @@ Seeded cross-checks at sizes the exhaustive sweeps cannot reach.
 Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  The corner extractors are held to their
 literal oracles at n = 100, and the phase-by-phase 132 rewriting to the
-literal loop, rewrite for rewrite, at n = 100 and 400.  Each input is held
-to route agreement (both rewriting routes included up to n = 400), to the
-half-turn identity between the two maps, to 132-avoidance of the images
-(by avoids and by the linear three-pass oracle at every size), and to the
-Elizalde-Pak properties: fixed points and excedances preserved, and
-commuting with inverse.  At n = 10^4 only the four template routes run;
-the rewriting routes and the quadratic 132 oracle stay at n <= 400.  At
-n = 10^3 and 10^4 every builder's output must also pass the public
-constructors' checks unchanged; equality and hashing of the rebuilt
-copies are compared at n = 10^3 only, since they cost seconds per
-template at n = 10^4, where equal fields already imply them.
+literal loop, rewrite for rewrite, at n = 100 and 400.  At n = 1000, where
+the literal loop is too slow, each rewrite is held to what facts (a) and
+(b) of the maps module promise: it rotates a 132 of the word before it,
+its start never decreases, and at one start its middle strictly
+increases.  Each input is held to route agreement (both rewriting routes
+included up to n = 1000), to the half-turn identity between the two
+maps, to 132-avoidance of the images (by avoids and by the linear
+three-pass oracle at every size, by the quadratic pair oracle up to
+n = 400), and to the Elizalde-Pak properties: fixed points and excedances
+preserved, and commuting with inverse.  At n = 10^4 only the four
+template routes run.  At n = 10^3 and 10^4 every builder's output must
+also pass the public constructors' checks unchanged; equality and hashing
+of the rebuilt copies are compared at n = 10^3 only, since they cost
+seconds per template at n = 10^4, where equal fields already imply them.
 """
 import collections
 import random
@@ -44,8 +47,11 @@ from permbij.perm import (
 
 import helpers
 
-SIZES = (100, 400, 10_000)
+SIZES = (100, 400, 1000, 10_000)
 SEEDS = (1, 2, 3)
+#: the largest n at which the rewriting routes, and the pair oracle, run
+REWRITING_MAX = 1000
+PAIRS_MAX = 400
 
 
 def test_sampler_is_uniform_on_a_small_class():
@@ -86,6 +92,19 @@ def test_rewrites_step_for_step_at_large_n(n, seed):
     )
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rewrites_keep_facts_a_and_b_at_n_1000(seed):
+    word = list(helpers.uniform_321_avoider(1000, random.Random(f"{seed}:1000")))
+    last = (0, 0)
+    for i, j, k in _least_132_rewrites(word):
+        # the rotation left b, c, a at i, j, k; before it they held a, b, c
+        assert i < j < k and word[k - 1] < word[j - 1] < word[i - 1]
+        # the start never decreases, and at one start the middle rises
+        assert (i, j) > last
+        last = (i, j)
+    assert last != (0, 0)
+
+
 @pytest.mark.parametrize("n", (1000, 10_000))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_builders_rebuild_through_the_public_constructors_at_large_n(n, seed):
@@ -100,18 +119,18 @@ def test_routes_and_properties_at_large_n(n, seed):
     assert is_permutation(sigma)
 
     theta_routes = [theta_corners, theta_rsk, theta_slide_flip]
-    if n <= 400:
+    if n <= REWRITING_MAX:
         theta_routes.append(theta_via_gamma)
     thetas = [route(sigma) for route in theta_routes]
     assert thetas.count(thetas[0]) == len(thetas)
     image_gamma = gamma_template(sigma)
     assert image_gamma == theta_rsk(inverse_reverse_complement(sigma))
-    if n <= 400:
+    if n <= REWRITING_MAX:
         assert gamma_iterative(sigma) == image_gamma
 
     for image in (image_gamma, thetas[0]):
         assert is_permutation(image)
-        if n <= 400:
+        if n <= PAIRS_MAX:
             assert not helpers.contains_132_by_pairs(image)
         assert avoids(image, "132")
         assert helpers.smallest_132_by_passes(image) is None

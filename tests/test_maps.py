@@ -62,6 +62,18 @@ def test_rewrites_step_for_step_with_the_literal_loop():
             )
 
 
+def test_rewrites_step_for_step_on_every_word():
+    # facts (a) and (b), on which each phase rests, hold for any word, and
+    # only words with sparse 132 starts reach a phase that rewrites nothing
+    for n in range(1, 8):
+        for p in helpers.all_words(n):
+            word = list(p)
+            triples = list(_least_132_rewrites(word))
+            assert (triples, tuple(word)) == helpers.least_132_rewrites(
+                p, helpers.smallest_132_by_triples
+            )
+
+
 def test_gamma_iterative_golden():
     assert gamma_iterative(GOLDEN) == GOLDEN_GAMMA
 

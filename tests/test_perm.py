@@ -53,6 +53,10 @@ def test_parse_singleton():
         ("0 1", "value 0 out of range"),
         ("1 x 2", "'x'"),
         ("12345678910", "separators"),
+        # int() takes each of these; the parser takes ASCII digits only
+        ("2 1_0 3 4 5 6 7 8 9 1", "invalid token '1_0'"),
+        ("+2 1", r"invalid token '\+2'"),
+        ("\u0662 1", "invalid token '\u0662'"),
     ],
 )
 def test_parse_errors_name_the_offender(text, fragment):
