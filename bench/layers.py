@@ -2,9 +2,10 @@
 Direct-call timings of the 132 test, two-row insertion, the up-down word,
 the template layers, template equality, the four template routes and the
 two rewriting routes; in-process `permbij map` calls of the six routes and
-one build of the CLI's argument parser; cold class enumeration; per-check
-timings of the exhaustive verifier; the tier-1 test suite's wall time; and
-the line count of the library, for two checkouts side by side.
+one build of the CLI's argument parser; cold class enumeration and cold
+statistics tables; per-check timings of the exhaustive verifier; the
+tier-1 test suite's wall time; and the line count of the library, for two
+checkouts side by side.
 
     python bench/layers.py OUT.json PARENT [CHANGE]
 
@@ -15,6 +16,8 @@ verifier run and each test-suite run is taken in the order parent,
 change, change, parent (ABBA), and again for further runs, every run in
 a fresh interpreter that imports permbij from that checkout's src.  The
 rows are written to OUT.json under the labels "parent" and "change".
+A row made of several fresh runs holds their median, with their lower and
+upper quartiles as "q1" and "q3".
 
 Every layer that layers() lists runs, at each n in SIZES, on one seeded
 uniform 321-avoider drawn by tests/helpers.uniform_321_avoider, which
@@ -53,8 +56,11 @@ power law in n runs low of a class sweep's growth (C_n grows about as
 4^n), the more so the further n lies past them.  Row "verify.run_suite" is
 the median wall time of the whole call, imports left out.  Rows
 "perm.enumerate_avoiders.<pattern>" at n are likewise the median of
-ENUM_RUNS fresh interpreters per side, each timing one
-list(enumerate_avoiders(n, pattern)) with nothing cached.
+COLD_RUNS fresh interpreters per side, each timing one
+list(enumerate_avoiders(n, pattern)) with nothing cached, for n from 1 to
+ENUMERATION_CAP; rows "verify.stats_table.<pattern>" time one
+stats_table(n, pattern) the same way, for n in STATS_SIZES, enumeration
+of the class included, as in a `permbij stats` process.
 
 Row "tier1.pytest" is the median wall time of TIER1_RUNS runs per side of
 the checkout's own test suite (python -m pytest -q in the checkout,
@@ -87,8 +93,9 @@ LAYER_RUNS = 2
 SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
 SUITE_PROJECTED_SIZES = (11, 12)
-SUITE_RUNS = 3
-ENUM_RUNS = 3
+SUITE_RUNS = 8
+COLD_RUNS = 6
+STATS_SIZES = (9, 10, 11, 12)
 TIER1_RUNS = 2
 SIDES = ("parent", "change")
 
@@ -116,6 +123,15 @@ import sys, time
 from permbij.perm import enumerate_avoiders
 start = time.perf_counter()
 list(enumerate_avoiders(int(sys.argv[1]), sys.argv[2]))
+print((time.perf_counter() - start) * 1e3)
+"""
+
+#: one cold statistics table in a fresh interpreter: its wall time in ms
+STATS_SCRIPT = """
+import sys, time
+from permbij.verify import stats_table
+start = time.perf_counter()
+stats_table(int(sys.argv[1]), sys.argv[2])
 print((time.perf_counter() - start) * 1e3)
 """
 
@@ -251,6 +267,13 @@ def fresh_run(checkout: Path, script: str, *args) -> str:
     ).stdout
 
 
+def spread(times: list[float], runs: int) -> dict:
+    """The fields of a row of ``runs`` runs: the median of ``times`` (ms) and its quartiles."""
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return {"ms": round(statistics.median(times), 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "calls": runs}
+
+
 def alternating(checkouts: dict[str, Path], runs: int):
     """(side, checkout) pairs, ``runs`` per side, in the order AB BA AB ..."""
     for i in range(runs):
@@ -283,19 +306,19 @@ def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
     return rows
 
 
-def enumeration_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
-    from permbij.perm import ENUMERATION_CAP, PATTERNS
+def cold_rows(checkouts: dict[str, Path], layer: str, script: str, sizes) -> dict[str, list[dict]]:
+    """Rows "<layer>.<pattern>" at each size: COLD_RUNS fresh runs of ``script`` per side."""
+    from permbij.perm import PATTERNS
 
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for pattern in PATTERNS:
-        for n in range(1, ENUMERATION_CAP + 1):
+        for n in sizes:
             times: dict[str, list[float]] = {side: [] for side in SIDES}
-            for side, checkout in alternating(checkouts, ENUM_RUNS):
-                times[side].append(float(fresh_run(checkout, ENUM_SCRIPT, n, pattern)))
+            for side, checkout in alternating(checkouts, COLD_RUNS):
+                times[side].append(float(fresh_run(checkout, script, n, pattern)))
             for side in SIDES:
                 rows[side].append(
-                    {"layer": f"perm.enumerate_avoiders.{pattern}", "n": n,
-                     "ms": round(statistics.median(times[side]), 4), "calls": ENUM_RUNS}
+                    {"layer": f"{layer}.{pattern}", "n": n, **spread(times[side], COLD_RUNS)}
                 )
                 log(side, rows[side][-1])
     return rows
@@ -313,8 +336,7 @@ def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
                 if n in SUITE_ROW_SIZES:
                     per_check.setdefault((check, n), []).append(ms)
         rows[side] = [
-            {"layer": f"verify.{check}", "n": n, "ms": round(statistics.median(times), 4),
-             "calls": len(times)}
+            {"layer": f"verify.{check}", "n": n, **spread(times, len(times))}
             for (check, n), times in sorted(per_check.items())
         ]
         history: dict[str, list[tuple[int, float]]] = {}
@@ -329,8 +351,7 @@ def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
         ]
         rows[side].append(
             {"layer": "verify.run_suite", "n_min": 1, "n": SUITE_N_MAX,
-             "ms": round(statistics.median(total for total, _ in side_runs), 4),
-             "calls": SUITE_RUNS}
+             **spread([total for total, _ in side_runs], SUITE_RUNS)}
         )
         for row in rows[side]:
             log(side, row)
@@ -371,9 +392,16 @@ def main(argv=None) -> int:
 
     # the layer names and the enumeration cap, read from this checkout
     sys.path.insert(0, str(ROOT / "src"))
+    from permbij.perm import ENUMERATION_CAP
+
     names = [name for name, _, _ in layers()]
     parts = [layer_rows(checkouts, name) for name in names]
-    parts += [enumeration_rows(checkouts), suite_rows(checkouts), tier1_rows(checkouts)]
+    parts += [
+        cold_rows(checkouts, "perm.enumerate_avoiders", ENUM_SCRIPT, range(1, ENUMERATION_CAP + 1)),
+        cold_rows(checkouts, "verify.stats_table", STATS_SCRIPT, STATS_SIZES),
+        suite_rows(checkouts),
+        tier1_rows(checkouts),
+    ]
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for part in parts:
         for side, side_rows in part.items():
@@ -397,9 +425,10 @@ def main(argv=None) -> int:
             f"of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side, rows at "
             f"n = {', '.join(map(str, SUITE_PROJECTED_SIZES))} projected from n = "
             f"{', '.join(map(str, SUITE_ROW_SIZES))} and not run; "
-            f"perm.enumerate_avoiders.* rows: median of {ENUM_RUNS} cold enumerations "
-            f"per side; tier1.pytest: median of {TIER1_RUNS} runs of the checkout's "
-            "test suite per side"
+            f"perm.enumerate_avoiders.* and verify.stats_table.* rows: median of "
+            f"{COLD_RUNS} cold runs per side; q1 and q3: quartiles of a row's runs; "
+            f"tier1.pytest: median of {TIER1_RUNS} runs of the checkout's test suite "
+            "per side"
         ),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import eq, gt
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -241,12 +242,12 @@ def _least_132_start(perm: Sequence[int], lo: int) -> int:
 
 def fixed_points(perm: Sequence[int]) -> int:
     """Number of positions with perm[i] == i."""
-    return sum(1 for pos, v in enumerate(perm, start=1) if v == pos)
+    return sum(map(eq, perm, range(1, len(perm) + 1)))
 
 
 def excedances(perm: Sequence[int]) -> int:
     """Number of positions with perm[i] > i."""
-    return sum(1 for pos, v in enumerate(perm, start=1) if v > pos)
+    return sum(map(gt, perm, range(1, len(perm) + 1)))
 
 
 def catalan(n: int) -> int:
@@ -260,43 +261,65 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _avoiders_321(n: int) -> list[Perm]:
-    # A word avoids 321 iff its entries that are not left-to-right maxima
-    # increase, i.e. iff each entry is a new maximum or the smallest value
-    # not yet placed.  Trying the candidates in increasing order yields the
-    # class in lexicographic order, and every branch completes.
-    words: list[Perm] = []
-
-    def extend(prefix: Perm, top: int, free: Perm) -> None:
-        # free holds the unplaced values, increasing; free[low:] exceed top
-        if not free:
-            words.append(prefix)
-            return
-        low = len(free) - (n - top)
-        if low:
-            extend(prefix + free[:1], top, free[1:])
-        for i in range(low, len(free)):
-            extend(prefix + free[i : i + 1], free[i], free[:i] + free[i + 1 :])
-
-    extend((), 0, identity(n))
-    return words
+#: the least pad byte of _avoider_list's records, above every entry
+_PAD = 128
 
 
 @functools.lru_cache(maxsize=None)
-def _avoider_list(n: int, pattern: str) -> tuple[Perm, ...]:
-    if pattern == "321":
-        return tuple(_avoiders_321(n))
-    if n == 0:
-        return ((),)
-    # A 132-avoider is alpha n beta with every entry of alpha above every
-    # entry of beta, and both 132-avoiding.
-    words = [
-        tuple(a + n - 1 - k for a in alpha) + (n,) + beta
-        for k in range(n)
-        for alpha in _avoider_list(k, "132")
-        for beta in _avoider_list(n - 1 - k, "132")
-    ]
-    return tuple(sorted(words))
+def _avoider_list(n: int, pattern: str) -> list[Perm]:
+    # West's generating tree, read through a symmetry that maps the class
+    # onto itself, grows a word by a new first entry: a parent s in
+    # S_{m-1}(pattern) has the children v, s+ in S_m(pattern), where s+ is s
+    # with its entries >= v raised by one.  For 321 the symmetry is irc,
+    # under which inserting m at site k of x (k entries before it)
+    # prepends m - k to irc(x); for 132 it is the inverse, under which
+    # prepending is inserting the minimum.  Prepending v makes a 321 iff
+    # the larger entry of some inversion of s lies below v, and a 132 iff
+    # the smaller entry of one lies at or above v.  So the v that s takes
+    # form a range lo..hi, and a child's range follows from v and s's:
+    #   321: 1..v for v >= 2, since v, before the 1, is now the least
+    #        larger entry of an inversion; 1..hi + 1 for v = 1;
+    #   132: v..m + 1, since v - 1 follows v and every smaller entry of an
+    #        inversion of s lies below v.
+    # Raising is increasing, so the children taken by v, then by parent,
+    # are in lexicographic order when the parents are, and nothing is
+    # sorted.  A level is a list of blocks ((lo, hi), records) of words
+    # that share a range, in order.  A block is one bytes object of n-byte
+    # records, each word of length m right-aligned behind the pads _PAD,
+    # _PAD + 1, ..., _PAD + n - m - 1; one bytes.translate of a block turns
+    # the pad left of every word into v and raises the entries >= v, so a
+    # level makes a few calls in C per block and runs no bytecode per
+    # word.  The last level is cut into tuples block by block.
+    pads = bytes(range(_PAD, _PAD + n))
+    blocks = [((1, 1), pads)]
+    members: list[Perm] = []
+    # only entries and pads occur, so only they need a place in the table
+    table = bytearray(256)
+    table[_PAD : _PAD + n] = pads
+    for m in range(1, n + 1):
+        pad = _PAD + n - m
+        table[1:m] = range(2, m + 1)
+        grown: list = []
+        for v in range(1, m + 1):
+            # table raises v..m - 1 and writes v for the pad; the next v
+            # leaves v itself in place
+            table[pad] = v
+            for (lo, hi), records in blocks:
+                if not lo <= v <= hi:
+                    continue
+                children = records.translate(table)
+                if m == n:
+                    # n references to one iterator: zip reads n bytes per tuple
+                    members.extend(zip(*[iter(children)] * n))
+                    continue
+                key = (1, hi + 1 if v == 1 else v) if pattern == "321" else (v, m + 1)
+                if grown and grown[-1][0] == key:
+                    grown[-1][1].append(children)
+                else:
+                    grown.append((key, [children]))
+            table[v] = v
+        blocks = [(key, b"".join(parts)) for key, parts in grown]
+    return members
 
 
 def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
@@ -304,9 +327,11 @@ def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
     An iterator over S_n(pattern) in lexicographic order, for
     1 <= n <= ENUMERATION_CAP.  The arguments are checked at the call, not
     at the first next().  The class is generated directly, in time about
-    catalan(n) times n, instead of by filtering the n! words of S_n:
-    321-avoiders by choosing each entry as a new maximum or the smallest
-    unplaced value, 132-avoiders by the decomposition alpha n beta.
+    catalan(n) times n, instead of by filtering the n! words of S_n: level
+    by level, each word of S_m(pattern) is a new first entry v in a range
+    its parent fixes, followed by the parent in S_{m-1}(pattern) with its
+    entries >= v raised by one; taking v before the parent yields the
+    class already in order, so it is never sorted.
 
     >>> [format_permutation(p, compact=True) for p in enumerate_avoiders(3, "321")]
     ['123', '132', '213', '231', '312']

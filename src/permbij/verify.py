@@ -339,7 +339,8 @@ def stats_table(n: int, pattern: str) -> StatTable:
     Tabulate (fixed points, excedances) over S_n(pattern).  The tables of
     the two classes coincide at every n; counts always sum to catalan(n).
     """
-    counts = Counter((fixed_points(p), excedances(p)) for p in enumerate_avoiders(n, pattern))
+    words = tuple(enumerate_avoiders(n, pattern))
+    counts = Counter(zip(map(fixed_points, words), map(excedances, words)))
     table = StatTable(n, pattern, dict(sorted(counts.items())))
     if table.total != catalan(n):
         raise RuntimeError(f"class total {table.total} is not catalan({n}); enumeration is broken")

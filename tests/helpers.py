@@ -47,6 +47,35 @@ def contains_132_by_pairs(word):
     return False
 
 
+def contains_321_by_excedances(word):
+    """
+    A permutation avoids 321 iff its excedance values (entries above their
+    position) increase and so do its other values: two list passes, for
+    classes too large for the triple scan.
+    """
+    above = [v for i, v in enumerate(word, start=1) if v > i]
+    rest = [v for i, v in enumerate(word, start=1) if v <= i]
+    return above != sorted(above) or rest != sorted(rest)
+
+
+def fixed_points_by_loop(word):
+    """Positions i with word[i] == i (1-based), counted one by one."""
+    count = 0
+    for i, v in enumerate(word, start=1):
+        if v == i:
+            count += 1
+    return count
+
+
+def excedances_by_loop(word):
+    """Positions i with word[i] > i (1-based), counted one by one."""
+    count = 0
+    for i, v in enumerate(word, start=1):
+        if v > i:
+            count += 1
+    return count
+
+
 def smallest_132_by_triples(word):
     """Minimum over every 132 triple, computed without early exit."""
     hits = [

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -199,6 +200,13 @@ def test_excedances():
     assert excedances((7, 8, 6, 4, 3, 5, 2, 1)) == 3
 
 
+def test_statistics_match_literal_loops_exhaustively():
+    for n in range(1, 8):
+        for word in helpers.all_words(n):
+            assert fixed_points(word) == helpers.fixed_points_by_loop(word)
+            assert excedances(word) == helpers.excedances_by_loop(word)
+
+
 # -------------------------------------------------------------- enumeration
 
 def test_enumerate_small_classes():
@@ -226,6 +234,36 @@ def test_enumerate_is_lexicographic_and_counted_by_catalan():
 def test_enumerate_matches_the_factorial_filter(pattern):
     for n in range(1, 10):
         assert list(enumerate_avoiders(n, pattern)) == helpers.avoiders_by_filter(n, pattern)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("pattern", ["321", "132"])
+def test_enumerate_is_exact_past_the_factorial_filter(n, pattern):
+    # a count alone would pass a duplicate that offsets a miss; strictly
+    # increasing rules out duplicates, and each member is held to an oracle
+    # that shares no code with the library
+    members = list(enumerate_avoiders(n, pattern))
+    assert all(map(operator.lt, members, members[1:]))
+    assert len(members) == catalan(n)
+    values = list(range(1, n + 1))
+    assert all(type(p) is tuple and sorted(p) == values for p in members)
+    if pattern == "321":
+        contains = helpers.contains_321_by_excedances
+    elif n <= 11:
+        contains = helpers.contains_132_by_pairs
+    else:
+        # the pair scan would take about a second at n = 12
+        def contains(word):
+            return helpers.smallest_132_by_passes(word) is not None
+    assert not any(map(contains, members))
+
+
+def test_contains_321_by_excedances_matches_the_triple_scan():
+    for n in range(1, 8):
+        for word in helpers.all_words(n):
+            assert helpers.contains_321_by_excedances(word) == helpers.contains_by_triples(
+                word, "321"
+            )
 
 
 def test_enumerate_counts_are_catalan_up_to_the_bound():
