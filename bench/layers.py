@@ -11,22 +11,25 @@ checkouts side by side.
 
 measures the checkouts PARENT and CHANGE (default: this checkout) in
 turn, one measurement at a time, so that a drift in the host's speed
-during the run falls on both alike: each layer, each enumeration, each
-verifier run and each test-suite run is taken in the order parent,
-change, change, parent (ABBA), and again for further runs, every run in
-a fresh interpreter that imports permbij from that checkout's src.  The
-rows are written to OUT.json under the labels "parent" and "change".
-A row made of several fresh runs holds their median, with their lower and
-upper quartiles as "q1" and "q3".
+during the run falls on both alike: alternate() samples each layer, cold
+call, verifier run and test-suite run in the order parent, change,
+change, parent (ABBA), and again for further runs, every run in a fresh
+interpreter that imports permbij from that checkout's src.  The rows are
+written to OUT.json under the labels "parent" and "change".  timed_row()
+makes every timed row from its samples alike: their median in ms as
+"ms", their quartiles as "q1" and "q3", and their count as "calls".  The
+quartiles are statistics.quantiles' "inclusive" ones, which lie within
+the samples (the default method puts them outside for two samples).  No
+row is projected: every one is measured or skipped.
 
 Every layer that layers() lists runs, at each n in SIZES, on one seeded
 uniform 321-avoider drawn by tests/helpers.uniform_321_avoider, which
-shares no code with the library.  One run of a layer makes up to 7 calls
-per size (fewer once they add up to MIN_TOTAL_S); a row holds the median
-of the calls of both of its side's runs, in ms, with their count.  The
-arguments a layer takes (tableaux, templates, an up-down word) are built
-before timing.  The 132 test runs on sigma, which usually contains a 132,
-and on its 132-free image theta(sigma).  Rows "cli.map.<bijection>" time
+shares no code with the library.  One run of a layer makes up to
+MAX_CALLS calls per size (fewer once they add up to MIN_TOTAL_S); a row's
+samples are the calls of all its side's runs.  The arguments a layer
+takes (tableaux, templates, an up-down word) are built before timing.
+The 132 test runs on sigma, which usually contains a 132, and on its
+132-free image theta(sigma).  Rows "cli.map.<bijection>" time
 cli_main(["map", "--bijection", <bijection>, "--input", <sigma's text>])
 with standard output captured, so parsing the text and printing the image
 count; a run's first call also pays for whatever parser set-up cli_main
@@ -46,23 +49,19 @@ in memory.  A row is skipped when every run of its side skipped it.
 The verifier rows come from SUITE_RUNS runs per side of run_suite(1,
 SUITE_N_MAX), each in a fresh interpreter so that the enumeration cache
 starts cold, as in a `permbij verify` process.  Row "verify.<check>" at n
-is the median of that check's elapsed_ms at n, for n in SUITE_ROW_SIZES;
-a check's time includes whatever shared work it is the first to do at
-that n (class enumeration, and where run_suite memoizes route images, the
-fills it is the first to make).  Rows "verify.<check>" at each n in
-SUITE_PROJECTED_SIZES are not run: each is recorded as skipped with the
-time projection() gives from that check's rows at SUITE_ROW_SIZES.  That
-power law in n runs low of a class sweep's growth (C_n grows about as
-4^n), the more so the further n lies past them.  Row "verify.run_suite" is
-the median wall time of the whole call, imports left out.  Rows
-"perm.enumerate_avoiders.<pattern>" at n are likewise the median of
-COLD_RUNS fresh interpreters per side, each timing one
-list(enumerate_avoiders(n, pattern)) with nothing cached, for n from 1 to
-ENUMERATION_CAP; rows "verify.stats_table.<pattern>" time one
-stats_table(n, pattern) the same way, for n in STATS_SIZES, enumeration
-of the class included, as in a `permbij stats` process.
+holds that check's elapsed_ms at n across the runs, for n in
+SUITE_ROW_SIZES; a check's time includes whatever shared work it is the
+first to do at that n (class enumeration, and where run_suite memoizes
+route images, the fills it is the first to make).  Row "verify.run_suite"
+holds the wall times of the whole call, imports left out.  Rows
+"perm.enumerate_avoiders.<pattern>" at n hold COLD_RUNS fresh
+interpreters per side, each timing one list(enumerate_avoiders(n,
+pattern)) with nothing cached, for n from 1 to ENUMERATION_CAP; rows
+"verify.stats_table.<pattern>" time one stats_table(n, pattern) the same
+way, for n in STATS_SIZES, enumeration of the class included, as in a
+`permbij stats` process.
 
-Row "tier1.pytest" is the median wall time of TIER1_RUNS runs per side of
+Row "tier1.pytest" holds the wall times of TIER1_RUNS runs per side of
 the checkout's own test suite (python -m pytest -q in the checkout,
 PYTHONPATH=src), with the summary line of the last.  Row "src.lines"
 counts the lines of src/permbij/*.py.
@@ -72,6 +71,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -92,7 +92,6 @@ MIN_TOTAL_S = 0.2
 LAYER_RUNS = 2
 SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
-SUITE_PROJECTED_SIZES = (11, 12)
 SUITE_RUNS = 8
 COLD_RUNS = 6
 STATS_SIZES = (9, 10, 11, 12)
@@ -117,21 +116,13 @@ total = time.perf_counter() - start
 print(json.dumps([total * 1e3, [[r.check, r.n, r.elapsed_ms] for r in reports]]))
 """
 
-#: one cold enumeration in a fresh interpreter: its wall time in ms
-ENUM_SCRIPT = """
+#: one cold call in a fresh interpreter: the expression argv[2] after the import argv[1], in ms
+COLD_SCRIPT = """
 import sys, time
-from permbij.perm import enumerate_avoiders
+exec(sys.argv[1])
+call = compile(sys.argv[2], "<cold call>", "eval")
 start = time.perf_counter()
-list(enumerate_avoiders(int(sys.argv[1]), sys.argv[2]))
-print((time.perf_counter() - start) * 1e3)
-"""
-
-#: one cold statistics table in a fresh interpreter: its wall time in ms
-STATS_SCRIPT = """
-import sys, time
-from permbij.verify import stats_table
-start = time.perf_counter()
-stats_table(int(sys.argv[1]), sys.argv[2])
+eval(call)
 print((time.perf_counter() - start) * 1e3)
 """
 
@@ -267,67 +258,52 @@ def fresh_run(checkout: Path, script: str, *args) -> str:
     ).stdout
 
 
-def spread(times: list[float], runs: int) -> dict:
-    """The fields of a row of ``runs`` runs: the median of ``times`` (ms) and its quartiles."""
-    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
-    return {"ms": round(statistics.median(times), 4), "q1": round(q1, 4),
-            "q3": round(q3, 4), "calls": runs}
-
-
-def alternating(checkouts: dict[str, Path], runs: int):
-    """(side, checkout) pairs, ``runs`` per side, in the order AB BA AB ..."""
+def alternate(checkouts: dict[str, Path], runs: int, measure) -> dict[str, list]:
+    """``runs`` samples per side of ``measure(checkout)``: parent, change, change, parent, ..."""
+    samples: dict[str, list] = {side: [] for side in SIDES}
     for i in range(runs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            yield side, checkouts[side]
+            samples[side].append(measure(checkouts[side]))
+    return samples
 
 
-def log(side: str, row: dict) -> None:
-    figure = f"{row['ms']:10.3f} ms" if "ms" in row else row.get("skipped", "")
-    print(f"{side:7s}{row['layer']:30s} n={row.get('n') or '-'!s:<7s} {figure}", file=sys.stderr)
+def timed_row(layer: str, samples: list[float], **fields) -> dict:
+    """The row of ``samples`` (ms): their median, their inclusive quartiles and their count."""
+    q1, _, q3 = (
+        statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
+    )
+    return {"layer": layer, **fields, "ms": round(statistics.median(samples), 4),
+            "q1": round(q1, 4), "q3": round(q3, 4), "calls": len(samples)}
 
 
 def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
-    runs: dict[str, list[list[dict]]] = {side: [] for side in SIDES}
-    for side, checkout in alternating(checkouts, LAYER_RUNS):
-        script_args = (checkout / "src", ROOT / "bench", name)
-        runs[side].append(json.loads(fresh_run(checkout, LAYER_SCRIPT, *script_args)))
-    rows: dict[str, list[dict]] = {}
-    for side, side_runs in runs.items():
-        rows[side] = []
-        for sizes in zip(*side_runs):
-            times = [t for size in sizes for t in size.get("times", ())]
-            row = {"layer": name, "n": sizes[0]["n"]}
-            if times:
-                row.update(ms=round(statistics.median(times) * 1e3, 4), calls=len(times))
-            else:
-                row["skipped"] = sizes[0]["skipped"]
-            rows[side].append(row)
-            log(side, row)
-    return rows
-
-
-def cold_rows(checkouts: dict[str, Path], layer: str, script: str, sizes) -> dict[str, list[dict]]:
-    """Rows "<layer>.<pattern>" at each size: COLD_RUNS fresh runs of ``script`` per side."""
-    from permbij.perm import PATTERNS
-
+    runs = alternate(checkouts, LAYER_RUNS, lambda checkout: json.loads(
+        fresh_run(checkout, LAYER_SCRIPT, checkout / "src", ROOT / "bench", name)
+    ))
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for pattern in PATTERNS:
-        for n in sizes:
-            times: dict[str, list[float]] = {side: [] for side in SIDES}
-            for side, checkout in alternating(checkouts, COLD_RUNS):
-                times[side].append(float(fresh_run(checkout, script, n, pattern)))
-            for side in SIDES:
-                rows[side].append(
-                    {"layer": f"{layer}.{pattern}", "n": n, **spread(times[side], COLD_RUNS)}
-                )
-                log(side, rows[side][-1])
+    for side, side_runs in runs.items():
+        for sizes in zip(*side_runs):
+            times = [t * 1e3 for size in sizes for t in size.get("times", ())]
+            # a size every run skipped is recorded as the first run's skip
+            rows[side].append(
+                timed_row(name, times, n=sizes[0]["n"]) if times else {"layer": name, **sizes[0]}
+            )
     return rows
+
+
+def cold_rows(checkouts: dict[str, Path], layer: str, call: str, n: int, pattern: str):
+    """Row "<layer>.<pattern>" at n: COLD_RUNS cold runs per side of ``call`` at n and pattern."""
+    module, function = layer.split(".")
+    samples = alternate(checkouts, COLD_RUNS, lambda checkout: float(fresh_run(
+        checkout, COLD_SCRIPT, f"from permbij.{module} import {function}",
+        call.format(n=n, pattern=pattern),
+    )))
+    return {side: [timed_row(f"{layer}.{pattern}", times, n=n)] for side, times in samples.items()}
 
 
 def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
-    runs: dict[str, list] = {side: [] for side in SIDES}
-    for side, checkout in alternating(checkouts, SUITE_RUNS):
-        runs[side].append(json.loads(fresh_run(checkout, SUITE_SCRIPT, SUITE_N_MAX)))
+    runs = alternate(checkouts, SUITE_RUNS,
+                     lambda checkout: json.loads(fresh_run(checkout, SUITE_SCRIPT, SUITE_N_MAX)))
     rows: dict[str, list[dict]] = {}
     for side, side_runs in runs.items():
         per_check: dict[tuple[str, int], list[float]] = {}
@@ -336,49 +312,31 @@ def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
                 if n in SUITE_ROW_SIZES:
                     per_check.setdefault((check, n), []).append(ms)
         rows[side] = [
-            {"layer": f"verify.{check}", "n": n, **spread(times, len(times))}
-            for (check, n), times in sorted(per_check.items())
+            *(timed_row(f"verify.{check}", times, n=n)
+              for (check, n), times in sorted(per_check.items())),
+            timed_row("verify.run_suite", [t for t, _ in side_runs], n_min=1, n=SUITE_N_MAX),
         ]
-        history: dict[str, list[tuple[int, float]]] = {}
-        for row in rows[side]:
-            history.setdefault(row["layer"], []).append((row["n"], row["ms"] / 1e3))
-        rows[side] += [
-            {"layer": layer, "n": n,
-             "skipped": f"projected {projection(points, n):.3g} s from n = "
-                        f"{points[-2][0]} and {points[-1][0]}, not run"}
-            for layer, points in history.items()
-            for n in SUITE_PROJECTED_SIZES
-        ]
-        rows[side].append(
-            {"layer": "verify.run_suite", "n_min": 1, "n": SUITE_N_MAX,
-             **spread([total for total, _ in side_runs], SUITE_RUNS)}
-        )
-        for row in rows[side]:
-            log(side, row)
     return rows
 
 
 def tier1_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
     """TIER1_RUNS runs per side of the checkout's test suite: wall time and summary line."""
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
-    summary: dict[str, str] = {}
-    for side, checkout in alternating(checkouts, TIER1_RUNS):
+
+    def run(checkout: Path) -> tuple[float, str]:
         start = time.perf_counter()
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
             cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
             capture_output=True, text=True,
-        ).stdout
-        times[side].append((time.perf_counter() - start) * 1e3)
-        summary[side] = out.strip().splitlines()[-1] if out.strip() else ""
-    rows = {}
-    for side in SIDES:
-        rows[side] = [
-            {"layer": "tier1.pytest", "ms": round(statistics.median(times[side]), 1),
-             "calls": TIER1_RUNS, "summary": summary[side]}
-        ]
-        log(side, rows[side][0])
-    return rows
+        ).stdout.strip()
+        return (time.perf_counter() - start) * 1e3, out.splitlines()[-1] if out else ""
+
+    runs = alternate(checkouts, TIER1_RUNS, run)
+    return {
+        side: [{**timed_row("tier1.pytest", [ms for ms, _ in side_runs]),
+                "summary": side_runs[-1][1]}]
+        for side, side_runs in runs.items()
+    }
 
 
 def main(argv=None) -> int:
@@ -390,22 +348,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    # the layer names and the enumeration cap, read from this checkout
+    # the layer names, the patterns and the enumeration cap, read from this checkout
     sys.path.insert(0, str(ROOT / "src"))
-    from permbij.perm import ENUMERATION_CAP
+    from permbij.perm import ENUMERATION_CAP, PATTERNS
 
-    names = [name for name, _, _ in layers()]
-    parts = [layer_rows(checkouts, name) for name in names]
-    parts += [
-        cold_rows(checkouts, "perm.enumerate_avoiders", ENUM_SCRIPT, range(1, ENUMERATION_CAP + 1)),
-        cold_rows(checkouts, "verify.stats_table", STATS_SCRIPT, STATS_SIZES),
-        suite_rows(checkouts),
-        tier1_rows(checkouts),
-    ]
+    cold = (
+        ("perm.enumerate_avoiders", "list(enumerate_avoiders({n}, {pattern!r}))",
+         range(1, ENUMERATION_CAP + 1)),
+        ("verify.stats_table", "stats_table({n}, {pattern!r})", STATS_SIZES),
+    )
+    # one {side: rows} per measurement, each measured as the loop below reaches it
+    parts = itertools.chain(
+        (layer_rows(checkouts, name) for name, _, _ in layers()),
+        (cold_rows(checkouts, layer, call, n, pattern)
+         for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
+        (rows_of(checkouts) for rows_of in (suite_rows, tier1_rows)),
+    )
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for part in parts:
         for side, side_rows in part.items():
-            rows[side].extend(side_rows)
+            for row in side_rows:
+                figure = f"{row['ms']:10.3f} ms" if "ms" in row else row["skipped"]
+                layer, n = row["layer"], row.get("n") or "-"
+                print(f"{side:7s}{layer:30s} n={n!s:<7s} {figure}", file=sys.stderr)
+            rows[side] += side_rows
     for side, checkout in checkouts.items():
         rows[side].append(
             {"layer": "src.lines", "count": sum(
@@ -418,17 +384,15 @@ def main(argv=None) -> int:
         "sizes": list(SIZES),
         "method": (
             f"parent and change measured alternately, in the order parent, change, "
-            f"change, parent and so on, each run in a fresh interpreter; layer rows: "
-            f"median of the calls of {LAYER_RUNS} runs per side, each run up to "
-            f"{MAX_CALLS} calls per size, fewer once they add up to {MIN_TOTAL_S} s; "
-            f"a size is skipped when projected past {BUDGET_S} s; verify.* rows: median "
-            f"of {SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side, rows at "
-            f"n = {', '.join(map(str, SUITE_PROJECTED_SIZES))} projected from n = "
-            f"{', '.join(map(str, SUITE_ROW_SIZES))} and not run; "
-            f"perm.enumerate_avoiders.* and verify.stats_table.* rows: median of "
-            f"{COLD_RUNS} cold runs per side; q1 and q3: quartiles of a row's runs; "
-            f"tier1.pytest: median of {TIER1_RUNS} runs of the checkout's test suite "
-            "per side"
+            f"change, parent and so on, each run in a fresh interpreter; every timed row: "
+            f"median (ms), quartiles q1 and q3 by statistics.quantiles(method='inclusive'), "
+            f"which lie within the samples, and count (calls) of its samples; layer rows: "
+            f"the calls of {LAYER_RUNS} runs per side, each run up to {MAX_CALLS} calls per "
+            f"size, fewer once they add up to {MIN_TOTAL_S} s, a size skipped when projected "
+            f"past {BUDGET_S} s; verify.* rows: {SUITE_RUNS} runs of run_suite(1, "
+            f"{SUITE_N_MAX}) per side, no row projected; perm.enumerate_avoiders.* and "
+            f"verify.stats_table.* rows: {COLD_RUNS} cold runs per side; tier1.pytest: "
+            f"{TIER1_RUNS} runs of the checkout's test suite per side"
         ),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",

@@ -8,7 +8,8 @@ column run (column, first row, last row) a segment of one column.  An
 inverted L is one run of each kind and a staircase row is one row run, so
 every builder here costs O(n) in all and never lists squares.  Templates
 compare by a bitmask of shaded columns per row, built from the runs; the
-square set (Template.shaded) is built only for rendering and reports.
+square set (Template.shaded) is built on each access, and in this library
+only render_ascii reads it.
 The public Template constructor validates every run.  Library builders,
 whose runs lie in the grid by construction, call Template._trusted, which
 does not: a verifier sweep to n = 9 builds about 10^5 templates.

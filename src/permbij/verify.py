@@ -18,6 +18,7 @@ call outside run_suite is not memoized.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from bisect import bisect_left
@@ -46,7 +47,8 @@ FAILURE_LIMIT = 20
 
 def _jsonable(value):
     if isinstance(value, grid.Template):
-        return sorted([r, c] for r, c in value.shaded)
+        return {"n": value.n, "row_runs": _jsonable(value.row_runs),
+                "col_runs": _jsonable(value.col_runs)}
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     return value
@@ -283,15 +285,9 @@ def run_suite(
         try:
             for name in names:
                 start = time.perf_counter()
-                failures = []
-                for failure in CHECKS[name](n):
-                    failures.append(failure)
-                    if len(failures) >= FAILURE_LIMIT:
-                        break
+                failures = tuple(itertools.islice(CHECKS[name](n), FAILURE_LIMIT))
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
-                reports.append(
-                    CheckReport(name, n, catalan(n), tuple(failures), elapsed_ms)
-                )
+                reports.append(CheckReport(name, n, catalan(n), failures, elapsed_ms))
         finally:
             _MEMO.reset(token)
     reports.sort(key=lambda r: (r.check, r.n))

@@ -1,0 +1,45 @@
+"""The bench tool's layer table and row plumbing, without timing anything."""
+import importlib.util
+import random
+from pathlib import Path
+
+import helpers
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_sets_up_and_runs(layers):
+    sigma = helpers.uniform_321_avoider(10, random.Random("bench:10"))
+    entries = layers.layers()
+    assert len({name for name, _, _ in entries}) == len(entries)
+    for name, prepare, call in entries:
+        call(*(() if prepare is None else prepare(sigma)))
+
+
+def test_samples_alternate_parent_change_change_parent(layers):
+    visits = []
+    checkouts = {"parent": Path("parent"), "change": Path("change")}
+
+    def measure(checkout):
+        visits.append(checkout.name)
+        return len(visits)
+
+    samples = layers.alternate(checkouts, 3, measure)
+    assert visits == ["parent", "change", "change", "parent", "parent", "change"]
+    assert samples == {"parent": [1, 4, 5], "change": [2, 3, 6]}
+
+
+@pytest.mark.parametrize("samples", [[3.0], [2.0, 1.0], [5.0, 1.0, 8.0, 2.0, 7.0, 3.0, 4.0, 6.0]])
+def test_a_row_holds_its_median_and_quartiles_within_its_samples(layers, samples):
+    row = layers.timed_row("some.layer", samples, n=7)
+    assert row["layer"] == "some.layer" and row["n"] == 7 and row["calls"] == len(samples)
+    assert min(samples) <= row["q1"] <= row["ms"] <= row["q3"] <= max(samples)

@@ -99,14 +99,28 @@ def test_run_suite_rejects_unknown_checks_and_bad_ranges():
 
 
 def test_failures_are_capped(monkeypatch):
+    yielded = []
+
     def always_failing(n):
         for k in range(1000):
+            yielded.append(k)
             yield {"input": [k], "expected": 0, "actual": 1}
 
     monkeypatch.setitem(CHECKS, "fact2", always_failing)
     report = run_suite(3, 3, ["fact2"])[0]
     assert not report.passed
     assert len(report.failures) == FAILURE_LIMIT
+    # the cap stops pulling from the check once it is reached
+    assert len(yielded) == FAILURE_LIMIT
+
+
+def test_a_failed_template_check_is_written_as_its_runs(monkeypatch):
+    monkeypatch.setattr(maps, "theta_template", lambda p: grid.Template(3, [(1, 1, 1)]))
+    (report,) = run_suite(3, 3, ["theorem1-route"])
+    assert not report.passed
+    for failure in report.failures:
+        assert failure["actual"] == {"n": 3, "row_runs": [[1, 1, 1]], "col_runs": []}
+    assert CheckReport.from_json_line(report.json_line()) == report
 
 
 def test_check_report_text_line():
