@@ -89,7 +89,7 @@ SIZES = (10, 100, 400, 1_000, 10_000, 100_000)
 BUDGET_S = 10.0
 MAX_CALLS = 7
 MIN_TOTAL_S = 0.2
-LAYER_RUNS = 2
+LAYER_RUNS = 4
 SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
 SUITE_RUNS = 8

@@ -37,7 +37,7 @@ The builders consume the corner data of a 321-avoiding permutation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -59,8 +59,9 @@ class Template:
     The shaded squares of an n-by-n grid, as row runs and column runs that
     may overlap.  Equality and hashing go by the square set, so two run
     decompositions of one shading are equal.  The constructor stores runs
-    as tuples and rejects a run that is empty or leaves the grid; library
-    builders call _trusted, which skips both for runs valid by construction.
+    as tuples and rejects a size or entry whose type is not int (so no
+    bool), and a run that is empty or leaves the grid; library builders
+    call _trusted, which skips these checks for runs valid by construction.
     """
 
     n: int
@@ -72,6 +73,8 @@ class Template:
         object.__setattr__(self, "row_runs", tuple(list(map(tuple, self.row_runs))))
         object.__setattr__(self, "col_runs", tuple(list(map(tuple, self.col_runs))))
         n = self.n
+        if {type(n), *map(type, chain(*self.row_runs, *self.col_runs))} != {int}:
+            raise ValueError("grid size and run entries must be ints")
         if n < 1:
             raise ValueError(f"grid size must be positive, got {n}")
         for kind, runs in (("row", self.row_runs), ("column", self.col_runs)):
@@ -332,9 +335,10 @@ def rcl_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
 def rc_template(perm: Sequence[int]) -> Template:
     """
     Inverted L's anchored at square (p, v) for each corner pair (v, p) of
-    rcl_corners(), extending to the right and bottom borders.  rc_realize()
-    on the result returns the original permutation, and the square set
-    equals the bar-reflection of the reverse-complement's nested template.
+    rcl_corners(), extending to the right and bottom borders; the i-th row
+    run and the i-th column run are the legs of the i-th L.  rc_realize() on
+    the result returns the original permutation, and the square set equals
+    the bar-reflection of the reverse-complement's nested template.
     """
     n = len(perm)
     corners = rcl_corners(perm)

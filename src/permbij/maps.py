@@ -6,9 +6,9 @@ The rewriting map is available as the literal iteration (gamma_iterative)
 and as a one-shot template realization (gamma_template).  The tableau map
 is available through four routes: the full tableau/lattice-path pipeline
 (theta_rsk), the corner template (theta_corners), a slide-and-flip of the
-rc-template (theta_slide_flip), and transport of the rewriting map through
-the half-turn (theta_via_gamma).  All routes agree point for point; the
-verification suite holds them against each other exhaustively.  All six
+rc-template's runs (theta_slide_flip), and transport of the rewriting map
+through the half-turn (theta_via_gamma).  All routes agree point for point;
+the verification suite holds them against each other exhaustively.  All six
 reject a word that is not a 321-avoiding permutation with the same
 ValueError, and each call checks its input once: the template routes
 through the corner layer (grid.l_corners, grid.rcl_corners), theta_rsk
@@ -151,25 +151,18 @@ theta = theta_corners
 
 def slide_flip_template(perm: Sequence[int]) -> grid.Template:
     """
-    The same template reached geometrically: take the inverted L's of the
-    rc-template, slide the i-th largest so its corner lands on (i, i), then
-    flip everything across the main diagonal.  Each L moves as a
-    descriptor, its corner and the far ends of its two legs.
+    The same template reached geometrically: slide the i-th inverted L of
+    rc_template() so its corner lands on (i, i), which takes each leg
+    (line, first, last) to (i, i, i + last - first), then flip the shading
+    across the main diagonal, which swaps the row runs with the column runs.
     """
-    n = len(perm)
-    row_runs = []
-    col_runs = []
-    for i, (v, p) in enumerate(grid.rcl_corners(perm), start=1):
-        # the L cornered at (p, v): its row leg ends in column n, its
-        # column leg in row n; sliding by (i - p, i - v) moves the corner
-        # to (i, i) and those ends to column n + i - v and row n + i - p
-        right_end, bottom_end = n + i - v, n + i - p
-        # the flip (r, c) -> (c, r) turns the row leg into a column leg
-        # and the column leg into a row leg
-        col_runs.append((i, i, right_end))
-        row_runs.append((i, i, bottom_end))
-    # v and p rise strictly from at least i, so both legs run from i to at most n
-    return grid.Template._trusted(n, tuple(row_runs), tuple(col_runs))
+    rc = grid.rc_template(perm)
+    # the i-th runs of rc are the i-th L's legs; a slid leg ends by n, as corner i is >= (i, i)
+    row_runs, col_runs = (
+        tuple([(i, i, i + last - first) for i, (_, first, last) in enumerate(legs, 1)])
+        for legs in (rc.col_runs, rc.row_runs)
+    )
+    return grid.Template._trusted(rc.n, row_runs, col_runs)
 
 
 def theta_slide_flip(perm: Sequence[int]) -> Perm:

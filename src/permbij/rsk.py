@@ -25,8 +25,8 @@ _SWAP_STEPS = str.maketrans({UP: DOWN, DOWN: UP})
 @dataclass(frozen=True)
 class TwoRowTableau:
     """
-    A standard Young tableau of at most two rows on {1, ..., n}, checked by the
-    constructor; rsk_tableaux's rows are standard by construction, so it calls _trusted.
+    A standard Young tableau of at most two rows on {1, ..., n} with int entries,
+    checked by the constructor; rsk_tableaux builds standard rows, so it calls _trusted.
     """
 
     row1: tuple[int, ...]
@@ -34,6 +34,8 @@ class TwoRowTableau:
 
     def __post_init__(self):
         r1, r2 = self.row1, self.row2
+        if not {*map(type, r1 + r2)} <= {int}:
+            raise ValueError("tableau entries must be ints")
         if len(r1) < len(r2):
             raise ValueError("first row is shorter than the second")
         for row in (r1, r2):

@@ -5,7 +5,8 @@ scans, polygon membership, recursive generation) so that a library bug
 cannot hide behind shared code.  The uniform sampler of S_n(321) at the
 end feeds the large-n checks, and likewise uses nothing from the library.
 The one exception is public_rebuild_problems, which holds the library's
-builders to its own public constructors.
+builders to its own public constructors; ROUTE_CALLS is no oracle but a
+declared ledger of the library functions each map route calls.
 """
 import bisect
 import itertools
@@ -330,6 +331,78 @@ def public_rebuild_problems(sigma, compare=True):
         elif compare and (rebuilt != built or hash(rebuilt) != hash(built)):
             problems.append(f"{name}: the rebuilt copy compares or hashes differently")
     return problems
+
+
+# ------------------------------------------------- what each route shares
+
+# The permbij functions each map route enters on a 321-avoider, named
+# "module.function" without the package.  Names are code names, as Python
+# 3.10 has no qualified ones, so "grid._trusted" is Template._trusted and
+# "rsk._trusted" TwoRowTableau._trusted.  tests/test_maps.py records the
+# calls of each route and holds them to ROUTE_CALLS, so a route that starts
+# or stops sharing a function with another fails until this table changes.
+_INPUT_CHECK = {"perm.require_permutation", "perm.is_permutation"}
+_NO_321 = {"perm.require_321_avoider", "perm.avoids", "perm._contains_321"}
+_REWRITING = {"maps._rewrite_until_132_free", "maps._least_132_rewrites", "perm._least_132_start"}
+_RC_CORNERS = {"grid.rcl_corners", "perm.reverse_complement", "grid._corner_sweep"}
+#: the unchecked Template constructor and the one realization, shared by
+#: all four template routes
+_REALIZATION = {"grid._trusted", "grid.realize", "grid._leftmost_dots"}
+
+ROUTE_CALLS = {
+    "gamma_iterative": {"maps.gamma_iterative", *_REWRITING, *_INPUT_CHECK, *_NO_321},
+    "theta_via_gamma": {
+        "maps.theta_via_gamma",
+        "perm.inverse_reverse_complement",
+        "perm.inverse",
+        "perm.reverse_complement",
+        *_REWRITING,
+        *_INPUT_CHECK,
+        *_NO_321,
+    },
+    "gamma_template": {
+        "maps.gamma_template",
+        "grid.diagonal_template",
+        "grid.l_corners",
+        "grid._corner_sweep",
+        "grid._diagonal_runs",
+        *_REALIZATION,
+        *_INPUT_CHECK,
+        *_NO_321,
+    },
+    "theta_corners": {
+        "maps.theta_corners",
+        "maps.theta_template",
+        "perm.bar",
+        "grid._diagonal_runs",
+        *_RC_CORNERS,
+        *_REALIZATION,
+        *_INPUT_CHECK,
+        *_NO_321,
+    },
+    "theta_slide_flip": {
+        "maps.theta_slide_flip",
+        "maps.slide_flip_template",
+        "grid.rc_template",
+        *_RC_CORNERS,
+        *_REALIZATION,
+        *_INPUT_CHECK,
+        *_NO_321,
+    },
+    "theta_rsk": {
+        "maps.theta_rsk",
+        "rsk.rsk_tableaux",
+        "rsk._trusted",
+        "rsk.dyck_from_tableaux",
+        "rsk.shape",
+        "rsk._half_word",
+        "rsk.size",
+        "rsk.template_from_dyck",
+        "rsk.validate_dyck",
+        *_REALIZATION,
+        *_INPUT_CHECK,
+    },
+}
 
 
 # ------------------------------------------------- templates, square by square

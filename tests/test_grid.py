@@ -83,6 +83,17 @@ def test_template_rejects_out_of_grid_squares():
         Template(0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [(3, [(1, 1.0, 2)]), (2.0,), (3, [(1, 1, True)]), (3, [], [(1.0, 1, 2)]), (True,)],
+)
+def test_template_rejects_fields_that_are_not_ints(fields):
+    # a float or bool that got past the constructor would make realize
+    # answer where == and render_ascii raise TypeError
+    with pytest.raises(ValueError, match="ints"):
+        Template(*fields)
+
+
 def test_template_coerces_shading_to_frozenset():
     t = Template(2, [[1, 1, 1], (1, 1, 1)])
     assert t.row_runs == ((1, 1, 1), (1, 1, 1))

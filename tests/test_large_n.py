@@ -14,26 +14,32 @@ maps, to 132-avoidance of the images (by avoids and by the linear
 three-pass oracle at every size, by the quadratic pair oracle up to
 n = 400), and to the Elizalde-Pak properties: fixed points and excedances
 preserved, and commuting with inverse.  At n = 10^4 only the four
-template routes run.  At n = 10^3 and 10^4 every builder's output must
-also pass the public constructors' checks unchanged; equality and hashing
-of the rebuilt copies are compared at n = 10^3 only, since they cost
-seconds per template at n = 10^4, where equal fields already imply them.
+template routes run.  At every size the chain the slide-and-flip route
+stands on is checked: the nested template realizes back to the input
+(Fact 2), so does the rc-template under the half-turned rule, and the
+slid and flipped rc-template has the corner template's runs.  At n = 10^3
+and 10^4 every builder's output must also pass the public constructors'
+checks unchanged; equality and hashing of the rebuilt copies are compared
+at n = 10^3 only, since they cost seconds per template at n = 10^4, where
+equal fields already imply them.
 """
 import collections
 import random
 
 import pytest
 
-from permbij.grid import l_corners, rcl_corners
+from permbij.grid import l_corners, nested_template, rc_realize, rc_template, rcl_corners, realize
 from permbij.maps import (
     _least_132_rewrites,
     gamma,
     gamma_iterative,
     gamma_template,
+    slide_flip_template,
     theta,
     theta_corners,
     theta_rsk,
     theta_slide_flip,
+    theta_template,
     theta_via_gamma,
 )
 from permbij.perm import (
@@ -139,3 +145,16 @@ def test_routes_and_properties_at_large_n(n, seed):
 
     for route in (gamma, theta):
         assert route(inverse(sigma)) == inverse(route(sigma))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_templates_realize_back_and_slide_flip_matches_theta_template_at_large_n(n, seed):
+    sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
+    assert realize(nested_template(sigma)) == sigma
+    assert rc_realize(rc_template(sigma)) == sigma
+    # sorted runs, not Template.__eq__, which builds a mask per row and
+    # costs seconds per compare at n = 10^4
+    slid, cornered = slide_flip_template(sigma), theta_template(sigma)
+    assert sorted(slid.row_runs) == sorted(cornered.row_runs)
+    assert sorted(slid.col_runs) == sorted(cornered.col_runs)

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 from permbij import grid, perm, rsk
@@ -181,6 +184,43 @@ def test_routes_check_their_input_once(route, monkeypatch):
     monkeypatch.setattr(perm, "is_permutation", counted)
     route(GOLDEN)
     assert calls == [GOLDEN]
+
+
+def library_calls(route, word):
+    """
+    The permbij functions that route(word) enters, named as in
+    helpers.ROUTE_CALLS; comprehensions and lambdas, whose code names
+    start with "<", are left out.
+    """
+    names = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        name = frame.f_code.co_name
+        if event == "call" and module.startswith("permbij.") and not name.startswith("<"):
+            names.add(f"{module[len('permbij.'):]}.{name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route(word)
+    finally:
+        sys.setprofile(previous)
+    return names
+
+
+@pytest.mark.parametrize("route", ALL_ROUTES, ids=lambda fn: fn.__name__)
+def test_each_route_calls_what_the_ledger_declares(route):
+    sigma = helpers.uniform_321_avoider(50, random.Random("ledger"))
+    assert library_calls(route, sigma) == helpers.ROUTE_CALLS[route.__name__]
+
+
+def test_the_slide_and_flip_route_moves_the_rc_template():
+    # Theorem 2 slides and flips the rc-template's L's, so the route must
+    # draw them through rc_template and share no drawing with theta_template
+    calls = helpers.ROUTE_CALLS["theta_slide_flip"]
+    assert "grid.rc_template" in calls
+    assert not calls & {"maps.theta_template", "grid._diagonal_runs"}
 
 
 def test_canonical_aliases():

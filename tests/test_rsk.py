@@ -25,6 +25,9 @@ GOLDEN_WORD = "uuuduuddududdudd"
         ((2, 1, 3), (), "strictly increasing"),
         ((1, 2), (4,), "partition"),
         ((2, 3), (1,), "columns"),
+        ((1.0, 2), (), "ints"),
+        ((True,), (), "ints"),
+        ((1, 2), (3.0,), "ints"),
     ],
 )
 def test_tableau_validation(row1, row2, fragment):
