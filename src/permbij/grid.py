@@ -59,9 +59,10 @@ class Template:
     The shaded squares of an n-by-n grid, as row runs and column runs that
     may overlap.  Equality and hashing go by the square set, so two run
     decompositions of one shading are equal.  The constructor stores runs
-    as tuples and rejects a size or entry whose type is not int (so no
-    bool), and a run that is empty or leaves the grid; library builders
-    call _trusted, which skips these checks for runs valid by construction.
+    as tuples and rejects runs that are not sequences of triples, a size or
+    entry whose type is not int (so no bool), and a run that is empty or
+    leaves the grid; library builders call _trusted, which skips these
+    checks for runs valid by construction.
     """
 
     n: int
@@ -69,9 +70,17 @@ class Template:
     col_runs: tuple[Run, ...] = ()
 
     def __post_init__(self):
+        triples = "runs must be sequences of (line, first, last) triples"
         # a list first: tuple() of an unsized iterator over-allocates
-        object.__setattr__(self, "row_runs", tuple(list(map(tuple, self.row_runs))))
-        object.__setattr__(self, "col_runs", tuple(list(map(tuple, self.col_runs))))
+        try:
+            row_runs = tuple(list(map(tuple, self.row_runs)))
+            col_runs = tuple(list(map(tuple, self.col_runs)))
+        except TypeError:
+            raise ValueError(triples) from None
+        if {*map(len, row_runs), *map(len, col_runs)} - {3}:
+            raise ValueError(triples)
+        object.__setattr__(self, "row_runs", row_runs)
+        object.__setattr__(self, "col_runs", col_runs)
         n = self.n
         if {type(n), *map(type, chain(*self.row_runs, *self.col_runs))} != {int}:
             raise ValueError("grid size and run entries must be ints")

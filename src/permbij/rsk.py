@@ -26,14 +26,20 @@ _SWAP_STEPS = str.maketrans({UP: DOWN, DOWN: UP})
 class TwoRowTableau:
     """
     A standard Young tableau of at most two rows on {1, ..., n} with int entries,
-    checked by the constructor; rsk_tableaux builds standard rows, so it calls _trusted.
+    checked by the constructor, which stores the rows as tuples; rsk_tableaux
+    builds standard rows, so it calls _trusted.
     """
 
     row1: tuple[int, ...]
     row2: tuple[int, ...] = ()
 
     def __post_init__(self):
-        r1, r2 = self.row1, self.row2
+        try:
+            r1, r2 = tuple(self.row1), tuple(self.row2)
+        except TypeError:
+            raise ValueError("tableau rows must be sequences of ints") from None
+        object.__setattr__(self, "row1", r1)
+        object.__setattr__(self, "row2", r2)
         if not {*map(type, r1 + r2)} <= {int}:
             raise ValueError("tableau entries must be ints")
         if len(r1) < len(r2):

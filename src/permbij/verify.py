@@ -2,10 +2,15 @@
 Exhaustive cross-checks over whole avoidance classes, plus the joint
 fixed-point/excedance tables.
 
-Every check sweeps all of S_n(321) for one n (whole-class checks compare
-entire images at once) and reports counterexamples, capped so a broken
-build stays readable.  Reports serialize to JSON Lines and back without
-loss.
+Every check sweeps all of S_n(321) for one n and reports counterexamples,
+capped so a broken build stays readable.  Reports serialize to JSON Lines
+and back without loss.  A per-member check is a Sweep of named rows
+(row, expected_fn, actual_fn); its run_on compares them on any iterable of
+permutations, which is how tests/test_large_n.py runs every Sweep on seeded
+inputs up to n = 10^4 (the rewriting and template-equality ones up to
+10^3), and each failure names its row under "row".  The three whole-class
+checks, bijectivity-gamma, bijectivity-theta and catalan-counts, are plain
+n -> failures callables that compare entire images at once.
 
 run_suite sweeps n in the outer loop and the checks in the inner one.
 While it runs one n, the images of the default routes (maps.gamma,
@@ -25,7 +30,7 @@ from bisect import bisect_left
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import grid, maps, rsk
 from .perm import (
@@ -55,11 +60,8 @@ def _jsonable(value):
 
 
 def _failure(input_perm, expected, actual) -> dict:
-    return {
-        "input": _jsonable(input_perm),
-        "expected": _jsonable(expected),
-        "actual": _jsonable(actual),
-    }
+    return {"input": _jsonable(input_perm), "expected": _jsonable(expected),
+            "actual": _jsonable(actual)}
 
 
 @dataclass(frozen=True)
@@ -91,21 +93,30 @@ class CheckReport:
         return cls(**record)
 
 
-def _sweep(*pairs) -> Callable[[int], Iterator[dict]]:
+class Sweep:
     """
-    Per-permutation check: for every p in S_n(321) and every
-    (expected_fn, actual_fn) pair in turn, report p when the two differ.
+    A per-member check: its rows, a tuple of (row, expected_fn, actual_fn),
+    each named after the map or builder on its actual side.  An input p fails
+    a row when expected_fn(p) != actual_fn(p).  Called with n, it runs on S_n(321).
     """
 
-    def run(n: int) -> Iterator[dict]:
-        for p in enumerate_avoiders(n, "321"):
-            for expected_fn, actual_fn in pairs:
+    # not a dataclass, whose methods compiled at import cost 0.1 MB of peak RSS
+    __slots__ = ("rows",)
+
+    def __init__(self, *rows: tuple[str, Callable, Callable]) -> None:
+        self.rows = rows
+
+    def run_on(self, inputs: Iterable[Perm]) -> Iterator[dict]:
+        for p in inputs:
+            for row, expected_fn, actual_fn in self.rows:
                 expected = expected_fn(p)
                 actual = actual_fn(p)
                 if expected != actual:
-                    yield _failure(p, expected, actual)
+                    yield {"row": row, **_failure(p, expected, actual)}
 
-    return run
+    def __call__(self, n: int) -> Iterator[dict]:
+        # looked up at call time, so a patched enumerate_avoiders is honoured
+        return self.run_on(enumerate_avoiders(n, "321"))
 
 
 class _Images:
@@ -194,15 +205,15 @@ def _second_rows(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ins.row2, rec.row2
 
 
-def _preserves(stat) -> Callable[[int], Iterator[dict]]:
-    return _sweep(
-        (stat, lambda p: stat(_gamma(p))),
-        (stat, lambda p: stat(_theta(p))),
+def _preserves(stat) -> Sweep:
+    return Sweep(
+        ("gamma", stat, lambda p: stat(_gamma(p))),
+        ("theta", stat, lambda p: stat(_theta(p))),
     )
 
 
-def _commutes_with_inverse(map_fn) -> Callable[[int], Iterator[dict]]:
-    return _sweep((lambda p: inverse(map_fn(p)), lambda p: map_fn(inverse(p))))
+def _commutes_with_inverse(row: str, map_fn) -> Sweep:
+    return Sweep((row, lambda p: inverse(map_fn(p)), lambda p: map_fn(inverse(p))))
 
 
 def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
@@ -230,40 +241,41 @@ def _check_catalan_counts(n: int) -> Iterator[dict]:
             yield _failure(pattern, want, count)
 
 
-#: every check, keyed by its public name; per-permutation checks are
-#: (expected, actual) rows of _sweep
+#: every check, keyed by its public name; each per-member check is a Sweep
 CHECKS: dict[str, Callable[[int], Iterator[dict]]] = {
-    "fact2": _sweep((_itself, lambda p: grid.realize(grid.nested_template(p)))),
-    "rc-template": _sweep((_itself, lambda p: grid.rc_realize(grid.rc_template(p)))),
-    "bar-reflection": _sweep((_reflected_nested_template, lambda p: grid.rc_template(p))),
-    "lemma1": _sweep((_second_row_legs, _dyck_template)),
-    "lemma3": _sweep((_corner_rows, _second_rows)),
-    "theorem1-route": _sweep((_dyck_template, lambda p: maps.theta_template(p))),
-    "theorem2-route": _sweep((_dyck_template, lambda p: maps.slide_flip_template(p))),
-    "theorem3": _sweep((maps.theta_via_gamma, maps.theta_rsk)),
-    "fact3-route-agreement": _sweep((maps.gamma_iterative, _route("gamma_template"))),
+    "fact2": Sweep(("realize", _itself, lambda p: grid.realize(grid.nested_template(p)))),
+    "rc-template": Sweep(("rc_realize", _itself, lambda p: grid.rc_realize(grid.rc_template(p)))),
+    "bar-reflection": Sweep(
+        ("rc_template", _reflected_nested_template, lambda p: grid.rc_template(p))
+    ),
+    "lemma1": Sweep(("template_from_dyck", _second_row_legs, _dyck_template)),
+    "lemma3": Sweep(("rsk_tableaux", _corner_rows, _second_rows)),
+    "theorem1-route": Sweep(("theta_template", _dyck_template, lambda p: maps.theta_template(p))),
+    "theorem2-route": Sweep(
+        ("slide_flip_template", _dyck_template, lambda p: maps.slide_flip_template(p))
+    ),
+    "theorem3": Sweep(("theta_rsk", maps.theta_via_gamma, maps.theta_rsk)),
+    "fact3-route-agreement": Sweep(
+        ("gamma_template", maps.gamma_iterative, _route("gamma_template"))
+    ),
     "fixed-points": _preserves(fixed_points),
     "excedances": _preserves(excedances),
-    "inverse-commute-gamma": _commutes_with_inverse(_gamma),
-    "inverse-commute-theta": _commutes_with_inverse(_theta),
+    "inverse-commute-gamma": _commutes_with_inverse("gamma", _gamma),
+    "inverse-commute-theta": _commutes_with_inverse("theta", _theta),
     "bijectivity-gamma": _check_bijectivity(_gamma),
     "bijectivity-theta": _check_bijectivity(_theta),
     "catalan-counts": _check_catalan_counts,
 }
 
 
-def run_suite(
-    n_min: int, n_max: int, checks: Sequence[str] | None = None
-) -> list[CheckReport]:
+def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> list[CheckReport]:
     """
-    Run the named checks (default: all) for every n in n_min..n_max and
-    return one report per (check, n), sorted by check name then n.
-
-    The sweep runs n in the outer loop and the checks, in name order, in
-    the inner one, with one memo of route images per n (see the module
-    docstring).  A report's elapsed_ms is the wall time of its
-    CHECKS[name](n) call, so it includes the memo fills that check is the
-    first to make and any enumeration it is the first to cache.
+    Run the named checks (default: all) for every n in n_min..n_max, n in
+    the outer loop and the checks in name order in the inner one, with one
+    memo of route images per n (see the module docstring).  Return one
+    report per (check, n), sorted by check name then n.  A report's
+    elapsed_ms is the wall time of its CHECKS[name](n) call, so it includes
+    the memo fills and the enumeration that check is the first to make.
     """
     if isinstance(checks, str):
         raise ValueError(f"pass a list of check names, not the string {checks!r}")
@@ -276,9 +288,7 @@ def run_suite(
             raise ValueError(f"unknown checks {unknown}; known checks: {known}")
         names = sorted(set(checks))
     if not 1 <= n_min <= n_max <= ENUMERATION_CAP:
-        raise ValueError(
-            f"n range {n_min}..{n_max} is empty or outside 1..{ENUMERATION_CAP}"
-        )
+        raise ValueError(f"n range {n_min}..{n_max} is empty or outside 1..{ENUMERATION_CAP}")
     reports = []
     for n in range(n_min, n_max + 1):
         token = _MEMO.set(_Images(n))
@@ -307,26 +317,16 @@ class StatTable:
         return sum(self.rows.values())
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "class": self.pattern,
-                "total": self.total,
-                "rows": [
-                    {"fixed_points": f, "excedances": e, "count": c}
-                    for (f, e), c in sorted(self.rows.items())
-                ],
-            },
-            sort_keys=True,
-        )
+        rows = [{"fixed_points": f, "excedances": e, "count": c}
+                for (f, e), c in sorted(self.rows.items())]
+        record = {"n": self.n, "class": self.pattern, "total": self.total, "rows": rows}
+        return json.dumps(record, sort_keys=True)
 
     @classmethod
     def from_json_line(cls, line: str) -> "StatTable":
         record = json.loads(line)
-        rows = {
-            (row["fixed_points"], row["excedances"]): row["count"]
-            for row in record["rows"]
-        }
+        rows = {(row["fixed_points"], row["excedances"]): row["count"]
+                for row in record["rows"]}
         return cls(n=record["n"], pattern=record["class"], rows=rows)
 
 

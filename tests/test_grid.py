@@ -94,6 +94,13 @@ def test_template_rejects_fields_that_are_not_ints(fields):
         Template(*fields)
 
 
+@pytest.mark.parametrize("runs", [[5], None, [(1, 1)]])
+def test_template_rejects_runs_that_are_not_triples(runs):
+    # each used to leak a TypeError, or an unpacking ValueError
+    with pytest.raises(ValueError, match="triples"):
+        Template(3, runs)
+
+
 def test_template_coerces_shading_to_frozenset():
     t = Template(2, [[1, 1, 1], (1, 1, 1)])
     assert t.row_runs == ((1, 1, 1), (1, 1, 1))

@@ -2,25 +2,27 @@
 Seeded cross-checks at sizes the exhaustive sweeps cannot reach.
 
 Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
-shares no code with the library.  The corner extractors are held to their
-literal oracles at n = 100, and the phase-by-phase 132 rewriting to the
-literal loop, rewrite for rewrite, at n = 100 and 400.  At n = 1000, where
-the literal loop is too slow, each rewrite is held to what facts (a) and
-(b) of the maps module promise: it rotates a 132 of the word before it,
-its start never decreases, and at one start its middle strictly
-increases.  Each input is held to route agreement (both rewriting routes
-included up to n = 1000), to the half-turn identity between the two
-maps, to 132-avoidance of the images (by avoids and by the linear
-three-pass oracle at every size, by the quadratic pair oracle up to
-n = 400), and to the Elizalde-Pak properties: fixed points and excedances
-preserved, and commuting with inverse.  At n = 10^4 only the four
-template routes run.  At every size the chain the slide-and-flip route
-stands on is checked: the nested template realizes back to the input
-(Fact 2), so does the rc-template under the half-turned rule, and the
-slid and flipped rc-template has the corner template's runs.  At n = 10^3
-and 10^4 every builder's output must also pass the public constructors'
-checks unchanged; equality and hashing of the rebuilt copies are compared
-at n = 10^3 only, since they cost seconds per template at n = 10^4, where
+shares no code with the library.  Every per-member check of the verifier,
+each Sweep in verify.CHECKS, runs on each input through run_on, up to the
+largest n that MAX_N gives it: theorem3 and fact3-route-agreement, whose
+rewriting routes grow about as n^2, and lemma1, theorem1-route,
+theorem2-route and bar-reflection, whose template equality costs seconds
+per compare at n = 10^4, up to n = 1000; fact2, rc-template, lemma3,
+fixed-points, excedances and the two inverse commutes at every size.
+Beside them run only oracles and comparisons that no check makes.  The
+corner extractors are held to their literal oracles at n = 100, and the
+phase-by-phase 132 rewriting to the literal loop, rewrite for rewrite, at
+n = 100 and 400.  At n = 1000, where the literal loop is too slow, each
+rewrite is held to what facts (a) and (b) of the maps module promise: it
+rotates a 132 of the word before it, its start never decreases, and at one
+start its middle strictly increases.  At every size the three
+non-rewriting theta routes agree, gamma_template(s) = theta_rsk(irc s),
+both images avoid 132 (by avoids and the linear three-pass oracle, and by
+the quadratic pair oracle up to n = 400), and the slid and flipped
+rc-template has the corner template's runs.  At n = 10^3 and 10^4 every
+builder's output must also pass the public constructors' checks
+unchanged; equality and hashing of the rebuilt copies are compared at
+n = 10^3 only, since they cost seconds per template at n = 10^4, where
 equal fields already imply them.
 """
 import collections
@@ -28,36 +30,40 @@ import random
 
 import pytest
 
-from permbij.grid import l_corners, nested_template, rc_realize, rc_template, rcl_corners, realize
+from permbij.grid import l_corners, rcl_corners
 from permbij.maps import (
     _least_132_rewrites,
-    gamma,
-    gamma_iterative,
     gamma_template,
     slide_flip_template,
-    theta,
     theta_corners,
     theta_rsk,
     theta_slide_flip,
     theta_template,
-    theta_via_gamma,
 )
-from permbij.perm import (
-    avoids,
-    excedances,
-    fixed_points,
-    inverse,
-    inverse_reverse_complement,
-    is_permutation,
-)
+from permbij.perm import avoids, inverse_reverse_complement, is_permutation
+from permbij.verify import CHECKS, Sweep
 
 import helpers
 
 SIZES = (100, 400, 1000, 10_000)
 SEEDS = (1, 2, 3)
-#: the largest n at which the rewriting routes, and the pair oracle, run
-REWRITING_MAX = 1000
+#: the largest n at which the rewriting routes, template equality and the
+#: pair oracle run
+REWRITING_MAX = TEMPLATE_EQ_MAX = 1000
 PAIRS_MAX = 400
+#: the largest n at which each per-member check runs
+MAX_N = {
+    **dict.fromkeys(("theorem3", "fact3-route-agreement"), REWRITING_MAX),
+    **dict.fromkeys(("lemma1", "theorem1-route", "theorem2-route", "bar-reflection"),
+                    TEMPLATE_EQ_MAX),
+    **dict.fromkeys(("fact2", "rc-template", "lemma3", "fixed-points", "excedances",
+                     "inverse-commute-gamma", "inverse-commute-theta"), SIZES[-1]),
+}
+
+
+def test_every_per_member_check_runs_at_large_n():
+    # a new Sweep fails here until MAX_N says how far it runs
+    assert set(MAX_N) == {name for name, check in CHECKS.items() if isinstance(check, Sweep)}
 
 
 def test_sampler_is_uniform_on_a_small_class():
@@ -123,38 +129,29 @@ def test_builders_rebuild_through_the_public_constructors_at_large_n(n, seed):
 def test_routes_and_properties_at_large_n(n, seed):
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     assert is_permutation(sigma)
+    failures = [(name, failure) for name, max_n in MAX_N.items() if n <= max_n
+                for failure in CHECKS[name].run_on([sigma])]
+    assert failures == []
 
-    theta_routes = [theta_corners, theta_rsk, theta_slide_flip]
-    if n <= REWRITING_MAX:
-        theta_routes.append(theta_via_gamma)
-    thetas = [route(sigma) for route in theta_routes]
-    assert thetas.count(thetas[0]) == len(thetas)
+    image_theta, *others = [route(sigma) for route in (theta_corners, theta_rsk, theta_slide_flip)]
+    assert others == [image_theta, image_theta]
     image_gamma = gamma_template(sigma)
     assert image_gamma == theta_rsk(inverse_reverse_complement(sigma))
-    if n <= REWRITING_MAX:
-        assert gamma_iterative(sigma) == image_gamma
-
-    for image in (image_gamma, thetas[0]):
+    for image in (image_gamma, image_theta):
         assert is_permutation(image)
         if n <= PAIRS_MAX:
             assert not helpers.contains_132_by_pairs(image)
         assert avoids(image, "132")
         assert helpers.smallest_132_by_passes(image) is None
-        assert fixed_points(image) == fixed_points(sigma)
-        assert excedances(image) == excedances(sigma)
-
-    for route in (gamma, theta):
-        assert route(inverse(sigma)) == inverse(route(sigma))
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_templates_realize_back_and_slide_flip_matches_theta_template_at_large_n(n, seed):
+    # the templates realize back in the fact2 and rc-template rows above;
+    # here sorted runs, not Template.__eq__, which costs seconds per compare
+    # at n = 10^4, where theorem1-route and theorem2-route do not run
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
-    assert realize(nested_template(sigma)) == sigma
-    assert rc_realize(rc_template(sigma)) == sigma
-    # sorted runs, not Template.__eq__, which builds a mask per row and
-    # costs seconds per compare at n = 10^4
     slid, cornered = slide_flip_template(sigma), theta_template(sigma)
     assert sorted(slid.row_runs) == sorted(cornered.row_runs)
     assert sorted(slid.col_runs) == sorted(cornered.col_runs)

@@ -28,11 +28,21 @@ GOLDEN_WORD = "uuuduuddududdudd"
         ((1.0, 2), (), "ints"),
         ((True,), (), "ints"),
         ((1, 2), (3.0,), "ints"),
+        (None, (), "sequences"),
+        ((1, 2), 5, "sequences"),
     ],
 )
 def test_tableau_validation(row1, row2, fragment):
     with pytest.raises(ValueError, match=fragment):
         TwoRowTableau(row1, row2)
+
+
+@pytest.mark.parametrize("row1, row2", [([1, 2], (3,)), ([1, 2], [3])])
+def test_tableau_stores_its_rows_as_tuples(row1, row2):
+    tableau = TwoRowTableau(row1, row2)
+    assert (tableau.row1, tableau.row2) == ((1, 2), (3,))
+    assert tableau == TwoRowTableau((1, 2), (3,))
+    assert hash(tableau) == hash(TwoRowTableau((1, 2), (3,)))
 
 
 def test_tableau_column_violation_in_the_last_column_of_row2():

@@ -13,6 +13,7 @@ from permbij.verify import (
     FAILURE_LIMIT,
     CheckReport,
     StatTable,
+    Sweep,
     run_suite,
     stats_table,
 )
@@ -35,10 +36,17 @@ EXPECTED_CHECK_NAMES = {
     "rc-template",
     "bar-reflection",
 }
+WHOLE_CLASS_CHECKS = {"bijectivity-gamma", "bijectivity-theta", "catalan-counts"}
 
 
 def test_registry_names():
     assert set(CHECKS) == EXPECTED_CHECK_NAMES
+    # a runner tells a per-member check from a whole-class one by its type
+    sweeps = {name for name, check in CHECKS.items() if isinstance(check, Sweep)}
+    assert sweeps == EXPECTED_CHECK_NAMES - WHOLE_CLASS_CHECKS and len(sweeps) == 13
+    for name in sweeps:
+        rows = [row for row, _, _ in CHECKS[name].rows]
+        assert len(set(rows)) == len(rows), f"{name} repeats a row name"
 
 
 def test_full_suite_passes_at_small_sizes():
@@ -164,13 +172,20 @@ def _counted(route, calls):
     return wrapped
 
 
-def _direct_reports(n_min, n_max):
-    """(check, n, cases, failures) from direct CHECKS calls, outside run_suite."""
+def _direct_reports(n_min, n_max, run=lambda check, n: check(n)):
+    """(check, n, cases, failures) from direct calls run(check, n), outside run_suite."""
     return [
-        (name, n, catalan(n), tuple(itertools.islice(CHECKS[name](n), FAILURE_LIMIT)))
+        (name, n, catalan(n), tuple(itertools.islice(run(CHECKS[name], n), FAILURE_LIMIT)))
         for name in sorted(CHECKS)
         for n in range(n_min, n_max + 1)
     ]
+
+
+def _run_on_the_class(check, n):
+    """A Sweep through run_on over S_n(321); a whole-class check called with n."""
+    if isinstance(check, Sweep):
+        return check.run_on(enumerate_avoiders(n, "321"))
+    return check(n)
 
 
 @pytest.mark.parametrize(
@@ -195,6 +210,7 @@ def test_memo_changes_no_verdict(faults, monkeypatch):
             monkeypatch.setattr(maps, "gamma_template", faulty)
     memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(1, 6)]
     assert memoized == _direct_reports(1, 6)
+    assert memoized == _direct_reports(1, 6, _run_on_the_class)
     failed = {check for check, _, _, failures in memoized if failures}
     for name in faults:
         assert {f"bijectivity-{name}", f"inverse-commute-{name}"} <= failed
@@ -212,8 +228,21 @@ def test_memo_is_keyed_by_route_function(monkeypatch):
     assert {r.check for r in reports if not r.passed} == {"fact3-route-agreement"}
     (fact3,) = [r for r in reports if r.check == "fact3-route-agreement" and r.n == 4]
     assert fact3.failures == (
-        {"input": [3, 1, 2, 4], "expected": [3, 1, 2, 4], "actual": [4, 3, 1, 2]},
+        {"row": "gamma_template", "input": [3, 1, 2, 4], "expected": [3, 1, 2, 4],
+         "actual": [4, 3, 1, 2]},
     )
+
+
+def test_a_lost_statistic_names_the_map_that_lost_it(monkeypatch):
+    # theta sends the identity, with 3 fixed points and no excedance, to
+    # (3, 2, 1), with 1 fixed point and 1 excedance; gamma is untouched
+    monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (1, 2, 3), (3, 2, 1)))
+    exceeding, fixed = run_suite(3, 3, ["excedances", "fixed-points"])
+    assert fixed.failures == ({"row": "theta", "input": [1, 2, 3], "expected": 3, "actual": 1},)
+    assert exceeding.failures == (
+        {"row": "theta", "input": [1, 2, 3], "expected": 0, "actual": 1},
+    )
+    assert tuple(CHECKS["fixed-points"].run_on([(1, 2, 3)])) == fixed.failures
 
 
 def test_each_route_image_is_computed_once_per_class_member(monkeypatch):
