@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -178,7 +179,8 @@ _RUNNERS = {
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
     """
-    Exit status 0 on success, 1 on check failure, 2 on usage or domain error.
+    Exit status 0 on success, 1 on check failure, 2 on usage or domain error;
+    main() exits 141 instead when the reader of standard output closes early.
     The parser is built once per process and reused, as parsing leaves it unchanged.
     """
     parser = _build_parser()
@@ -194,7 +196,15 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        status = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at the null device so
+        # that the flush at exit does not raise again, and exit 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -286,6 +286,23 @@ def test_map_reads_an_input_over_the_argument_cap_from_stdin():
     assert result.stdout == format_permutation(gamma(sigma)) + "\n"
 
 
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # S_10(321) prints about 350 kB, more than a pipe holds, so the writer
+    # is still printing when the reader goes away
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "permbij", "enumerate", "--n", "10", "--avoid", "321"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "1 2 3 4 5 6 7 8 9 10\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == ""
+        assert proc.wait(timeout=60) == 141
+
+
 # --------------------------------------------------------------------- stats
 
 def test_stats_text(capsys):

@@ -2,12 +2,14 @@ import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import helpers
 from permbij import grid, maps, verify
-from permbij.perm import catalan, enumerate_avoiders
+from permbij.perm import ENUMERATION_CAP, PATTERNS, catalan, enumerate_avoiders
 from permbij.verify import (
     CHECKS,
     FAILURE_LIMIT,
@@ -314,6 +316,32 @@ def test_stats_tables_coincide_across_classes():
 def test_stats_table_total_is_catalan():
     for n in range(1, 8):
         assert stats_table(n, "321").total == catalan(n)
+
+
+def test_stats_table_matches_the_literal_definitions():
+    # stats_table counts over byte columns; this counts word by word
+    for n in range(1, 11):
+        for pattern in PATTERNS:
+            words = enumerate_avoiders(n, pattern)
+            oracle = Counter(
+                (helpers.fixed_points_by_loop(w), helpers.excedances_by_loop(w)) for w in words
+            )
+            assert stats_table(n, pattern).rows == oracle, (n, pattern)
+
+
+def test_stats_table_packing_cannot_carry_within_the_enumeration_cap():
+    # each word's byte of the packed sum holds 16 * fixed points + excedances
+    assert 16 * ENUMERATION_CAP <= 255
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_stats_table_rejects_words_of_the_wrong_length(monkeypatch, extra):
+    def wrong_length(n, pattern):
+        return iter([tuple(range(1, n + 1 + extra))] * catalan(n))
+
+    monkeypatch.setattr(verify, "enumerate_avoiders", wrong_length)
+    with pytest.raises(RuntimeError, match="enumeration is broken"):
+        stats_table(5, "321")
 
 
 def test_stats_table_rejects_out_of_range_n():
