@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import eq, gt
+from itertools import chain, groupby
+from operator import eq, gt, itemgetter
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -261,12 +262,18 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-#: the least pad byte of _avoider_list's records, above every entry
+#: the least pad byte of _avoider_records' records, above every entry
 _PAD = 128
 
 
-@functools.lru_cache(maxsize=None)
-def _avoider_list(n: int, pattern: str) -> list[Perm]:
+def _require_class(n: int, pattern: str) -> None:
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    if type(n) is not int or not 1 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"n={n!r} outside 1..{ENUMERATION_CAP}")
+
+
+def _avoider_records(n: int, pattern: str) -> list[bytes]:
     # West's generating tree, read through a symmetry that maps the class
     # onto itself, grows a word by a new first entry: a parent s in
     # S_{m-1}(pattern) has the children v, s+ in S_m(pattern), where s+ is s
@@ -289,55 +296,47 @@ def _avoider_list(n: int, pattern: str) -> list[Perm]:
     # _PAD + 1, ..., _PAD + n - m - 1; one bytes.translate of a block turns
     # the pad left of every word into v and raises the entries >= v, so a
     # level makes a few calls in C per block and runs no bytecode per
-    # word.  The last level is cut into tuples block by block.
+    # word.  The last level's children, S_n(pattern) in order, are returned
+    # unjoined and uncached; _avoider_list caches the tuples cut from them.
+    _require_class(n, pattern)
     pads = bytes(range(_PAD, _PAD + n))
-    blocks = [((1, 1), pads)]
-    members: list[Perm] = []
+    grown = [((1, 1), pads)]
     # only entries and pads occur, so only they need a place in the table
     table = bytearray(256)
     table[_PAD : _PAD + n] = pads
     for m in range(1, n + 1):
+        blocks = [(k, b"".join([c for _, c in run])) for k, run in groupby(grown, itemgetter(0))]
         pad = _PAD + n - m
         table[1:m] = range(2, m + 1)
-        grown: list = []
+        grown = []
         for v in range(1, m + 1):
             # table raises v..m - 1 and writes v for the pad; the next v
             # leaves v itself in place
             table[pad] = v
             for (lo, hi), records in blocks:
-                if not lo <= v <= hi:
-                    continue
-                children = records.translate(table)
-                if m == n:
-                    # n references to one iterator: zip reads n bytes per tuple
-                    members.extend(zip(*[iter(children)] * n))
-                    continue
-                key = (1, hi + 1 if v == 1 else v) if pattern == "321" else (v, m + 1)
-                if grown and grown[-1][0] == key:
-                    grown[-1][1].append(children)
-                else:
-                    grown.append((key, [children]))
+                if lo <= v <= hi:
+                    key = (1, hi + 1 if v == 1 else v) if pattern == "321" else (v, m + 1)
+                    grown.append((key, records.translate(table)))
             table[v] = v
-        blocks = [(key, b"".join(parts)) for key, parts in grown]
-    return members
+    return [children for _, children in grown]
+
+
+@functools.lru_cache(maxsize=None)
+def _avoider_list(n: int, pattern: str) -> list[Perm]:
+    # n references to one iterator: zip reads n bytes per tuple
+    return list(chain.from_iterable(zip(*[iter(r)] * n) for r in _avoider_records(n, pattern)))
 
 
 def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
     """
-    An iterator over S_n(pattern) in lexicographic order, for
+    An iterator over S_n(pattern) in lexicographic order, for int n with
     1 <= n <= ENUMERATION_CAP.  The arguments are checked at the call, not
-    at the first next().  The class is generated directly, in time about
-    catalan(n) times n, instead of by filtering the n! words of S_n: level
-    by level, each word of S_m(pattern) is a new first entry v in a range
-    its parent fixes, followed by the parent in S_{m-1}(pattern) with its
-    entries >= v raised by one; taking v before the parent yields the
-    class already in order, so it is never sorted.
+    at the first next().  The class is grown directly by a generating tree
+    (see _avoider_records), in time about catalan(n) times n and already in
+    order, in place of filtering the n! words of S_n.
 
     >>> [format_permutation(p, compact=True) for p in enumerate_avoiders(3, "321")]
     ['123', '132', '213', '231', '312']
     """
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"n={n} outside 1..{ENUMERATION_CAP}")
+    _require_class(n, pattern)
     return iter(_avoider_list(n, pattern))

@@ -37,6 +37,7 @@ from .perm import (
     ENUMERATION_CAP,
     PATTERNS,
     Perm,
+    _avoider_records,
     bar,
     catalan,
     enumerate_avoiders,
@@ -332,24 +333,22 @@ class StatTable:
 
 def stats_table(n: int, pattern: str) -> StatTable:
     """
-    Tabulate (fixed points, excedances) over S_n(pattern).  The tables of
-    the two classes coincide at every n; counts always sum to catalan(n).
-
-    The class is counted in C over byte columns, with no Python frame per
-    word: column i of the flattened class, one byte per word, translates to
-    16 at a fixed point, 1 at an excedance and 0 elsewhere, and the n
+    Tabulate (fixed points, excedances) over S_n(pattern), counted in C
+    from the generating tree's n-byte records with no tuple and no Python
+    frame per word.  The two classes' tables coincide at every n and sum
+    to catalan(n).  Column i of the records, one byte per word, translates
+    to 16 at a fixed point, 1 at an excedance and 0 elsewhere; the n
     columns summed as little-endian ints hold 16 * fp + exc in each word's
-    byte.  No byte carries into the next while 16 * n <= 255, that is for
-    n <= 15, above ENUMERATION_CAP.
+    byte, with no carry while 16 * n <= 255 (n <= 15, above ENUMERATION_CAP).
     """
-    words = tuple(enumerate_avoiders(n, pattern))
-    flat = bytes(itertools.chain.from_iterable(words))
-    if len(words) != catalan(n) or len(flat) != n * len(words):
-        raise RuntimeError(f"{len(words)} words of {len(flat)} entries are not catalan({n}) "
-                           f"words of length {n}; enumeration is broken")
+    # looked up at call time, so a patched _avoider_records is honoured
+    flat = b"".join(_avoider_records(n, pattern))
+    if len(flat) != n * catalan(n) or flat.translate(None, bytes(range(1, n + 1))):
+        raise RuntimeError(f"{len(flat)} bytes are not catalan({n}) records of {n} entries "
+                           f"from 1..{n}; enumeration is broken")
     packed = 0
     for i in range(1, n + 1):
         marks = bytes(i) + b"\x10" + b"\x01" * (255 - i)
         packed += int.from_bytes(flat[i - 1 :: n].translate(marks), "little")
-    counts = Counter(packed.to_bytes(len(words), "little"))
+    counts = Counter(packed.to_bytes(len(flat) // n, "little"))
     return StatTable(n, pattern, {divmod(k, 16): c for k, c in sorted(counts.items())})

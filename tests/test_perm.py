@@ -3,6 +3,7 @@ import operator
 
 import pytest
 
+from permbij import perm
 from permbij.perm import (
     avoids,
     bar,
@@ -286,6 +287,14 @@ def test_enumerate_checks_its_arguments_at_the_call():
         enumerate_avoiders(13, "321")
     with pytest.raises(ValueError, match="unknown pattern"):
         enumerate_avoiders(3, "231")
+
+
+@pytest.mark.parametrize("pattern", ["321", "132"])
+def test_the_byte_records_and_the_tuples_hold_one_class(pattern):
+    # stats_table reads the records and everything else the tuples
+    for n in range(1, 11):
+        records = b"".join(perm._avoider_records(n, pattern))
+        assert records == bytes(itertools.chain.from_iterable(enumerate_avoiders(n, pattern)))
 
 
 def test_catalan_against_recurrence():

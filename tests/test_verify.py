@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from permbij import grid, maps, verify
+from permbij import grid, maps, perm, verify
 from permbij.perm import ENUMERATION_CAP, PATTERNS, catalan, enumerate_avoiders
 from permbij.verify import (
     CHECKS,
@@ -337,9 +337,22 @@ def test_stats_table_packing_cannot_carry_within_the_enumeration_cap():
 @pytest.mark.parametrize("extra", [1, -1])
 def test_stats_table_rejects_words_of_the_wrong_length(monkeypatch, extra):
     def wrong_length(n, pattern):
-        return iter([tuple(range(1, n + 1 + extra))] * catalan(n))
+        return [bytes(range(1, n + 1 + extra)) * catalan(n)]
 
-    monkeypatch.setattr(verify, "enumerate_avoiders", wrong_length)
+    monkeypatch.setattr(verify, "_avoider_records", wrong_length)
+    with pytest.raises(RuntimeError, match="enumeration is broken"):
+        stats_table(5, "321")
+
+
+@pytest.mark.parametrize("stray", [0, 6, perm._PAD, perm._PAD + 4, 255])
+def test_stats_table_rejects_a_record_with_a_byte_outside_1_to_n(monkeypatch, stray):
+    # the right total length, but one entry of the last record is not in
+    # 1..5: a pad byte left over, say, which the columns would count as an
+    # excedance
+    def stray_entry(n, pattern):
+        return [bytes(range(1, n + 1)) * (catalan(n) - 1), bytes(range(1, n)) + bytes([stray])]
+
+    monkeypatch.setattr(verify, "_avoider_records", stray_entry)
     with pytest.raises(RuntimeError, match="enumeration is broken"):
         stats_table(5, "321")
 
@@ -347,6 +360,39 @@ def test_stats_table_rejects_words_of_the_wrong_length(monkeypatch, extra):
 def test_stats_table_rejects_out_of_range_n():
     with pytest.raises(ValueError, match="outside"):
         stats_table(13, "321")
+
+
+def test_stats_table_rejects_an_unknown_pattern():
+    with pytest.raises(ValueError, match="unknown pattern"):
+        stats_table(3, "231")
+
+
+@pytest.mark.parametrize("n", [9.0, True, "3"])
+@pytest.mark.parametrize("reader", [enumerate_avoiders, stats_table])
+def test_a_class_needs_an_int_n(reader, n):
+    # True == 1 and 9.0 == 9, but neither names a class
+    with pytest.raises(ValueError, match="outside 1..12"):
+        reader(n, "321")
+
+
+def test_a_cold_stats_table_cuts_no_tuple():
+    # in a fresh interpreter nothing is cached yet: the table is counted
+    # from the byte records, so the tuple cache stays empty
+    script = """
+from permbij import perm, verify
+for pattern in perm.PATTERNS:
+    print(verify.stats_table(9, pattern).total)
+print(perm._avoider_list.cache_info().currsize)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == [str(catalan(9)), str(catalan(9)), "0"]
 
 
 def test_stat_table_json_round_trip():
@@ -365,7 +411,7 @@ try:
     rsk.TwoRowTableau((1, 2), (4,))
 except ValueError:
     print("rsk guard")
-verify.enumerate_avoiders = lambda n, pattern: iter([(1, 2, 3)])
+verify._avoider_records = lambda n, pattern: [bytes([1, 2, 3])]
 try:
     verify.stats_table(3, "321")
 except RuntimeError:
