@@ -7,7 +7,8 @@ run (row, first column, last column) shades a segment of one row, and a
 column run (column, first row, last row) a segment of one column.  An
 inverted L is one run of each kind and a staircase row is one row run, so
 every builder here costs O(n) in all and never lists squares.  Templates
-compare by a bitmask of shaded columns per row, built from the runs; the
+compare by a bitmask of shaded columns per row, from one sweep in which the
+sorted column runs toggle bits, so equality never lists squares either; the
 square set (Template.shaded) is built on each access, and in this library
 only render_ascii reads it.
 The public Template constructor validates every run.  Library builders,
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Sequence
 
 from .perm import Perm, require_321_avoider, reverse_complement
@@ -108,15 +109,21 @@ class Template:
         return frozenset(across + down)
 
     def _row_masks(self) -> list[int]:
-        # bit c of entry r is set iff square (r, c) is shaded, so two run
-        # decompositions of one shading give equal lists
-        rows = [0] * (self.n + 1)
+        # bit c of entry r is set iff square (r, c) is shaded.  The sorted
+        # column runs, each cut past the rows its column already reaches,
+        # toggle bit c at their first row and after their last row.
+        toggles = [0] * (self.n + 2)
+        column = reach = 0
+        for c, a, b in sorted(self.col_runs):
+            if c != column:
+                column, reach = c, 0
+            if b > reach:
+                toggles[a if a > reach else reach + 1] ^= 1 << c
+                toggles[b + 1] ^= 1 << c
+                reach = b
+        rows = list(accumulate(toggles, xor)) if self.col_runs else toggles
         for r, a, b in self.row_runs:
             rows[r] |= (2 << b) - (1 << a)
-        for c, a, b in self.col_runs:
-            bit = 1 << c
-            for r in range(a, b + 1):
-                rows[r] |= bit
         return rows
 
     def __eq__(self, other):

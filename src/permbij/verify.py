@@ -38,6 +38,7 @@ from .perm import (
     PATTERNS,
     Perm,
     _avoider_records,
+    _require_class,
     bar,
     catalan,
     enumerate_avoiders,
@@ -288,7 +289,9 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
             known = ", ".join(sorted(CHECKS))
             raise ValueError(f"unknown checks {unknown}; known checks: {known}")
         names = sorted(set(checks))
-    if not 1 <= n_min <= n_max <= ENUMERATION_CAP:
+    for bound in (n_min, n_max):
+        _require_class(bound, "321")
+    if n_min > n_max:
         raise ValueError(f"n range {n_min}..{n_max} is empty or outside 1..{ENUMERATION_CAP}")
     reports = []
     for n in range(n_min, n_max + 1):

@@ -286,16 +286,14 @@ def _ints_in_tuples(value):
     return type(value) is int or (type(value) is tuple and all(map(_ints_in_tuples, value)))
 
 
-def public_rebuild_problems(sigma, compare=True):
+def public_rebuild_problems(sigma):
     """
     Every template a library builder draws for sigma and both tableaux of
     rsk_tableaux, rebuilt through the public constructors, which run the
     checks that the builders' private constructors skip.  Returns one line
     per output that the rebuild rejects or changes: its fields must be
-    equal and be ints or tuples of them on both sides, and unless
-    ``compare`` is false the two must compare equal and hash alike.
-    Equality and hashing build a bitmask per row, and cost seconds per
-    template at n = 10^4.
+    equal and be ints or tuples of them on both sides, and the two must
+    compare equal and hash alike.
     """
     from dataclasses import astuple
 
@@ -328,7 +326,7 @@ def public_rebuild_problems(sigma, compare=True):
             problems.append(f"{name}: the public constructor changes its fields")
         elif not (_ints_in_tuples(fields) and _ints_in_tuples(astuple(rebuilt))):
             problems.append(f"{name}: a field is not an int or a tuple of ints")
-        elif compare and (rebuilt != built or hash(rebuilt) != hash(built)):
+        elif rebuilt != built or hash(rebuilt) != hash(built):
             problems.append(f"{name}: the rebuilt copy compares or hashes differently")
     return problems
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -109,6 +110,19 @@ def test_template_coerces_shading_to_frozenset():
     assert helpers.shaded_row(t, 2) == frozenset()
 
 
+# runs of one column that nest, overlap, touch, repeat or leave a gap, each
+# beside a run of another column; and templates with no column runs at all
+SAME_COLUMN_RUNS = {
+    "nested": Template(5, [], [(2, 1, 5), (2, 2, 3), (4, 2, 2)]),
+    "overlapping": Template(5, [(3, 1, 3)], [(2, 2, 5), (2, 1, 3), (3, 4, 5)]),
+    "touching": Template(5, [], [(2, 3, 5), (2, 1, 2), (4, 2, 2)]),
+    "repeated": Template(5, [], [(3, 2, 4), (3, 2, 4), (1, 5, 5)]),
+    "gapped": Template(5, [], [(3, 3, 5), (3, 1, 1), (1, 2, 2)]),
+    "no column runs": Template(5, [(2, 1, 5), (4, 3, 3)]),
+    "empty, n = 1": Template(1),
+}
+
+
 def test_template_equality_goes_by_squares():
     # an L as one row run and one column run, as three single squares,
     # and as two overlapping runs of the same row: one shading
@@ -118,6 +132,20 @@ def test_template_equality_goes_by_squares():
     assert hash(ell) == hash(squares_template(3, ell.shaded))
     assert ell != Template(3, [(1, 1, 2)])
     assert ell != Template(4, [(1, 1, 2)], [(1, 1, 2)])
+    # each fixed case against its single squares, as row runs and as column
+    # runs, against every one-square change, and against the other cases
+    for name, t in SAME_COLUMN_RUNS.items():
+        n, squares = t.n, t.shaded
+        down = Template(n, [], [(c, r, r) for r, c in squares])
+        for copy in (squares_template(n, squares), down):
+            assert t == copy and hash(t) == hash(copy), name
+        for square in itertools.product(range(1, n + 1), repeat=2):
+            assert t != squares_template(n, squares ^ {square}), (name, square)
+        for other in SAME_COLUMN_RUNS.values():
+            assert (t == other) == (t.n == other.n and squares == other.shaded), name
+            if t == other:
+                assert hash(t) == hash(other), name
+    assert SAME_COLUMN_RUNS["nested"] == SAME_COLUMN_RUNS["touching"]
 
 
 def random_cover(squares, rng):
@@ -166,6 +194,11 @@ def test_template_equality_is_square_set_equality_on_random_runs():
             assert (a == b) == (a.shaded == b.shaded)
             if a == b:
                 assert hash(a) == hash(b)
+    # and the fixed cases against random covers of their own squares
+    for name, a in SAME_COLUMN_RUNS.items():
+        for _ in range(50):
+            b = Template(a.n, *random_cover(a.shaded, rng))
+            assert a == b and hash(a) == hash(b), name
 
 
 # ------------------------------------------------------------ realizations

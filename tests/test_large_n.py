@@ -5,25 +5,21 @@ Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  Every per-member check of the verifier,
 each Sweep in verify.CHECKS, runs on each input through run_on, up to the
 largest n that MAX_N gives it: theorem3 and fact3-route-agreement, whose
-rewriting routes grow about as n^2, and lemma1, theorem1-route,
-theorem2-route and bar-reflection, whose template equality costs seconds
-per compare at n = 10^4, up to n = 1000; fact2, rc-template, lemma3,
-fixed-points, excedances and the two inverse commutes at every size.
-Beside them run only oracles and comparisons that no check makes.  The
-corner extractors are held to their literal oracles at n = 100, and the
-phase-by-phase 132 rewriting to the literal loop, rewrite for rewrite, at
-n = 100 and 400.  At n = 1000, where the literal loop is too slow, each
-rewrite is held to what facts (a) and (b) of the maps module promise: it
-rotates a 132 of the word before it, its start never decreases, and at one
-start its middle strictly increases.  At every size the three
-non-rewriting theta routes agree, gamma_template(s) = theta_rsk(irc s),
-both images avoid 132 (by avoids and the linear three-pass oracle, and by
-the quadratic pair oracle up to n = 400), and the slid and flipped
-rc-template has the corner template's runs.  At n = 10^3 and 10^4 every
-builder's output must also pass the public constructors' checks
-unchanged; equality and hashing of the rebuilt copies are compared at
-n = 10^3 only, since they cost seconds per template at n = 10^4, where
-equal fields already imply them.
+rewriting routes grow about as n^2, up to n = 1000, and every other check,
+the four template equalities included, at every size.  Beside them run
+only oracles and comparisons that no check makes.  The corner extractors
+are held to their literal oracles at n = 100, and the phase-by-phase 132
+rewriting to the literal loop, rewrite for rewrite, at n = 100 and 400.
+At n = 1000, where the literal loop is too slow, each rewrite is held to
+what facts (a) and (b) of the maps module promise: it rotates a 132 of the
+word before it, its start never decreases, and at one start its middle
+strictly increases.  At every size the three non-rewriting theta routes
+agree, gamma_template(s) = theta_rsk(irc s), both images avoid 132 (by
+avoids and the linear three-pass oracle, and by the quadratic pair oracle
+up to n = 400), and the slid and flipped rc-template has the corner
+template's runs.  At n = 10^3 and 10^4 every builder's output must also
+pass the public constructors' checks unchanged, and the rebuilt copies
+must compare equal and hash alike.
 """
 import collections
 import random
@@ -47,16 +43,14 @@ import helpers
 
 SIZES = (100, 400, 1000, 10_000)
 SEEDS = (1, 2, 3)
-#: the largest n at which the rewriting routes, template equality and the
-#: pair oracle run
-REWRITING_MAX = TEMPLATE_EQ_MAX = 1000
+#: the largest n at which the rewriting routes and the pair oracle run
+REWRITING_MAX = 1000
 PAIRS_MAX = 400
 #: the largest n at which each per-member check runs
 MAX_N = {
     **dict.fromkeys(("theorem3", "fact3-route-agreement"), REWRITING_MAX),
-    **dict.fromkeys(("lemma1", "theorem1-route", "theorem2-route", "bar-reflection"),
-                    TEMPLATE_EQ_MAX),
-    **dict.fromkeys(("fact2", "rc-template", "lemma3", "fixed-points", "excedances",
+    **dict.fromkeys(("lemma1", "theorem1-route", "theorem2-route", "bar-reflection",
+                     "fact2", "rc-template", "lemma3", "fixed-points", "excedances",
                      "inverse-commute-gamma", "inverse-commute-theta"), SIZES[-1]),
 }
 
@@ -121,7 +115,7 @@ def test_rewrites_keep_facts_a_and_b_at_n_1000(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_builders_rebuild_through_the_public_constructors_at_large_n(n, seed):
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
-    assert helpers.public_rebuild_problems(sigma, compare=n <= 1000) == []
+    assert helpers.public_rebuild_problems(sigma) == []
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -148,9 +142,10 @@ def test_routes_and_properties_at_large_n(n, seed):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_templates_realize_back_and_slide_flip_matches_theta_template_at_large_n(n, seed):
-    # the templates realize back in the fact2 and rc-template rows above;
-    # here sorted runs, not Template.__eq__, which costs seconds per compare
-    # at n = 10^4, where theorem1-route and theorem2-route do not run
+    # the templates realize back in the fact2 and rc-template rows above,
+    # and theorem1-route and theorem2-route hold both to the up-down-word
+    # template square for square; here they must also have the same runs,
+    # which equal templates need not
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     slid, cornered = slide_flip_template(sigma), theta_template(sigma)
     assert sorted(slid.row_runs) == sorted(cornered.row_runs)

@@ -106,6 +106,10 @@ def test_run_suite_rejects_unknown_checks_and_bad_ranges():
         run_suite(3, 2)
     with pytest.raises(ValueError, match="outside 1..12"):
         run_suite(1, 13)
+    # each bound goes through the class check: ints only, so no bool
+    for bounds in ((1.0, 2), (1, 2.0), ("1", 2), (True, 2), (1, True)):
+        with pytest.raises(ValueError, match="outside 1..12"):
+            run_suite(*bounds)
 
 
 def test_failures_are_capped(monkeypatch):
