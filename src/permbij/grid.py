@@ -42,7 +42,7 @@ from itertools import accumulate, chain
 from operator import itemgetter, xor
 from typing import Sequence
 
-from .perm import Perm, require_321_avoider, reverse_complement
+from .perm import Perm, require_321_avoider, require_permutation, reverse_complement
 
 Square = tuple[int, int]
 
@@ -159,7 +159,7 @@ def rc_realize(template: Template) -> Perm:
     dots = _leftmost_dots(n, *_half_turn(template))
     if len(dots) < n:
         raise ValueError(f"no admissible square in row {n - len(dots)}")
-    return tuple(n + 1 - c for c in reversed(dots))
+    return reverse_complement(dots)
 
 
 def _leftmost_dots(n: int, row_runs: Sequence[Run], col_runs: Sequence[Run]) -> list[int]:
@@ -300,17 +300,13 @@ def diagonal_ls(n: int, legs: Sequence[tuple[int, int]]) -> Template:
     and a horizontal leg of legs[i-1][1] squares running right, with the
     corner counted in both legs.  Zero-length legs contribute nothing.
     """
-    return Template(n, *_diagonal_runs(n, legs))
+    return Template(n, *_diagonal_runs(legs))
 
 
-def _diagonal_runs(n: int, legs: Sequence[tuple[int, int]]) -> tuple[tuple[Run, ...], ...]:
+def _diagonal_runs(legs: Sequence[tuple[int, int]]) -> tuple[tuple[Run, ...], ...]:
     row_runs = []
     col_runs = []
     for i, (vert, horiz) in enumerate(legs, start=1):
-        if i + vert - 1 > n or i + horiz - 1 > n:
-            raise ValueError(
-                f"inverted L at ({i}, {i}) with legs ({vert}, {horiz}) leaves the grid"
-            )
         if vert:
             col_runs.append((i, i, i + vert - 1))
         if horiz:
@@ -325,7 +321,7 @@ def diagonal_template(perm: Sequence[int]) -> Template:
     Realizing it yields the image of the 132-rewriting map.
     """
     # both corner coordinates fall strictly from n down, so the i-th L stays in the grid
-    return Template._trusted(len(perm), *_diagonal_runs(len(perm), l_corners(perm)))
+    return Template._trusted(len(perm), *_diagonal_runs(l_corners(perm)))
 
 
 def rcl_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
@@ -368,11 +364,14 @@ def render_ascii(template: Template, dots: Perm | None = None) -> str:
     """
     One text row per grid row, no trailing spaces: '#' shaded, '.'
     unshaded, 'o' a dot on an unshaded square, '@' a dot on a shaded square
-    (a diagnostic state that no valid realization produces).
+    (a diagnostic state that no valid realization produces).  Raises
+    ValueError unless dots, when given, is a permutation of 1..n.
     """
     n = template.n
-    if dots is not None and len(dots) != n:
-        raise ValueError(f"dots have length {len(dots)}, grid has n={n}")
+    if dots is not None:
+        if len(dots) != n:
+            raise ValueError(f"dots have length {len(dots)}, grid has n={n}")
+        require_permutation(dots)
     shading = template.shaded
     lines = []
     for row in range(1, n + 1):

@@ -134,7 +134,7 @@ def theta_template(perm: Sequence[int]) -> grid.Template:
     n = len(perm)
     legs = [(bar(v, n), bar(p, n)) for v, p in grid.rcl_corners(perm)]
     # both corner coordinates rise strictly from 1 up, so the i-th L stays in the grid
-    return grid.Template._trusted(n, *grid._diagonal_runs(n, legs))
+    return grid.Template._trusted(n, *grid._diagonal_runs(legs))
 
 
 def theta_corners(perm: Sequence[int]) -> Perm:

@@ -165,10 +165,10 @@ def template_from_dyck(word: str, n: int) -> Template:
     >>> sorted(template_from_dyck("udud", 2).shaded)
     [(1, 1)]
     """
+    if type(n) is not int or n < 1:
+        Template(n)  # raises the public constructor's ValueError for this size
     if len(word) != 2 * n or not validate_dyck(word):
         raise ValueError(f"not a balanced up-down word of length {2 * n}: {word!r}")
-    if not word:
-        return Template(n)  # n = 0: the public constructor rejects the empty grid
     downs_before_up = []
     downs = 0
     for step in word:

@@ -14,12 +14,13 @@ n -> failures callables that compare entire images at once.
 
 run_suite sweeps n in the outer loop and the checks in the inner one.
 While it runs one n, the images of the default routes (maps.gamma,
-maps.gamma_template and maps.theta) are memoized over that class, keyed by
-the function looked up at call time and then by the input, so each route
-runs once per class member however many checks read it.  The memo holds
-images only, never a tableau, template or corner list, and no other route
-reads it; it is dropped before the next n, and a direct CHECKS[name](n)
-call outside run_suite is not memoized.
+maps.gamma_template and maps.theta) are memoized over that class in a
+plain dict, keyed by the function looked up at call time and then by the
+input, so each route runs once per class member however many checks read
+it.  The memo holds images only, never a tableau, template or corner list,
+and no other route reads it; it is dropped before the next n, and a direct
+CHECKS[name](n) call outside run_suite is not memoized.  _member_132 alone
+decides membership of S_n(132), for the memo and the bijectivity checks.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .perm import (
     ENUMERATION_CAP,
     PATTERNS,
     Perm,
+    _avoider_list,
     _avoider_records,
     _require_class,
     bar,
@@ -121,43 +123,22 @@ class Sweep:
         return self.run_on(enumerate_avoiders(n, "321"))
 
 
-class _Images:
+def _member_132(q, n: int) -> Perm | None:
     """
-    Images of the memoized routes over S_n(321) for one n, keyed by the
-    route function and then by the input.  An image that is a tuple of ints
-    equal to a member of S_n(132) is stored as that member of the cached
-    class, so the memo holds no image tuples of its own; any other image is
-    stored, and returned, as the route returned it.
+    The member of the cached S_n(132) equal to q, or None.  Only a tuple of
+    exact ints can be a member, so (3.0, 2.0, 1.0) and (True, 2) are not.
     """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.by_route: dict[Callable, dict] = {}
-        #: S_n(132) in lexicographic order, read on the first fill
-        self._targets: tuple[Perm, ...] = ()
-
-    def image(self, fn: Callable, p: Perm):
-        images = self.by_route.get(fn)
-        if images is None:
-            images = self.by_route[fn] = {}
-        q = images.get(p)
-        if q is None:
-            q = images[p] = self._canonical(fn(p))
-        return q
-
-    def _canonical(self, q):
-        if type(q) is not tuple or set(map(type, q)) != {int}:
-            return q
-        if not self._targets:
-            self._targets = tuple(enumerate_avoiders(self.n, "132"))
-        # a binary search, not a dict, so that the lookup adds no table
-        i = bisect_left(self._targets, q)
-        return self._targets[i] if i < len(self._targets) and self._targets[i] == q else q
+    if type(q) is not tuple or set(map(type, q)) != {int}:
+        return None
+    members = _avoider_list(n, "132")
+    # a binary search of the cached list, so that the lookup adds no table
+    i = bisect_left(members, q)
+    return members[i] if i < len(members) and members[i] == q else None
 
 
-#: the memo of the class run_suite is sweeping; None outside run_suite, so a
-#: direct CHECKS[name](n) call is unmemoized
-_MEMO: ContextVar[_Images | None] = ContextVar("route_memo", default=None)
+#: {route function: {input: image}} for the class run_suite is sweeping;
+#: None outside run_suite, so a direct CHECKS[name](n) call is unmemoized
+_MEMO: ContextVar[dict | None] = ContextVar("route_memo", default=None)
 
 
 def _route(name: str) -> Callable[[Perm], Perm]:
@@ -166,7 +147,17 @@ def _route(name: str) -> Callable[[Perm], Perm]:
     def image(p: Perm) -> Perm:
         fn = getattr(maps, name)
         memo = _MEMO.get()
-        return fn(p) if memo is None else memo.image(fn, p)
+        if memo is None:
+            return fn(p)
+        images = memo.get(fn)
+        if images is None:
+            images = memo[fn] = {}
+        q = images.get(p)
+        if q is None:
+            # a member is stored as the cached one, so the memo adds no tuples
+            q = fn(p)
+            q = images[p] = _member_132(q, len(p)) or q
+        return q
 
     return image
 
@@ -220,17 +211,17 @@ def _commutes_with_inverse(row: str, map_fn) -> Sweep:
 
 def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
     def run(n: int) -> Iterator[dict]:
-        targets = set(enumerate_avoiders(n, "132"))
         image: dict[Perm, Perm] = {}
         for p in enumerate_avoiders(n, "321"):
             q = map_fn(p)
             if q in image:
                 yield _failure(p, "a fresh image", {"collides_with": _jsonable(image[q])})
-            elif q not in targets:
+            elif _member_132(q, n) is None:
                 yield _failure(p, "an image avoiding 132", q)
             image[q] = p
-        for missed in sorted(targets - image.keys()):
-            yield _failure(missed, "hit by some 321-avoider", "not in image")
+        for missed in _avoider_list(n, "132"):
+            if missed not in image:
+                yield _failure(missed, "hit by some 321-avoider", "not in image")
 
     return run
 
@@ -295,7 +286,7 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
         raise ValueError(f"n range {n_min}..{n_max} is empty or outside 1..{ENUMERATION_CAP}")
     reports = []
     for n in range(n_min, n_max + 1):
-        token = _MEMO.set(_Images(n))
+        token = _MEMO.set({})
         try:
             for name in names:
                 start = time.perf_counter()

@@ -376,9 +376,12 @@ def test_diagonal_template_trivial():
 
 
 def test_diagonal_ls_rejects_legs_leaving_the_grid():
-    with pytest.raises(ValueError, match="leaves the grid"):
+    # the public Template constructor rejects the leg's run
+    message = "column run (1, 1, 4) is empty or lies outside the 3x3 grid"
+    with pytest.raises(ValueError, match=re.escape(message)):
         diagonal_ls(3, [(4, 1)])
-    with pytest.raises(ValueError, match="leaves the grid"):
+    message = "column run (2, 2, 4) is empty or lies outside the 3x3 grid"
+    with pytest.raises(ValueError, match=re.escape(message)):
         diagonal_ls(3, [(1, 1), (3, 1)])
 
 
@@ -492,6 +495,10 @@ def test_render_diagnostic_glyph_for_dot_on_shading():
 def test_render_rejects_mismatched_dots():
     with pytest.raises(ValueError, match="length"):
         render_ascii(Template(3), (1, 2))
+    # dots of the grid's length that are not a permutation of 1..n
+    for dots in [(0, 7), (1.0, 2)]:
+        with pytest.raises(ValueError, match=re.escape("not a permutation of 1..n (n=2)")):
+            render_ascii(Template(2), dots)
 
 
 def test_render_golden_nested_template():

@@ -168,6 +168,10 @@ def test_template_from_dyck_rejects_bad_input():
         template_from_dyck("dduu", 2)
     with pytest.raises(ValueError, match="grid size must be positive, got 0"):
         template_from_dyck("", 0)
+    # a size the Template constructor rejects is rejected with its message
+    for word, n in [("udud", 2.0), ("ud", True)]:
+        with pytest.raises(ValueError, match="grid size and run entries must be ints"):
+            template_from_dyck(word, n)
 
 
 def test_template_from_dyck_matches_polygon_membership():

@@ -284,23 +284,50 @@ def test_each_n_gets_a_fresh_memo(monkeypatch):
 
     def probe(n):
         memo = verify._MEMO.get()
-        seen.append((n, memo.n, len(memo.by_route)))
+        seen.append((n, memo, dict(memo)))
         return iter(())
 
     # fact2 runs before fixed-points at each n, so it sees the memo unfilled
     monkeypatch.setitem(CHECKS, "fact2", probe)
     run_suite(1, 3, ["fact2", "fixed-points"])
-    assert seen == [(1, 1, 0), (2, 2, 0), (3, 3, 0)]
+    assert [(n, unfilled) for n, _, unfilled in seen] == [(1, {}), (2, {}), (3, {})]
+    # one dict per n, each filled by fixed-points after the probe saw it
+    memos = [memo for _, memo, _ in seen]
+    assert len(set(map(id, memos))) == 3 and all(memos)
 
 
-def test_memo_stores_only_class_members_canonically():
-    memo = verify._Images(3)
+def test_memo_stores_only_class_members_canonically(monkeypatch):
     member = next(q for q in enumerate_avoiders(3, "132") if q == (2, 3, 1))
     fresh = tuple([2, 3, 1])
     assert fresh is not member
-    assert memo.image(lambda p: fresh, (1, 2, 3)) is member
-    for odd in [(2.0, 3.0, 1.0), [2, 3, 1], (1, 3, 2), (2, True, 1), (4, 3, 2, 1)]:
-        assert memo.image(lambda p: odd, ("input", repr(odd))) is odd
+    assert verify._member_132(fresh, 3) is member
+    memo = {}
+    token = verify._MEMO.set(memo)
+    try:
+        monkeypatch.setattr(maps, "theta", lambda p: fresh)
+        assert verify._theta((1, 2, 3)) is member
+        assert memo == {maps.theta: {(1, 2, 3): member}}
+        assert memo[maps.theta][(1, 2, 3)] is member
+        odds = [(2.0, 3.0, 1.0), [2, 3, 1], (1, 3, 2), (2, True, 1), (4, 3, 2, 1)]
+        for i, odd in enumerate(odds):
+            assert verify._member_132(odd, 3) is None
+            monkeypatch.setattr(maps, "theta", lambda p, odd=odd: odd)
+            assert verify._theta(("input", i, repr(odd))) is odd
+            assert memo[maps.theta][("input", i, repr(odd))] is odd
+    finally:
+        verify._MEMO.reset(token)
+
+
+def test_a_float_image_is_not_a_member_of_the_class(monkeypatch):
+    # (3.0, 2.0, 1.0) equals and hashes like theta((2, 1, 3)) = (3, 2, 1),
+    # but no float tuple is a member of S_3(132)
+    assert maps.theta((2, 1, 3)) == (3, 2, 1)
+    monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (2, 1, 3), (3.0, 2.0, 1.0)))
+    expected = ({"input": [2, 1, 3], "expected": "an image avoiding 132",
+                 "actual": [3.0, 2.0, 1.0]},)
+    assert tuple(CHECKS["bijectivity-theta"](3)) == expected
+    (report,) = run_suite(3, 3, ["bijectivity-theta"])
+    assert report.failures == expected
 
 
 # ------------------------------------------------------------------- tables
