@@ -3,7 +3,8 @@ Direct-call timings of the 132 test, two-row insertion, the up-down word,
 the template layers, template equality, the four template routes and the
 two rewriting routes; in-process `permbij map` calls of the six routes and
 one build of the CLI's argument parser; cold class enumeration and cold
-statistics tables; per-check timings of the exhaustive verifier; the
+statistics tables; the import of permbij and of its CLI in fresh
+interpreters; per-check timings of the exhaustive verifier; the
 tier-1 test suite's wall time; and the line count of the library, for two
 checkouts side by side.
 
@@ -61,6 +62,14 @@ pattern)) with nothing cached, for n from 1 to ENUMERATION_CAP; rows
 way, for n in STATS_SIZES, enumeration of the class included, as in a
 `permbij stats` process.
 
+Rows "import.permbij" and "import.permbij.cli" hold IMPORT_RUNS fresh
+interpreters per side, each timing one import of the module (interpreter
+start left out), on a copy of the checkout's src made for the purpose.
+The rows with bytecode "none" run first and write no caches, so every
+import compiles the package, as in perfbench's setup_s; the rows with
+bytecode "cached" follow one import per side that writes the caches, as
+an installed package has them.
+
 Row "tier1.pytest" holds the wall times of TIER1_RUNS runs per side of
 the checkout's own test suite (python -m pytest -q in the checkout,
 PYTHONPATH=src), with the summary line of the last.  Row "src.lines"
@@ -77,9 +86,11 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -94,6 +105,7 @@ SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
 SUITE_RUNS = 8
 COLD_RUNS = 6
+IMPORT_RUNS = 20
 STATS_SIZES = (9, 10, 11, 12)
 TIER1_RUNS = 2
 SIDES = ("parent", "change")
@@ -123,6 +135,14 @@ exec(sys.argv[1])
 call = compile(sys.argv[2], "<cold call>", "eval")
 start = time.perf_counter()
 eval(call)
+print((time.perf_counter() - start) * 1e3)
+"""
+
+#: one import of the module argv[1] in a fresh interpreter, in ms
+IMPORT_SCRIPT = """
+import importlib, sys, time
+start = time.perf_counter()
+importlib.import_module(sys.argv[1])
 print((time.perf_counter() - start) * 1e3)
 """
 
@@ -249,11 +269,11 @@ def call_times(call, args) -> list[float]:
     return times
 
 
-def fresh_run(checkout: Path, script: str, *args) -> str:
+def fresh_run(checkout: Path, script: str, *args, env: dict[str, str] | None = None) -> str:
     """Standard output of ``script`` run with ``args`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        env={**os.environ, **(env or {}), "PYTHONPATH": str(checkout / "src")},
         capture_output=True, text=True, check=True,
     ).stdout
 
@@ -299,6 +319,28 @@ def cold_rows(checkouts: dict[str, Path], layer: str, call: str, n: int, pattern
         call.format(n=n, pattern=pattern),
     )))
     return {side: [timed_row(f"{layer}.{pattern}", times, n=n)] for side, times in samples.items()}
+
+
+def import_rows(checkouts: dict[str, Path], module: str) -> dict[str, list[dict]]:
+    """Rows "import.<module>": IMPORT_RUNS imports per side, without and then with caches."""
+    rows: dict[str, list[dict]] = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {side: Path(tmp, side) for side in SIDES}
+        for side, copy in copies.items():
+            shutil.copytree(checkouts[side] / "src", copy / "src",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        # an empty value lets an import write its caches
+        for bytecode, dont_write in (("none", "1"), ("cached", "")):
+            env = {"PYTHONDONTWRITEBYTECODE": dont_write}
+            if not dont_write:
+                for copy in copies.values():
+                    fresh_run(copy, IMPORT_SCRIPT, module, env=env)
+            samples = alternate(copies, IMPORT_RUNS, lambda copy: float(
+                fresh_run(copy, IMPORT_SCRIPT, module, env=env)
+            ))
+            for side, times in samples.items():
+                rows[side].append(timed_row(f"import.{module}", times, bytecode=bytecode))
+    return rows
 
 
 def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
@@ -362,6 +404,7 @@ def main(argv=None) -> int:
         (layer_rows(checkouts, name) for name, _, _ in layers()),
         (cold_rows(checkouts, layer, call, n, pattern)
          for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
+        (import_rows(checkouts, module) for module in ("permbij", "permbij.cli")),
         (rows_of(checkouts) for rows_of in (suite_rows, tier1_rows)),
     )
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -369,7 +412,7 @@ def main(argv=None) -> int:
         for side, side_rows in part.items():
             for row in side_rows:
                 figure = f"{row['ms']:10.3f} ms" if "ms" in row else row["skipped"]
-                layer, n = row["layer"], row.get("n") or "-"
+                layer, n = row["layer"], row.get("n") or row.get("bytecode") or "-"
                 print(f"{side:7s}{layer:30s} n={n!s:<7s} {figure}", file=sys.stderr)
             rows[side] += side_rows
     for side, checkout in checkouts.items():
@@ -391,7 +434,9 @@ def main(argv=None) -> int:
             f"size, fewer once they add up to {MIN_TOTAL_S} s, a size skipped when projected "
             f"past {BUDGET_S} s; verify.* rows: {SUITE_RUNS} runs of run_suite(1, "
             f"{SUITE_N_MAX}) per side, no row projected; perm.enumerate_avoiders.* and "
-            f"verify.stats_table.* rows: {COLD_RUNS} cold runs per side; tier1.pytest: "
+            f"verify.stats_table.* rows: {COLD_RUNS} cold runs per side; import.* rows: "
+            f"{IMPORT_RUNS} imports per side in fresh interpreters, without and then with "
+            f"bytecode caches, interpreter start left out; tier1.pytest: "
             f"{TIER1_RUNS} runs of the checkout's test suite per side"
         ),
         "python": platform.python_version(),

@@ -6,7 +6,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import grid, maps, rsk
 from .perm import (

@@ -37,12 +37,11 @@ The builders consume the corner data of a 321-avoiding permutation:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate, chain
 from operator import itemgetter, xor
-from typing import Sequence
 
-from .perm import Perm, require_321_avoider, require_permutation, reverse_complement
+from .perm import Perm, _Record, require_321_avoider, require_permutation, reverse_complement
 
 Square = tuple[int, int]
 
@@ -54,8 +53,7 @@ _FIRST = itemgetter(1)
 _LAST = itemgetter(2)
 
 
-@dataclass(frozen=True, eq=False)
-class Template:
+class Template(_Record):
     """
     The shaded squares of an n-by-n grid, as row runs and column runs that
     may overlap.  Equality and hashing go by the square set, so two run
@@ -66,39 +64,39 @@ class Template:
     checks for runs valid by construction.
     """
 
-    n: int
-    row_runs: tuple[Run, ...] = ()
-    col_runs: tuple[Run, ...] = ()
+    __slots__ = ("n", "row_runs", "col_runs")
 
-    def __post_init__(self):
+    def __init__(self, n: int, row_runs: Sequence[Run] = (), col_runs: Sequence[Run] = ()) -> None:
         triples = "runs must be sequences of (line, first, last) triples"
         # a list first: tuple() of an unsized iterator over-allocates
         try:
-            row_runs = tuple(list(map(tuple, self.row_runs)))
-            col_runs = tuple(list(map(tuple, self.col_runs)))
+            row_runs = tuple(list(map(tuple, row_runs)))
+            col_runs = tuple(list(map(tuple, col_runs)))
         except TypeError:
             raise ValueError(triples) from None
         if {*map(len, row_runs), *map(len, col_runs)} - {3}:
             raise ValueError(triples)
-        object.__setattr__(self, "row_runs", row_runs)
-        object.__setattr__(self, "col_runs", col_runs)
-        n = self.n
-        if {type(n), *map(type, chain(*self.row_runs, *self.col_runs))} != {int}:
+        if {type(n), *map(type, chain(*row_runs, *col_runs))} != {int}:
             raise ValueError("grid size and run entries must be ints")
         if n < 1:
             raise ValueError(f"grid size must be positive, got {n}")
-        for kind, runs in (("row", self.row_runs), ("column", self.col_runs)):
+        for kind, runs in (("row", row_runs), ("column", col_runs)):
             for line, first, last in runs:
                 if not (1 <= line <= n and 1 <= first <= last <= n):
                     raise ValueError(
                         f"{kind} run {(line, first, last)} is empty or lies "
                         f"outside the {n}x{n} grid"
                     )
+        _SET_N(self, n)
+        _SET_ROW_RUNS(self, row_runs)
+        _SET_COL_RUNS(self, col_runs)
 
     @classmethod
     def _trusted(cls, n: int, row_runs: tuple[Run, ...], col_runs: tuple[Run, ...] = ()):
         template = object.__new__(cls)
-        template.__dict__.update(n=n, row_runs=row_runs, col_runs=col_runs)
+        _SET_N(template, n)
+        _SET_ROW_RUNS(template, row_runs)
+        _SET_COL_RUNS(template, col_runs)
         return template
 
     @property
@@ -133,6 +131,14 @@ class Template:
 
     def __hash__(self):
         return hash((self.n, *self._row_masks()))
+
+
+#: the slot descriptors' setters: both constructors fill a template with
+#: three C calls, which cost less than a __dict__ update or a Python-level
+#: _Record.__init__, and _trusted runs no Python-level frame but its own
+_SET_N, _SET_ROW_RUNS, _SET_COL_RUNS = (
+    Template.n.__set__, Template.row_runs.__set__, Template.col_runs.__set__
+)
 
 
 def realize(template: Template) -> Perm:

@@ -37,11 +37,13 @@ So each start is one phase (_least_132_rewrites), run in three steps:
    perm._least_132_start runs only after a phase that rewrote nothing.
 2. A position rewritten in the phase drops below the start value a, which
    only rises, so the values above a stand where the phase found them.
-   The phase sorts the values right of i once (``above``) and deletes each
-   middle candidate b as j passes it.  Then above[s:t], for s =
-   bisect_right(above, a) and t = bisect_left(above, b, s), holds exactly
-   the values in (a, b) right of j, and s < t is the whole 132 test.
-   Deleting a b > a leaves s in place, and a rotation sets s = t.
+   The phase sorts the values right of i once (``above``) and never
+   changes it; a cursor s, from bisect_right(above, a), keeps above[s:]
+   equal to the values above a right of j.  A middle candidate b > a that
+   is above[s] is the least of them, so j is the middle of no 132 and s
+   steps past b.  Any other b has values in (a, b) right of j, exactly
+   above[s:t] for t = bisect_left(above, b, s), and after the rotation
+   s = t + 1 steps past b, the new value at i.
 3. k is the leftmost position of those values, read from a value-to-
    position list that three stores per rotation keep exact.  There are
    about two at any n, and in about half of all rotations only one.
@@ -49,7 +51,7 @@ So each start is one phase (_least_132_rewrites), run in three steps:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import grid, rsk
 from .perm import (
@@ -80,15 +82,16 @@ def _least_132_rewrites(word: list[int]) -> Iterator[tuple[int, int, int]]:
             b = word[j]
             if b < a:
                 continue
+            if above[s] == b:
+                s += 1
+                continue
             t = bisect_left(above, b, s)
-            del above[t]
-            if s < t:
-                k = pos[above[s]] if t - s == 1 else min(map(pos.__getitem__, above[s:t]))
-                c = word[k]
-                word[i], word[j], word[k] = b, c, a
-                pos[b], pos[c], pos[a] = i, j, k
-                yield (i + 1, j + 1, k + 1)
-                a, s = b, t
+            k = pos[above[s]] if t - s == 1 else min(map(pos.__getitem__, above[s:t]))
+            c = word[k]
+            word[i], word[j], word[k] = b, c, a
+            pos[b], pos[c], pos[a] = i, j, k
+            yield (i + 1, j + 1, k + 1)
+            a, s = b, t + 1
         i = i + 1 if word[i] != first else _least_132_start(word, i + 1)
 
 

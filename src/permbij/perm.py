@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from itertools import chain, groupby
 from operator import eq, gt, itemgetter
-from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -340,3 +340,47 @@ def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
     """
     _require_class(n, pattern)
     return iter(_avoider_list(n, pattern))
+
+
+class _Record:
+    """
+    A frozen record of the fields its class names in __slots__, in the
+    order of its constructor's parameters.  Records compare, and hash, by
+    the tuple of their fields, and only with records of their own class;
+    repr names every field; assigning or deleting a field raises
+    AttributeError; copy and pickle rebuild a record through its public
+    constructor.  A subclass's constructor checks its arguments and then
+    hands the fields to _Record.__init__, or, where construction is hot,
+    sets them through the slot descriptors' own __set__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        # raises TypeError when a field is unhashable, such as a dict
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())

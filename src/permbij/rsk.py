@@ -9,12 +9,11 @@ third row (exactly those containing a 321-pattern) are rejected.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import lt
-from typing import Sequence
 
 from .grid import Template
-from .perm import Perm, require_permutation
+from .perm import Perm, _Record, require_permutation
 
 UP = "u"
 DOWN = "d"
@@ -22,24 +21,20 @@ DOWN = "d"
 _SWAP_STEPS = str.maketrans({UP: DOWN, DOWN: UP})
 
 
-@dataclass(frozen=True)
-class TwoRowTableau:
+class TwoRowTableau(_Record):
     """
     A standard Young tableau of at most two rows on {1, ..., n} with int entries,
     checked by the constructor, which stores the rows as tuples; rsk_tableaux
     builds standard rows, so it calls _trusted.
     """
 
-    row1: tuple[int, ...]
-    row2: tuple[int, ...] = ()
+    __slots__ = ("row1", "row2")
 
-    def __post_init__(self):
+    def __init__(self, row1: Sequence[int], row2: Sequence[int] = ()) -> None:
         try:
-            r1, r2 = tuple(self.row1), tuple(self.row2)
+            r1, r2 = tuple(row1), tuple(row2)
         except TypeError:
             raise ValueError("tableau rows must be sequences of ints") from None
-        object.__setattr__(self, "row1", r1)
-        object.__setattr__(self, "row2", r2)
         if not {*map(type, r1 + r2)} <= {int}:
             raise ValueError("tableau entries must be ints")
         if len(r1) < len(r2):
@@ -52,11 +47,14 @@ class TwoRowTableau:
         # map stops at the end of r2, which is no longer than r1
         if not all(map(lt, r1, r2)):
             raise ValueError("columns must increase downward")
+        _SET_ROW1(self, r1)
+        _SET_ROW2(self, r2)
 
     @classmethod
     def _trusted(cls, row1: tuple[int, ...], row2: tuple[int, ...]):
         tableau = object.__new__(cls)
-        tableau.__dict__.update(row1=row1, row2=row2)
+        _SET_ROW1(tableau, row1)
+        _SET_ROW2(tableau, row2)
         return tableau
 
     @property
@@ -66,6 +64,11 @@ class TwoRowTableau:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row1), len(self.row2))
+
+
+#: the slot descriptors' setters, with which both constructors fill a
+#: tableau, as grid.Template's do
+_SET_ROW1, _SET_ROW2 = TwoRowTableau.row1.__set__, TwoRowTableau.row2.__set__
 
 
 def rsk_tableaux(perm: Sequence[int]) -> tuple[TwoRowTableau, TwoRowTableau]:

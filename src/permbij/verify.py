@@ -25,19 +25,18 @@ decides membership of S_n(132), for the memo and the bijectivity checks.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
 
 from . import grid, maps, rsk
 from .perm import (
     ENUMERATION_CAP,
     PATTERNS,
     Perm,
+    _Record,
     _avoider_list,
     _avoider_records,
     _require_class,
@@ -68,15 +67,15 @@ def _failure(input_perm, expected, actual) -> dict:
             "actual": _jsonable(actual)}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one check at one n; passes iff no failures were found."""
 
-    check: str
-    n: int
-    cases: int
-    failures: tuple = ()
-    elapsed_ms: float = 0.0
+    __slots__ = ("check", "n", "cases", "failures", "elapsed_ms")
+
+    def __init__(
+        self, check: str, n: int, cases: int, failures: tuple = (), elapsed_ms: float = 0.0
+    ) -> None:
+        super().__init__(check, n, cases, failures, elapsed_ms)
 
     @property
     def passed(self) -> bool:
@@ -87,10 +86,15 @@ class CheckReport:
         return f"{status} {self.check} n={self.n} cases={self.cases} failures={len(self.failures)}"
 
     def json_line(self) -> str:
-        return json.dumps({**asdict(self), "passed": self.passed}, sort_keys=True)
+        import json  # here, so that importing permbij does not import json
+
+        record = dict(zip(self.__slots__, self._fields()), passed=self.passed)
+        return json.dumps(record, sort_keys=True)
 
     @classmethod
     def from_json_line(cls, line: str) -> "CheckReport":
+        import json
+
         record = json.loads(line)
         record.pop("passed", None)
         record["failures"] = tuple(record["failures"])
@@ -104,7 +108,6 @@ class Sweep:
     a row when expected_fn(p) != actual_fn(p).  Called with n, it runs on S_n(321).
     """
 
-    # not a dataclass, whose methods compiled at import cost 0.1 MB of peak RSS
     __slots__ = ("rows",)
 
     def __init__(self, *rows: tuple[str, Callable, Callable]) -> None:
@@ -299,19 +302,22 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
     return reports
 
 
-@dataclass(frozen=True)
-class StatTable:
+class StatTable(_Record):
     """Joint (fixed points, excedances) distribution over one class."""
 
-    n: int
-    pattern: str
-    rows: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("n", "pattern", "rows")
+
+    def __init__(self, n: int, pattern: str, rows: dict[tuple[int, int], int] | None = None):
+        # a fresh dict for each table given none
+        super().__init__(n, pattern, {} if rows is None else rows)
 
     @property
     def total(self) -> int:
         return sum(self.rows.values())
 
     def json_line(self) -> str:
+        import json
+
         rows = [{"fixed_points": f, "excedances": e, "count": c}
                 for (f, e), c in sorted(self.rows.items())]
         record = {"n": self.n, "class": self.pattern, "total": self.total, "rows": rows}
@@ -319,6 +325,8 @@ class StatTable:
 
     @classmethod
     def from_json_line(cls, line: str) -> "StatTable":
+        import json
+
         record = json.loads(line)
         rows = {(row["fixed_points"], row["excedances"]): row["count"]
                 for row in record["rows"]}

@@ -293,9 +293,10 @@ def public_rebuild_problems(sigma):
     checks that the builders' private constructors skip.  Returns one line
     per output that the rebuild rejects or changes: its fields must be
     equal and be ints or tuples of them on both sides, and the two must
-    compare equal and hash alike.
+    compare equal and hash alike; a pickled and unpickled copy must keep
+    the fields too.
     """
-    from dataclasses import astuple
+    import pickle
 
     from permbij import grid, maps, rsk
 
@@ -316,19 +317,30 @@ def public_rebuild_problems(sigma):
     }
     problems = []
     for name, built in outputs.items():
-        fields = astuple(built)
+        fields = _record_fields(built)
         try:
             rebuilt = type(built)(*fields)
         except ValueError as exc:
             problems.append(f"{name}: the public constructor rejects it: {exc}")
             continue
-        if astuple(rebuilt) != fields:
+        if _record_fields(rebuilt) != fields:
             problems.append(f"{name}: the public constructor changes its fields")
-        elif not (_ints_in_tuples(fields) and _ints_in_tuples(astuple(rebuilt))):
+        elif not (_ints_in_tuples(fields) and _ints_in_tuples(_record_fields(rebuilt))):
             problems.append(f"{name}: a field is not an int or a tuple of ints")
         elif rebuilt != built or hash(rebuilt) != hash(built):
             problems.append(f"{name}: the rebuilt copy compares or hashes differently")
+        elif _record_fields(pickle.loads(pickle.dumps(built))) != fields:
+            problems.append(f"{name}: a pickled and unpickled copy changes its fields")
     return problems
+
+
+#: the fields of each builder output's class, in its constructor's order
+_FIELDS = {"Template": ("n", "row_runs", "col_runs"), "TwoRowTableau": ("row1", "row2")}
+
+
+def _record_fields(record):
+    """A template's or tableau's fields, read by name."""
+    return tuple(getattr(record, name) for name in _FIELDS[type(record).__name__])
 
 
 # ------------------------------------------------- what each route shares

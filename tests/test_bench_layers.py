@@ -6,7 +6,8 @@ from pathlib import Path
 import helpers
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench" / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +44,13 @@ def test_a_row_holds_its_median_and_quartiles_within_its_samples(layers, samples
     row = layers.timed_row("some.layer", samples, n=7)
     assert row["layer"] == "some.layer" and row["n"] == 7 and row["calls"] == len(samples)
     assert min(samples) <= row["q1"] <= row["ms"] <= row["q3"] <= max(samples)
+
+
+def test_import_rows_time_each_side_without_and_then_with_caches(layers, monkeypatch):
+    monkeypatch.setattr(layers, "IMPORT_RUNS", 2)
+    rows = layers.import_rows({"parent": ROOT, "change": ROOT}, "permbij")
+    for side_rows in rows.values():
+        assert [(row["layer"], row["bytecode"], row["calls"]) for row in side_rows] == [
+            ("import.permbij", "none", 2), ("import.permbij", "cached", 2)
+        ]
+        assert all(0 < row["q1"] <= row["ms"] <= row["q3"] for row in side_rows)
