@@ -41,11 +41,16 @@ cli_main keeps it in where it keeps one.  That is what a process's first
 call pays, less argparse's own one-time set-up, which the run's first
 build pays.
 
-A run skips a size, and records the skip with its reason, when the
-layer's last two sizes project that size's call or set-up past BUDGET_S:
-the projection extends the growth exponent measured between those sizes.
+The first run of each side, parent then change, sizes the layer: it
+skips a size, and records the skip with its reason, when the layer's
+last two sizes project that size's call or set-up past BUDGET_S (the
+projection extends the growth exponent measured between those sizes).
 This keeps quadratic code away from sizes whose square sets would not fit
-in memory.  A row is skipped when every run of its side skipped it.
+in memory.  plan_sizes() then decides the sizes once for every run of
+both sides: a size either first run skipped is skipped on both sides, and
+a size at which either first run made a call past BUDGET_S, which a
+projection can miss, is not run again, so both its rows hold one call
+and are marked "single_sample".  The later runs take the other sizes.
 
 The verifier rows come from SUITE_RUNS runs per side of run_suite(1,
 SUITE_N_MAX), each in a fresh interpreter so that the enumeration cache
@@ -110,12 +115,13 @@ STATS_SIZES = (9, 10, 11, 12)
 TIER1_RUNS = 2
 SIDES = ("parent", "change")
 
-#: one layer at every size in a fresh interpreter: a JSON list of its runs' sizes
+#: one layer in a fresh interpreter, at the sizes argv[4] lists as JSON (null:
+#: every size the budget admits): a JSON list of its run's sizes
 LAYER_SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import layers
-print(json.dumps(layers.measure_layer(sys.argv[3], sys.argv[1])))
+print(json.dumps(layers.measure_layer(sys.argv[3], sys.argv[1], json.loads(sys.argv[4]))))
 """
 
 #: one run_suite(1, n_max) in a fresh interpreter: its wall time, then (check, n, ms) rows
@@ -222,11 +228,12 @@ def projection(history, n):
     return t2 * (n / n2) ** max(exponent, 1.0)
 
 
-def measure_layer(name: str, src: str) -> list[dict]:
+def measure_layer(name: str, src: str, sizes: list[int] | None = None) -> list[dict]:
     """
-    One run of the named layer at every size, in this interpreter, which
-    must import permbij from ``src``: per size either the call times in
-    seconds or the reason it was skipped.
+    One run of the named layer, in this interpreter, which must import
+    permbij from ``src``: per size either the call times in seconds or the
+    reason it was skipped.  The run takes every one of ``sizes``, or when
+    that is None every size in SIZES that the budget admits.
     """
     sys.path.insert(0, str(ROOT / "tests"))
     import helpers
@@ -240,11 +247,11 @@ def measure_layer(name: str, src: str) -> list[dict]:
         return [{"n": None, "times": call_times(call, ())}]
     call_history, setup_history = [], []
     rows = []
-    for n in SIZES:
+    for n in SIZES if sizes is None else sizes:
         projected = max(
             projection(call_history, n) or 0.0, projection(setup_history, n) or 0.0
         )
-        if projected > BUDGET_S:
+        if sizes is None and projected > BUDGET_S:
             rows.append(
                 {"n": n, "skipped": f"projected {projected:.3g} s, over the {BUDGET_S:g} s budget"}
             )
@@ -278,10 +285,13 @@ def fresh_run(checkout: Path, script: str, *args, env: dict[str, str] | None = N
     ).stdout
 
 
-def alternate(checkouts: dict[str, Path], runs: int, measure) -> dict[str, list]:
-    """``runs`` samples per side of ``measure(checkout)``: parent, change, change, parent, ..."""
+def alternate(checkouts: dict[str, Path], runs: int, measure, start: int = 0) -> dict[str, list]:
+    """
+    ``runs`` samples per side of ``measure(checkout)``: parent, change,
+    change, parent, ...; from ``start`` pairs on, to go on from earlier ones.
+    """
     samples: dict[str, list] = {side: [] for side in SIDES}
-    for i in range(runs):
+    for i in range(start, start + runs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             samples[side].append(measure(checkouts[side]))
     return samples
@@ -296,18 +306,43 @@ def timed_row(layer: str, samples: list[float], **fields) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4), "calls": len(samples)}
 
 
+def plan_sizes(first: dict[str, list[dict]]) -> tuple[dict, set]:
+    """
+    The sizes that the first run of each side decides for every run of
+    both sides: {n: the first skip's reason} for the sizes either first run
+    skipped, and the set of sizes at which either made a call past
+    BUDGET_S, which no later run repeats.
+    """
+    skipped, single = {}, set()
+    for side, rows in first.items():
+        for row in rows:
+            if "skipped" in row:
+                skipped.setdefault(row["n"], f"{side} run {row['skipped']}")
+            elif max(row["times"]) > BUDGET_S:
+                single.add(row["n"])
+    return skipped, single - skipped.keys()
+
+
 def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
-    runs = alternate(checkouts, LAYER_RUNS, lambda checkout: json.loads(
-        fresh_run(checkout, LAYER_SCRIPT, checkout / "src", ROOT / "bench", name)
-    ))
+    def run(checkout: Path, sizes: list[int] | None = None) -> list[dict]:
+        return json.loads(fresh_run(
+            checkout, LAYER_SCRIPT, checkout / "src", ROOT / "bench", name, json.dumps(sizes)
+        ))
+
+    first = {side: runs[0] for side, runs in alternate(checkouts, 1, run).items()}
+    skipped, single = plan_sizes(first)
+    repeated = [row["n"] for row in first["parent"] if row["n"] not in skipped.keys() | single]
+    later = alternate(checkouts, LAYER_RUNS - 1, lambda checkout: run(checkout, repeated), 1)
+    mark = {"single_sample": f"a first-run call took over {BUDGET_S:g} s"}
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for side, side_runs in runs.items():
-        for sizes in zip(*side_runs):
-            times = [t * 1e3 for size in sizes for t in size.get("times", ())]
-            # a size every run skipped is recorded as the first run's skip
-            rows[side].append(
-                timed_row(name, times, n=sizes[0]["n"]) if times else {"layer": name, **sizes[0]}
-            )
+    for side in SIDES:
+        for n in (row["n"] for row in first["parent"]):
+            if n in skipped:
+                rows[side].append({"layer": name, "n": n, "skipped": skipped[n]})
+                continue
+            times = [t * 1e3 for side_run in (first[side], *later[side])
+                     for row in side_run if row["n"] == n for t in row["times"]]
+            rows[side].append(timed_row(name, times, n=n, **(mark if n in single else {})))
     return rows
 
 
@@ -431,10 +466,13 @@ def main(argv=None) -> int:
             f"median (ms), quartiles q1 and q3 by statistics.quantiles(method='inclusive'), "
             f"which lie within the samples, and count (calls) of its samples; layer rows: "
             f"the calls of {LAYER_RUNS} runs per side, each run up to {MAX_CALLS} calls per "
-            f"size, fewer once they add up to {MIN_TOTAL_S} s, a size skipped when projected "
-            f"past {BUDGET_S} s; verify.* rows: {SUITE_RUNS} runs of run_suite(1, "
-            f"{SUITE_N_MAX}) per side, no row projected; perm.enumerate_avoiders.* and "
-            f"verify.stats_table.* rows: {COLD_RUNS} cold runs per side; import.* rows: "
+            f"size, fewer once they add up to {MIN_TOTAL_S} s, the sizes decided by the first "
+            f"run of each side for every run of both: a size skipped on both sides when "
+            f"either first run projected it past {BUDGET_S} s, and run by the first runs "
+            f"alone (a single_sample row) when either made a call past it; verify.* rows: "
+            f"{SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side, no row projected; "
+            f"perm.enumerate_avoiders.* and verify.stats_table.* rows: {COLD_RUNS} cold "
+            f"runs per side; import.* rows: "
             f"{IMPORT_RUNS} imports per side in fresh interpreters, without and then with "
             f"bytecode caches, interpreter start left out; tier1.pytest: "
             f"{TIER1_RUNS} runs of the checkout's test suite per side"

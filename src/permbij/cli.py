@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -97,6 +96,8 @@ def _run_map(args) -> int:
     sigma = _read_permutation(args.input)
     image = _MAPS[args.bijection](sigma)
     if args.format == "json":
+        import json  # here, so that importing the CLI does not import json
+
         print(
             json.dumps(
                 {

@@ -37,20 +37,27 @@ So each start is one phase (_least_132_rewrites), run in three steps:
    perm._least_132_start runs only after a phase that rewrote nothing.
 2. A position rewritten in the phase drops below the start value a, which
    only rises, so the values above a stand where the phase found them.
-   The phase sorts the values right of i once (``above``) and never
-   changes it; a cursor s, from bisect_right(above, a), keeps above[s:]
-   equal to the values above a right of j.  A middle candidate b > a that
-   is above[s] is the least of them, so j is the middle of no 132 and s
-   steps past b.  Any other b has values in (a, b) right of j, exactly
-   above[s:t] for t = bisect_left(above, b, s), and after the rotation
-   s = t + 1 steps past b, the new value at i.
+   The phase reads the values right of i as it found them, sorted
+   (``above``), and never changes them; a cursor s, from
+   bisect_right(above, a), keeps above[s:] equal to the values above a
+   right of j.  A middle candidate b > a that is above[s] is the least of
+   them, so j is the middle of no 132 and s steps past b.  Any other b has
+   values in (a, b) right of j, exactly above[s:t] for
+   t = bisect_left(above, b, s), and after the rotation s = t + 1 steps
+   past b, the new value at i.
+   Only a phase after a jump sorts ``above``.  Each rotation moves its b
+   out of the values right of i and its a into them, and each a but the
+   first is the b before it, so a phase that rewrote leaves those values
+   as ``above`` plus its first start value, less the value it left at i.
+   The phase at i + 1 takes that list less the value at i + 1: one insort
+   and two deletions in place of a sort of the suffix.
 3. k is the leftmost position of those values, read from a value-to-
    position list that three stores per rotation keep exact.  There are
    about two at any n, and in about half of all rotations only one.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator, Sequence
 
 from . import grid, rsk
@@ -75,24 +82,31 @@ def _least_132_rewrites(word: list[int]) -> Iterator[tuple[int, int, int]]:
         pos[v] = p
     i = _least_132_start(word, 0)
     while i >= 0:
-        a = first = word[i]
         above = sorted(word[i + 1 :])
-        s = bisect_right(above, a)
-        for j in range(i + 1, n):
-            b = word[j]
-            if b < a:
-                continue
-            if above[s] == b:
-                s += 1
-                continue
-            t = bisect_left(above, b, s)
-            k = pos[above[s]] if t - s == 1 else min(map(pos.__getitem__, above[s:t]))
-            c = word[k]
-            word[i], word[j], word[k] = b, c, a
-            pos[b], pos[c], pos[a] = i, j, k
-            yield (i + 1, j + 1, k + 1)
-            a, s = b, t + 1
-        i = i + 1 if word[i] != first else _least_132_start(word, i + 1)
+        while True:
+            a = first = word[i]
+            s = bisect_right(above, a)
+            for j in range(i + 1, n):
+                b = word[j]
+                if b < a:
+                    continue
+                if above[s] == b:
+                    s += 1
+                    continue
+                t = bisect_left(above, b, s)
+                k = pos[above[s]] if t - s == 1 else min(map(pos.__getitem__, above[s:t]))
+                c = word[k]
+                word[i], word[j], word[k] = b, c, a
+                pos[b], pos[c], pos[a] = i, j, k
+                yield (i + 1, j + 1, k + 1)
+                a, s = b, t + 1
+            if a == first:
+                break
+            insort(above, first)
+            del above[bisect_left(above, a)]
+            i += 1
+            del above[bisect_left(above, word[i])]
+        i = _least_132_start(word, i + 1)
 
 
 def _rewrite_until_132_free(perm: Sequence[int]) -> Perm:

@@ -215,6 +215,30 @@ def test_each_route_calls_what_the_ledger_declares(route):
     assert library_calls(route, sigma) == helpers.ROUTE_CALLS[route.__name__]
 
 
+def test_the_rewriting_core_sorts_once_per_jump():
+    # a phase that rewrote hands its sorted values on to the next phase, so
+    # only a jump by _least_132_start sorts the values right of the start
+    calls = {"sorted": 0, "_least_132_start": 0}
+    core = _least_132_rewrites.__code__
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is core and arg is sorted:
+            calls["sorted"] += 1
+        elif event == "call" and frame.f_back is not None and frame.f_back.f_code is core:
+            if frame.f_code is perm._least_132_start.__code__:
+                calls["_least_132_start"] += 1
+
+    sigma = helpers.uniform_321_avoider(100, random.Random("one sort per jump"))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        image = gamma_iterative(sigma)
+    finally:
+        sys.setprofile(previous)
+    assert image == gamma_template(sigma)
+    assert 1 <= calls["sorted"] <= calls["_least_132_start"]
+
+
 def test_the_slide_and_flip_route_moves_the_rc_template():
     # Theorem 2 slides and flips the rc-template's L's, so the route must
     # draw them through rc_template and share no drawing with theta_template

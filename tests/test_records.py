@@ -1,8 +1,8 @@
 """
 The four frozen record classes: Template, TwoRowTableau, CheckReport and
 StatTable.  Each compares, hashes, prints, refuses changes and survives
-copy and pickle; and importing permbij loads neither dataclasses, with
-the modules it brings in, nor json.
+copy and pickle; and importing permbij or its CLI loads neither
+dataclasses, with the modules it brings in, nor json.
 """
 import copy
 import os
@@ -135,15 +135,27 @@ def test_a_report_line_keeps_its_bytes():
     assert CheckReport.from_json_line(report.json_line()) == report
 
 
-def test_importing_permbij_loads_no_dataclasses_and_no_json():
-    # typing is left out: on some hosts site imports it before any user code
-    heavy = ("dataclasses", "inspect", "ast", "json")
+#: modules that importing permbij must not load; typing is left out, as on
+#: some hosts site imports it before any user code
+HEAVY = ("dataclasses", "inspect", "ast", "json")
+
+
+def heavy_modules_loaded_by(module):
+    """The HEAVY modules that a fresh ``import module`` loads, sorted."""
     code = (
-        "import sys; before = set(sys.modules); import permbij; "
-        f"print(sorted(set({heavy!r}) & (set(sys.modules) - before)))"
+        f"import sys; before = set(sys.modules); import {module}; "
+        f"print(sorted(set({HEAVY!r}) & (set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.strip()
+
+
+def test_importing_permbij_loads_no_dataclasses_and_no_json():
+    assert heavy_modules_loaded_by("permbij") == "[]"
+
+
+def test_importing_the_cli_loads_no_dataclasses_and_no_json():
+    # only --format json output needs json, and it imports json there
+    assert heavy_modules_loaded_by("permbij.cli") == "[]"
