@@ -67,7 +67,7 @@ def require_321_avoider(word: Sequence[int]) -> None:
     ValueError: permutation contains a 321-pattern
     """
     require_permutation(word)
-    if not avoids(word, "321"):
+    if _contains_321(word):
         raise ValueError("permutation contains a 321-pattern")
 
 
@@ -313,10 +313,14 @@ def _avoider_records(n: int, pattern: str) -> list[bytes]:
             # table raises v..m - 1 and writes v for the pad; the next v
             # leaves v itself in place
             table[pad] = v
-            for (lo, hi), records in blocks:
-                if lo <= v <= hi:
-                    key = (1, hi + 1 if v == 1 else v) if pattern == "321" else (v, m + 1)
-                    grown.append((key, records.translate(table)))
+            # every child v makes has one range, but for 321 the range of a
+            # v = 1 child grows from its parent's (key None: read per block)
+            key = (v, m + 1) if pattern == "132" else (1, v) if v > 1 else None
+            grown += [
+                (key or (1, hi + 1), records.translate(table))
+                for (lo, hi), records in blocks
+                if lo <= v <= hi
+            ]
             table[v] = v
     return [children for _, children in grown]
 

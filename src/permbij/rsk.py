@@ -145,17 +145,25 @@ def validate_dyck(word: str) -> bool:
     >>> validate_dyck("uuuduuddududdudd"), validate_dyck("duud"), validate_dyck("uu")
     (True, False, False)
     """
-    height = 0
+    return _downs_before_ups(word) is not None
+
+
+def _downs_before_ups(word: str) -> list[int] | None:
+    # One walk of the word: the number of d's before each u, or None when
+    # the word is not balanced, that is when it holds a step other than u
+    # and d, a prefix with more d's than u's, or unequal step counts.
+    downs_before_up: list[int] = []
+    downs = 0
     for step in word:
         if step == UP:
-            height += 1
+            downs_before_up.append(downs)
         elif step == DOWN:
-            height -= 1
-            if height < 0:
-                return False
+            downs += 1
+            if downs > len(downs_before_up):
+                return None
         else:
-            return False
-    return height == 0
+            return None
+    return downs_before_up if downs == len(downs_before_up) else None
 
 
 def template_from_dyck(word: str, n: int) -> Template:
@@ -170,15 +178,9 @@ def template_from_dyck(word: str, n: int) -> Template:
     """
     if type(n) is not int or n < 1:
         Template(n)  # raises the public constructor's ValueError for this size
-    if len(word) != 2 * n or not validate_dyck(word):
+    downs_before_up = _downs_before_ups(word) if len(word) == 2 * n else None
+    if downs_before_up is None:
         raise ValueError(f"not a balanced up-down word of length {2 * n}: {word!r}")
-    downs_before_up = []
-    downs = 0
-    for step in word:
-        if step == DOWN:
-            downs += 1
-        else:
-            downs_before_up.append(downs)
     row_runs = [
         (i, 1, width) for i, width in enumerate(reversed(downs_before_up), start=1) if width
     ]

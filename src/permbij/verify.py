@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextvars import ContextVar
 
@@ -131,12 +130,22 @@ def _member_132(q, n: int) -> Perm | None:
     The member of the cached S_n(132) equal to q, or None.  Only a tuple of
     exact ints can be a member, so (3.0, 2.0, 1.0) and (True, 2) are not.
     """
-    if type(q) is not tuple or set(map(type, q)) != {int}:
+    if type(q) is not tuple:
         return None
     members = _avoider_list(n, "132")
-    # a binary search of the cached list, so that the lookup adds no table
-    i = bisect_left(members, q)
-    return members[i] if i < len(members) and members[i] == q else None
+    try:
+        # a binary search of the cached list, so that the lookup adds no table
+        i = bisect_left(members, q)
+    except TypeError:  # entries that do not compare with ints, such as strs
+        return None
+    if i == len(members):
+        return None
+    member = members[i]
+    # a cached member itself passes at once; an equal tuple passes only
+    # when its entries are exact ints, as the member's are
+    if member is q or (member == q and set(map(type, q)) == {int}):
+        return member
+    return None
 
 
 #: {route function: {input: image}} for the class run_suite is sweeping;
@@ -342,6 +351,9 @@ def stats_table(n: int, pattern: str) -> StatTable:
     to 16 at a fixed point, 1 at an excedance and 0 elsewhere; the n
     columns summed as little-endian ints hold 16 * fp + exc in each word's
     byte, with no carry while 16 * n <= 255 (n <= 15, above ENUMERATION_CAP).
+    Each distinct key byte is then counted by one bytes.count over all the
+    words, in key order, which is the rows' (fp, exc) order; a class has
+    at most a few dozen keys (67 at n = 12) against catalan(n) words.
     """
     # looked up at call time, so a patched _avoider_records is honoured
     flat = b"".join(_avoider_records(n, pattern))
@@ -352,5 +364,5 @@ def stats_table(n: int, pattern: str) -> StatTable:
     for i in range(1, n + 1):
         marks = bytes(i) + b"\x10" + b"\x01" * (255 - i)
         packed += int.from_bytes(flat[i - 1 :: n].translate(marks), "little")
-    counts = Counter(packed.to_bytes(len(flat) // n, "little"))
-    return StatTable(n, pattern, {divmod(k, 16): c for k, c in sorted(counts.items())})
+    words = packed.to_bytes(len(flat) // n, "little")
+    return StatTable(n, pattern, {divmod(k, 16): words.count(k) for k in sorted(set(words))})

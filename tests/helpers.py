@@ -352,7 +352,7 @@ def _record_fields(record):
 # calls of each route and holds them to ROUTE_CALLS, so a route that starts
 # or stops sharing a function with another fails until this table changes.
 _INPUT_CHECK = {"perm.require_permutation", "perm.is_permutation"}
-_NO_321 = {"perm.require_321_avoider", "perm.avoids", "perm._contains_321"}
+_NO_321 = {"perm.require_321_avoider", "perm._contains_321"}
 _REWRITING = {"maps._rewrite_until_132_free", "maps._least_132_rewrites", "perm._least_132_start"}
 _RC_CORNERS = {"grid.rcl_corners", "perm.reverse_complement", "grid._corner_sweep"}
 #: the unchecked Template constructor and the one realization, shared by
@@ -408,7 +408,7 @@ ROUTE_CALLS = {
         "rsk._half_word",
         "rsk.size",
         "rsk.template_from_dyck",
-        "rsk.validate_dyck",
+        "rsk._downs_before_ups",
         *_REALIZATION,
         *_INPUT_CHECK,
     },

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 
@@ -295,6 +296,74 @@ def test_the_byte_records_and_the_tuples_hold_one_class(pattern):
     for n in range(1, 11):
         records = b"".join(perm._avoider_records(n, pattern))
         assert records == bytes(itertools.chain.from_iterable(enumerate_avoiders(n, pattern)))
+
+
+#: (n, pattern, sha256 of the joined records, sha256 of the block lengths
+#: written in decimal and joined by spaces), recorded from the generating
+#: tree before its child keys were computed once per entry v
+RECORD_DIGESTS = [
+    (1, "321", "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+     "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    (2, "321", "4aa0ba7550f743782ebb71f24c8d2b5c231cd59f98a7d7d4bdaf4ab4eb82600a",
+     "04412575067f0bdb6722e31a7ee45744cc1ecf2dfacec4cfbfa70cfd364bb7e2"),
+    (3, "321", "e6d28ac1ad3e8972684cecceb0470dc22f79ceb24c60b4850e4f8088b3e6e7e0",
+     "2692915e27f0e1d50eea5a9ab5d4cdbbc1c6905e1ad6d7213b6743d37c54f0e0"),
+    (4, "321", "3d1249afe2f8ae8586ac848ead3fdb84b4ed2214b777f582cdd7cf9936c30223",
+     "9f65a55dbc9d0b61434f4194e656f7968c4d3eac2a78b80fd0904f5c57cf0120"),
+    (5, "321", "7bcc515d67358e7c213f8c0ad10c4d9bedf136dfe940678f79c18ce846dd8097",
+     "afc57f5d90eeb8d96d1a894a7cac88a96345e43a87a70c8257106eb79d14d837"),
+    (6, "321", "12d38c44278404a7193b37111aa60074cbe74e78bdd477b7413f709f5b401a1e",
+     "2c233759075edaa0357670b1218486f9c53e08220601b55bdf29456949511f32"),
+    (7, "321", "c27033d5fa73d8a5711c9610e008e44e4f5e4496ab9cba23e464af1a25a9ec85",
+     "06578a26cb5c1ac3b5126c1c7d865124e256bfb821f0fd4f5d9609b8462bd2fb"),
+    (8, "321", "4f49ce4bdd5444b0fcc1d4a84fae6bd3addade0e9849948c151c04aed891ec41",
+     "21d9c25dae58262a9a08e8a439bcd0b7465caab03bd3dcae4d743c710497d94e"),
+    (9, "321", "6eb1f12249388cfb347f58c790e77d0cb7ae775021bb15fd80ed9e32202bef0a",
+     "62d760c42124be0cb707b6d6f8bb7c015f0798f5c69983e56c117fe2bec8293e"),
+    (10, "321", "3eff089f6f97e87dc6f5ed752438bc06e0c514e90a91dba8ae65c0f91e326e1c",
+     "efddf350d61a206b4e0de3afa6cd0586be0245a09f1b789cac1b4141f9125e02"),
+    (11, "321", "88fe21f0c3aa3d9e533b69f84c13a1d71e5c3b5e0bcfa2c880668e65060619da",
+     "3602b0c57d06f4450b1f6a3a195ebbb08844fa11c7c6467a1916cf1fc1095829"),
+    (12, "321", "5c32e3601e7c5fb9a60c94f715cc2205072ab6c54ac78451341b2c9f02f7c715",
+     "48de1f94b9ac96d69b10d5100985c052834476a2ab159e989626621b7f96121d"),
+    (1, "132", "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+     "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    (2, "132", "4aa0ba7550f743782ebb71f24c8d2b5c231cd59f98a7d7d4bdaf4ab4eb82600a",
+     "04412575067f0bdb6722e31a7ee45744cc1ecf2dfacec4cfbfa70cfd364bb7e2"),
+    (3, "132", "322e7c45c47670dea50e4ad3a3884366a064f53a4c915d398959b70bf45dae25",
+     "2692915e27f0e1d50eea5a9ab5d4cdbbc1c6905e1ad6d7213b6743d37c54f0e0"),
+    (4, "132", "88988671dd091b860b37561d303b5b0fe844295a9a9118b1595b9dc844d087c4",
+     "4508753d036d24b8969d0ca32067ae28ed8be6eba7517a68ff68dc26683e4ab2"),
+    (5, "132", "ec4f259bb072f707ba97a75ae0ff1445ea4eb069a0c100c91b8266e4eddd1092",
+     "10c2d2c1933b536e068ead5d0b780b3136de2e445cb70331f4821af61425255b"),
+    (6, "132", "4893dfd63c67227deee746619454f639ed94bab4dcf5e9b6cc2cc0ec8cbcf977",
+     "1c77f526d3495dadf8fc27481437d6cf411a4904e08237e07ec48de44706320a"),
+    (7, "132", "3670b3eba4b667e714706190726b2c3c7a49952d8d45645c26bb78cb7360e9b4",
+     "7fceaa364dab626383eca28c7527362653f9e99f91f79638d931b961400d8e37"),
+    (8, "132", "0ccfb8a16d31597f645b6c403f6926d96fd119b3039f4663ab12af75a8577e87",
+     "77b99a59a0e923de94dbed977eabf87d415bcd7e30430a0ea336672ccfc587be"),
+    (9, "132", "7ec963358cdeefe3880ce29c93737ecd95ceeccf6f4e541e6de391df9892d8ff",
+     "2e0cc9e6be34c1a673341b5a51f6a8d2ffa856694690d2c5651868c972ec0589"),
+    (10, "132", "95831f4a71ae6f04629782ab90bff2fcf1f1224b305cb21f68ac3767a9f9cda4",
+     "bbb0c7faa445a07e790a0c5bff4a142bef20b51dda5784c1485bb9393de4ffc1"),
+    (11, "132", "d29ca31c0f51923d634aef6d36ba26454ebf7633dd3e2630c9658c776264bb45",
+     "f9dc4b06bdf5db67cc91261ef3f645bccc869974a18121262c0b2fe713687b7d"),
+    (12, "132", "f4d8f8e06f9cb29ca45abe08ff7713bd47d529ef928d176067f07260d9a92bfc",
+     "1c3e51331820ac3a030274d0fdb43294d2682529578051c2c2b209b54684e47d"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, pattern, records_digest, blocks_digest",
+    [pytest.param(*case, id=f"{case[1]}-n{case[0]}") for case in RECORD_DIGESTS],
+)
+def test_the_generating_tree_grows_the_recorded_records_and_blocks(
+    n, pattern, records_digest, blocks_digest
+):
+    blocks = perm._avoider_records(n, pattern)
+    assert hashlib.sha256(b"".join(blocks)).hexdigest() == records_digest
+    lengths = " ".join(str(len(block)) for block in blocks).encode()
+    assert hashlib.sha256(lengths).hexdigest() == blocks_digest
 
 
 def test_catalan_against_recurrence():

@@ -318,6 +318,15 @@ def test_memo_stores_only_class_members_canonically(monkeypatch):
         verify._MEMO.reset(token)
 
 
+def test_a_cached_member_is_its_own_member_and_odd_tuples_are_none():
+    for n in range(1, 7):
+        for member in enumerate_avoiders(n, "132"):
+            assert verify._member_132(member, n) is member
+    # entries that do not compare with ints make no member and raise nothing
+    for odd in [("a", "b"), ("a", 2, 1), (1, "b", 2), ([2], [1]), (None,)]:
+        assert verify._member_132(odd, len(odd)) is None
+
+
 def test_a_float_image_is_not_a_member_of_the_class(monkeypatch):
     # (3.0, 2.0, 1.0) equals and hashes like theta((2, 1, 3)) = (3, 2, 1),
     # but no float tuple is a member of S_3(132)
