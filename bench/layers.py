@@ -20,15 +20,16 @@ written to OUT.json under the labels "parent" and "change".  timed_row()
 makes every timed row from its samples alike: their median in ms as
 "ms", their quartiles as "q1" and "q3", and their count as "calls".  The
 quartiles are statistics.quantiles' "inclusive" ones, which lie within
-the samples (the default method puts them outside for two samples).  No
-row is projected: every one is measured or skipped.
+the samples (the default method puts them outside for two samples).
 
-Every layer that layers() lists runs, at each n in SIZES, on one seeded
-uniform 321-avoider drawn by tests/helpers.uniform_321_avoider, which
-shares no code with the library.  One run of a layer makes up to
-MAX_CALLS calls per size (fewer once they add up to MIN_TOTAL_S); a row's
-samples are the calls of all its side's runs.  The arguments a layer
-takes (tableaux, templates, an up-down word) are built before timing.
+Every layer that layers() lists runs, at each n in SIZES up to the largest
+n that tests/helpers.LARGEST_N gives it, on one seeded uniform 321-avoider
+drawn by tests/helpers.uniform_321_avoider, which shares no code with the
+library; a larger size is recorded as skipped, so every run of both sides
+takes the same sizes.  One run of a layer makes up to MAX_CALLS calls per
+size (fewer once they add up to MIN_TOTAL_S); a row's samples are the
+calls of all its side's runs.  The arguments a layer takes (tableaux,
+templates, an up-down word) are built before timing.
 The 132 test runs on sigma, which usually contains a 132, and on its
 132-free image theta(sigma).  Rows "cli.map.<bijection>" time
 cli_main(["map", "--bijection", <bijection>, "--input", <sigma's text>])
@@ -40,17 +41,6 @@ each call builds the CLI's argument parser anew, past the cache that
 cli_main keeps it in where it keeps one.  That is what a process's first
 call pays, less argparse's own one-time set-up, which the run's first
 build pays.
-
-The first run of each side, parent then change, sizes the layer: it
-skips a size, and records the skip with its reason, when the layer's
-last two sizes project that size's call or set-up past BUDGET_S (the
-projection extends the growth exponent measured between those sizes).
-This keeps quadratic code away from sizes whose square sets would not fit
-in memory.  plan_sizes() then decides the sizes once for every run of
-both sides: a size either first run skipped is skipped on both sides, and
-a size at which either first run made a call past BUDGET_S, which a
-projection can miss, is not run again, so both its rows hold one call
-and are marked "single_sample".  The later runs take the other sizes.
 
 The verifier rows come from SUITE_RUNS runs per side of run_suite(1,
 SUITE_N_MAX), each in a fresh interpreter so that the enumeration cache
@@ -87,7 +77,6 @@ import contextlib
 import io
 import itertools
 import json
-import math
 import os
 import platform
 import random
@@ -102,7 +91,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SIZES = (10, 100, 400, 1_000, 10_000, 100_000)
-BUDGET_S = 10.0
 MAX_CALLS = 7
 MIN_TOTAL_S = 0.2
 LAYER_RUNS = 4
@@ -115,13 +103,12 @@ STATS_SIZES = (9, 10, 11, 12)
 TIER1_RUNS = 2
 SIDES = ("parent", "change")
 
-#: one layer in a fresh interpreter, at the sizes argv[4] lists as JSON (null:
-#: every size the budget admits): a JSON list of its run's sizes
+#: one run of a layer in a fresh interpreter: a JSON list of its sizes' rows
 LAYER_SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import layers
-print(json.dumps(layers.measure_layer(sys.argv[3], sys.argv[1], json.loads(sys.argv[4]))))
+print(json.dumps(layers.measure_layer(sys.argv[3], sys.argv[1])))
 """
 
 #: one run_suite(1, n_max) in a fresh interpreter: its wall time, then (check, n, ms) rows
@@ -219,21 +206,11 @@ def layers():
     ]
 
 
-def projection(history, n):
-    """Seconds projected at n from the last two (n, seconds) points, or None."""
-    if len(history) < 2:
-        return None
-    (n1, t1), (n2, t2) = history[-2:]
-    exponent = math.log(max(t2, 1e-9) / max(t1, 1e-9)) / math.log(n2 / n1)
-    return t2 * (n / n2) ** max(exponent, 1.0)
-
-
-def measure_layer(name: str, src: str, sizes: list[int] | None = None) -> list[dict]:
+def measure_layer(name: str, src: str) -> list[dict]:
     """
     One run of the named layer, in this interpreter, which must import
-    permbij from ``src``: per size either the call times in seconds or the
-    reason it was skipped.  The run takes every one of ``sizes``, or when
-    that is None every size in SIZES that the budget admits.
+    permbij from ``src``: per size in SIZES either the call times in seconds
+    or the reason it was skipped.
     """
     sys.path.insert(0, str(ROOT / "tests"))
     import helpers
@@ -245,24 +222,14 @@ def measure_layer(name: str, src: str, sizes: list[int] | None = None) -> list[d
     prepare, call = next((p, c) for layer, p, c in layers() if layer == name)
     if prepare is None:
         return [{"n": None, "times": call_times(call, ())}]
-    call_history, setup_history = [], []
+    largest = helpers.LARGEST_N.get(name, SIZES[-1])
     rows = []
-    for n in SIZES if sizes is None else sizes:
-        projected = max(
-            projection(call_history, n) or 0.0, projection(setup_history, n) or 0.0
-        )
-        if sizes is None and projected > BUDGET_S:
-            rows.append(
-                {"n": n, "skipped": f"projected {projected:.3g} s, over the {BUDGET_S:g} s budget"}
-            )
+    for n in SIZES:
+        if n > largest:
+            rows.append({"n": n, "skipped": f"over its largest n, {largest}, in helpers.LARGEST_N"})
             continue
         sigma = helpers.uniform_321_avoider(n, random.Random(f"bench:{n}"))
-        start = time.perf_counter()
-        args = prepare(sigma)
-        setup_history.append((n, time.perf_counter() - start))
-        times = call_times(call, args)
-        call_history.append((n, statistics.median(times)))
-        rows.append({"n": n, "times": times})
+        rows.append({"n": n, "times": call_times(call, prepare(sigma))})
     return rows
 
 
@@ -306,43 +273,20 @@ def timed_row(layer: str, samples: list[float], **fields) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4), "calls": len(samples)}
 
 
-def plan_sizes(first: dict[str, list[dict]]) -> tuple[dict, set]:
-    """
-    The sizes that the first run of each side decides for every run of
-    both sides: {n: the first skip's reason} for the sizes either first run
-    skipped, and the set of sizes at which either made a call past
-    BUDGET_S, which no later run repeats.
-    """
-    skipped, single = {}, set()
-    for side, rows in first.items():
-        for row in rows:
-            if "skipped" in row:
-                skipped.setdefault(row["n"], f"{side} run {row['skipped']}")
-            elif max(row["times"]) > BUDGET_S:
-                single.add(row["n"])
-    return skipped, single - skipped.keys()
-
-
 def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
-    def run(checkout: Path, sizes: list[int] | None = None) -> list[dict]:
-        return json.loads(fresh_run(
-            checkout, LAYER_SCRIPT, checkout / "src", ROOT / "bench", name, json.dumps(sizes)
-        ))
-
-    first = {side: runs[0] for side, runs in alternate(checkouts, 1, run).items()}
-    skipped, single = plan_sizes(first)
-    repeated = [row["n"] for row in first["parent"] if row["n"] not in skipped.keys() | single]
-    later = alternate(checkouts, LAYER_RUNS - 1, lambda checkout: run(checkout, repeated), 1)
-    mark = {"single_sample": f"a first-run call took over {BUDGET_S:g} s"}
+    """LAYER_RUNS runs per side of the named layer: per size its calls' row, or its skip."""
+    runs = alternate(checkouts, LAYER_RUNS, lambda checkout: json.loads(
+        fresh_run(checkout, LAYER_SCRIPT, checkout / "src", ROOT / "bench", name)
+    ))
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for side in SIDES:
-        for n in (row["n"] for row in first["parent"]):
-            if n in skipped:
-                rows[side].append({"layer": name, "n": n, "skipped": skipped[n]})
-                continue
-            times = [t * 1e3 for side_run in (first[side], *later[side])
-                     for row in side_run if row["n"] == n for t in row["times"]]
-            rows[side].append(timed_row(name, times, n=n, **(mark if n in single else {})))
+    for side, side_runs in runs.items():
+        # every run takes the same sizes, so its rows line up by size
+        for first, *rest in zip(*side_runs):
+            if "skipped" in first:
+                rows[side].append({"layer": name, **first})
+            else:
+                times = [t * 1e3 for row in (first, *rest) for t in row["times"]]
+                rows[side].append(timed_row(name, times, n=first["n"]))
     return rows
 
 
@@ -466,11 +410,9 @@ def main(argv=None) -> int:
             f"median (ms), quartiles q1 and q3 by statistics.quantiles(method='inclusive'), "
             f"which lie within the samples, and count (calls) of its samples; layer rows: "
             f"the calls of {LAYER_RUNS} runs per side, each run up to {MAX_CALLS} calls per "
-            f"size, fewer once they add up to {MIN_TOTAL_S} s, the sizes decided by the first "
-            f"run of each side for every run of both: a size skipped on both sides when "
-            f"either first run projected it past {BUDGET_S} s, and run by the first runs "
-            f"alone (a single_sample row) when either made a call past it; verify.* rows: "
-            f"{SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side, no row projected; "
+            f"size, fewer once they add up to {MIN_TOTAL_S} s, up to the largest n that "
+            f"tests/helpers.LARGEST_N gives the layer, larger sizes skipped; verify.* rows: "
+            f"{SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side; "
             f"perm.enumerate_avoiders.* and verify.stats_table.* rows: {COLD_RUNS} cold "
             f"runs per side; import.* rows: "
             f"{IMPORT_RUNS} imports per side in fresh interpreters, without and then with "

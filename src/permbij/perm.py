@@ -129,11 +129,6 @@ def format_permutation(perm: Sequence[int], compact: bool = False) -> str:
     return " ".join(str(v) for v in perm)
 
 
-def identity(n: int) -> Perm:
-    """The increasing word 1 2 ... n."""
-    return tuple(range(1, n + 1))
-
-
 def bar(value: int, n: int) -> int:
     """
     The reflection v -> n + 1 - v, an involution on 1..n.

@@ -4,13 +4,14 @@ fixed-point/excedance tables.
 
 Every check sweeps all of S_n(321) for one n and reports counterexamples,
 capped so a broken build stays readable.  Reports serialize to JSON Lines
-and back without loss.  A per-member check is a Sweep of named rows
+and back without loss, and a line that is no report raises ValueError.
+A per-member check is a Sweep of named rows
 (row, expected_fn, actual_fn); its run_on compares them on any iterable of
 permutations, which is how tests/test_large_n.py runs every Sweep on seeded
-inputs up to n = 10^4 (the rewriting and template-equality ones up to
-10^3), and each failure names its row under "row".  The three whole-class
-checks, bijectivity-gamma, bijectivity-theta and catalan-counts, are plain
-n -> failures callables that compare entire images at once.
+inputs up to the largest n that tests/helpers.LARGEST_N allows it, and
+each failure names its row under "row".  The three whole-class checks,
+bijectivity-gamma, bijectivity-theta and catalan-counts, are plain n ->
+failures callables that compare entire images at once.
 
 run_suite sweeps n in the outer loop and the checks in the inner one.
 While it runs one n, the images of the default routes (maps.gamma,
@@ -95,9 +96,12 @@ class CheckReport(_Record):
         import json
 
         record = json.loads(line)
-        record.pop("passed", None)
-        record["failures"] = tuple(record["failures"])
-        return cls(**record)
+        try:
+            record.pop("passed", None)
+            record["failures"] = tuple(record["failures"])
+            return cls(**record)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a CheckReport line: {exc!r}") from exc
 
 
 class Sweep:
@@ -337,9 +341,12 @@ class StatTable(_Record):
         import json
 
         record = json.loads(line)
-        rows = {(row["fixed_points"], row["excedances"]): row["count"]
-                for row in record["rows"]}
-        return cls(n=record["n"], pattern=record["class"], rows=rows)
+        try:
+            rows = {(row["fixed_points"], row["excedances"]): row["count"]
+                    for row in record["rows"]}
+            return cls(n=record["n"], pattern=record["class"], rows=rows)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a StatTable line: {exc!r}") from exc
 
 
 def stats_table(n: int, pattern: str) -> StatTable:

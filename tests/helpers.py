@@ -6,10 +6,17 @@ cannot hide behind shared code.  The uniform sampler of S_n(321) at the
 end feeds the large-n checks, and likewise uses nothing from the library.
 The one exception is public_rebuild_problems, which holds the library's
 builders to its own public constructors; ROUTE_CALLS is no oracle but a
-declared ledger of the library functions each map route calls.
+declared ledger of the library functions each map route calls, and
+LARGEST_N the one table of the sizes that the large-n checks, CI and
+bench/layers.py stop the costly paths at.
 """
 import bisect
 import itertools
+
+
+def identity(n):
+    """The increasing word 1 2 ... n."""
+    return tuple(range(1, n + 1))
 
 
 def all_words(n):
@@ -277,6 +284,19 @@ def uniform_321_avoider(n, rng):
         else:
             word[t - 1] = top.pop()
     return tuple(word)
+
+
+#: the largest n at which a check of verify.CHECKS or a layer of
+#: bench/layers.py runs on a seeded input, by name; a name not here runs at
+#: every size.  gamma_iterative and theta_via_gamma make about n^2.1
+#: rewrites; the four template-equality checks compare about n^2 bits,
+#: some 2.5 GB at n = 10^5.
+LARGEST_N = {
+    **dict.fromkeys(("theorem3", "fact3-route-agreement", "maps.gamma_iterative",
+                     "maps.theta_via_gamma", "cli.map.gamma-iterative",
+                     "cli.map.theta-via-gamma"), 2000),
+    **dict.fromkeys(("lemma1", "theorem1-route", "theorem2-route", "bar-reflection"), 30_000),
+}
 
 
 # ------------------------------------------------- builders, rebuilt in public

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import helpers
@@ -57,37 +58,26 @@ def test_import_rows_time_each_side_without_and_then_with_caches(layers, monkeyp
         assert all(0 < row["q1"] <= row["ms"] <= row["q3"] for row in side_rows)
 
 
-def test_the_first_run_of_each_side_sizes_the_layer_for_every_run(layers, monkeypatch):
-    over = layers.BUDGET_S + 1
-    first = {
-        "parent": [{"n": 10, "times": [1e-3, 2e-3]}, {"n": 100, "times": [0.01]},
-                   {"n": 400, "times": [over]}, {"n": 1000, "skipped": "projected 30 s"}],
-        "change": [{"n": 10, "times": [1e-3]}, {"n": 100, "times": [0.01]},
-                   {"n": 400, "times": [2.0]}, {"n": 1000, "times": [5.0]}],
-    }
+def test_both_sides_run_each_layer_at_the_same_sizes_up_to_its_cap(layers, monkeypatch):
     runs = []
 
-    def fresh_run(checkout, script, src, bench, name, sizes):
-        sizes = json.loads(sizes)
-        runs.append((checkout.name, sizes))
-        if sizes is None:
-            return json.dumps(first[checkout.name])
-        return json.dumps([{"n": n, "times": [3e-3]} for n in sizes])
+    def fresh_run(checkout, script, src, bench, name):
+        runs.append(checkout.name)
+        return json.dumps(layers.measure_layer(name, ROOT / "src"))
 
     monkeypatch.setattr(layers, "fresh_run", fresh_run)
+    monkeypatch.setattr(layers, "layers", lambda: [("some.layer", lambda s: (s,), len)])
+    monkeypatch.setattr(layers, "SIZES", (10, 100, 400))
     monkeypatch.setattr(layers, "LAYER_RUNS", 3)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    monkeypatch.setitem(helpers.LARGEST_N, "some.layer", 100)
     checkouts = {"parent": Path("parent"), "change": Path("change")}
     rows = layers.layer_rows(checkouts, "some.layer")
 
-    # both first runs project; the later ones take the sizes both admitted and
-    # leave out the size with a call past the budget, in the ABBA order
-    assert runs == [("parent", None), ("change", None), ("change", [10, 100]),
-                    ("parent", [10, 100]), ("parent", [10, 100]), ("change", [10, 100])]
-    for side, first_calls in (("parent", 2), ("change", 1)):
-        side_rows = rows[side]
-        assert [row["n"] for row in side_rows] == [10, 100, 400, 1000]
-        assert side_rows[0]["calls"] == first_calls + 2 and side_rows[1]["calls"] == 3
-        assert side_rows[2]["calls"] == 1 and "single_sample" in side_rows[2]
-        assert not any("single_sample" in row for row in side_rows[:2])
-        assert side_rows[3] == {"layer": "some.layer", "n": 1000,
-                                "skipped": "parent run projected 30 s"}
+    assert runs == ["parent", "change", "change", "parent", "parent", "change"]
+    for side_rows in rows.values():
+        assert [(row["n"], row.get("calls")) for row in side_rows] == [
+            (10, 3 * layers.MAX_CALLS), (100, 3 * layers.MAX_CALLS), (400, None)
+        ]
+        assert side_rows[2] == {"layer": "some.layer", "n": 400,
+                                "skipped": "over its largest n, 100, in helpers.LARGEST_N"}

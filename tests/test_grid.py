@@ -25,10 +25,11 @@ from permbij.maps import (
     theta_slide_flip,
     theta_template,
 )
-from permbij.perm import bar, enumerate_avoiders, identity, reverse_complement
+from permbij.perm import bar, enumerate_avoiders, reverse_complement
 from permbij.rsk import dyck_from_tableaux, rsk_tableaux, template_from_dyck
 
 import helpers
+from helpers import identity
 
 GOLDEN = (1, 4, 2, 3, 7, 5, 8, 6)
 

@@ -3,10 +3,8 @@ Seeded cross-checks at sizes the exhaustive sweeps cannot reach.
 
 Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  Every per-member check of the verifier,
-each Sweep in verify.CHECKS, runs on each input through run_on, up to the
-largest n that MAX_N gives it: theorem3 and fact3-route-agreement, whose
-rewriting routes grow about as n^2, up to n = 1000, and every other check,
-the four template equalities included, at every size.  Beside them run
+each Sweep in verify.CHECKS, runs on each input through run_on, at every
+size up to the largest n that helpers.LARGEST_N gives it.  Beside them run
 only oracles and comparisons that no check makes.  The corner extractors
 are held to their literal oracles at n = 100, and the phase-by-phase 132
 rewriting to the literal loop, rewrite for rewrite, at n = 100 and 400.
@@ -22,7 +20,9 @@ pass the public constructors' checks unchanged, and the rebuilt copies
 must compare equal and hash alike.
 """
 import collections
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -43,21 +43,22 @@ import helpers
 
 SIZES = (100, 400, 1000, 10_000)
 SEEDS = (1, 2, 3)
-#: the largest n at which the rewriting routes and the pair oracle run
-REWRITING_MAX = 1000
+#: the largest n at which the pair oracle runs
 PAIRS_MAX = 400
-#: the largest n at which each per-member check runs
-MAX_N = {
-    **dict.fromkeys(("theorem3", "fact3-route-agreement"), REWRITING_MAX),
-    **dict.fromkeys(("lemma1", "theorem1-route", "theorem2-route", "bar-reflection",
-                     "fact2", "rc-template", "lemma3", "fixed-points", "excedances",
-                     "inverse-commute-gamma", "inverse-commute-theta"), SIZES[-1]),
-}
+SWEEPS = [name for name, check in CHECKS.items() if isinstance(check, Sweep)]
+BENCH = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
 
 def test_every_per_member_check_runs_at_large_n():
-    # a new Sweep fails here until MAX_N says how far it runs
-    assert set(MAX_N) == {name for name, check in CHECKS.items() if isinstance(check, Sweep)}
+    # a cap whose check or bench layer was renamed would silently stop
+    # capping it, so every name in the table must still name one
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    layers = {name for name, _, _ in bench.layers()}
+    assert set(helpers.LARGEST_N) - set(SWEEPS) - layers == set()
+    # and the table stops no Sweep short of n = 1000
+    assert all(helpers.LARGEST_N.get(name, SIZES[2]) >= SIZES[2] for name in SWEEPS)
 
 
 def test_sampler_is_uniform_on_a_small_class():
@@ -123,7 +124,7 @@ def test_builders_rebuild_through_the_public_constructors_at_large_n(n, seed):
 def test_routes_and_properties_at_large_n(n, seed):
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     assert is_permutation(sigma)
-    failures = [(name, failure) for name, max_n in MAX_N.items() if n <= max_n
+    failures = [(name, failure) for name in SWEEPS if n <= helpers.LARGEST_N.get(name, n)
                 for failure in CHECKS[name].run_on([sigma])]
     assert failures == []
 

@@ -23,12 +23,12 @@ from permbij.perm import (
     enumerate_avoiders,
     excedances,
     fixed_points,
-    identity,
     inverse,
     inverse_reverse_complement,
 )
 
 import helpers
+from helpers import identity
 
 GOLDEN = (1, 4, 2, 3, 7, 5, 8, 6)
 GOLDEN_GAMMA = (7, 8, 6, 4, 3, 5, 2, 1)

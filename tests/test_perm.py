@@ -14,7 +14,6 @@ from permbij.perm import (
     excedances,
     fixed_points,
     format_permutation,
-    identity,
     inverse,
     inverse_reverse_complement,
     is_permutation,
@@ -24,6 +23,7 @@ from permbij.perm import (
 )
 
 import helpers
+from helpers import identity
 
 GOLDEN = (1, 4, 2, 3, 7, 5, 8, 6)
 

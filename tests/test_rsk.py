@@ -1,7 +1,7 @@
 import pytest
 
 from permbij.grid import Template
-from permbij.perm import avoids, bar, enumerate_avoiders, identity
+from permbij.perm import avoids, bar, enumerate_avoiders
 from permbij.rsk import (
     TwoRowTableau,
     dyck_from_tableaux,
@@ -11,6 +11,7 @@ from permbij.rsk import (
 )
 
 import helpers
+from helpers import identity
 
 GOLDEN = (1, 4, 2, 3, 7, 5, 8, 6)
 GOLDEN_WORD = "uuuduuddududdudd"

@@ -443,6 +443,19 @@ def test_stat_table_json_round_trip():
     assert record["total"] == catalan(5)
 
 
+@pytest.mark.parametrize("record, line", [
+    (CheckReport, "{}"),
+    (CheckReport, "[]"),
+    (CheckReport, '{"check": "fact2", "n": 3, "cases": 5, "failures": [], "extra": 1}'),
+    (StatTable, "{}"),
+    (StatTable, "[]"),
+    (StatTable, '{"n": 1, "class": "132", "rows": [{"fixed_points": 1, "count": 1}]}'),
+])
+def test_a_malformed_json_line_raises_value_error_naming_its_record(record, line):
+    with pytest.raises(ValueError, match=f"not a {record.__name__} line"):
+        record.from_json_line(line)
+
+
 def test_guards_hold_under_python_O():
     # -O strips asserts; every guard must raise regardless
     script = """
