@@ -4,7 +4,8 @@ fixed-point/excedance tables.
 
 Every check sweeps all of S_n(321) for one n and reports counterexamples,
 capped so a broken build stays readable.  Reports serialize to JSON Lines
-and back without loss, and a line that is no report raises ValueError.
+and back without loss, and a line that its report would not write
+again raises ValueError.
 A per-member check is a Sweep of named rows
 (row, expected_fn, actual_fn); its run_on compares them on any iterable of
 permutations, which is how tests/test_large_n.py runs every Sweep on seeded
@@ -97,11 +98,18 @@ class CheckReport(_Record):
 
         record = json.loads(line)
         try:
-            record.pop("passed", None)
-            record["failures"] = tuple(record["failures"])
-            return cls(**record)
-        except (AttributeError, KeyError, TypeError) as exc:
+            fields = {**record, "failures": tuple(record["failures"])}
+            del fields["passed"]
+            report = cls(**fields)
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"not a CheckReport line: {exc!r}") from exc
+        # the report must write the line back, so "passed" agrees with the
+        # failures; and its check must be a str and its counts ints
+        if report.json_line() != json.dumps(record, sort_keys=True) or not (
+            type(report.check) is str and type(report.n) is type(report.cases) is int
+        ):
+            raise ValueError("not a CheckReport line: the report read does not write it back")
+        return report
 
 
 class Sweep:
@@ -344,7 +352,12 @@ class StatTable(_Record):
         try:
             rows = {(row["fixed_points"], row["excedances"]): row["count"]
                     for row in record["rows"]}
-            return cls(n=record["n"], pattern=record["class"], rows=rows)
+            table = cls(n=record["n"], pattern=record["class"], rows=rows)
+            # the table must write the line back, so a total that is not
+            # the rows' sum, or a key the table does not write, fails
+            if table.json_line() != json.dumps(record, sort_keys=True):
+                raise ValueError("not a StatTable line: the table read does not write it back")
+            return table
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a StatTable line: {exc!r}") from exc
 

@@ -6,9 +6,10 @@ cannot hide behind shared code.  The uniform sampler of S_n(321) at the
 end feeds the large-n checks, and likewise uses nothing from the library.
 The one exception is public_rebuild_problems, which holds the library's
 builders to its own public constructors; ROUTE_CALLS is no oracle but a
-declared ledger of the library functions each map route calls, and
-LARGEST_N the one table of the sizes that the large-n checks, CI and
-bench/layers.py stop the costly paths at.
+declared ledger of the library functions each map route calls,
+LARGEST_N the one table of the sizes that the large-n checks and
+bench/layers.py stop the costly paths at, and run_python runs a new
+interpreter on the library.
 """
 import bisect
 import itertools
@@ -297,6 +298,26 @@ LARGEST_N = {
                      "cli.map.theta-via-gamma"), 2000),
     **dict.fromkeys(("lemma1", "theorem1-route", "theorem2-route", "bar-reflection"), 30_000),
 }
+
+
+def run_python(*args, stdin=None):
+    """
+    What ``python *args`` prints, run in a new process on this checkout's
+    src/ with stdin as its input.  A nonzero exit raises AssertionError
+    with the tail of the output and the error output.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    if result.returncode:
+        raise AssertionError(f"python {' '.join(args)[:200]} exited {result.returncode}:\n"
+                             f"{result.stdout[-2000:]}{result.stderr}")
+    return result.stdout
 
 
 # ------------------------------------------------- builders, rebuilt in public

@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from permbij.cli import cli_main
-from permbij.maps import gamma
-from permbij.perm import format_permutation
+from permbij.maps import gamma, theta
+from permbij.perm import avoids, catalan, format_permutation, is_permutation
+from permbij.verify import CHECKS, CheckReport
 
 import helpers
 
@@ -184,19 +187,27 @@ def test_verify_text(capsys):
     )
 
 
-def test_verify_json_lines_parse_and_round_trip(capsys):
-    from permbij.verify import CheckReport
-
-    status, out, _ = run(
-        capsys, "verify", "--n-max", "3", "--checks", "lemma3", "--format", "json"
-    )
-    assert status == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 3
-    for line in lines:
-        report = CheckReport.from_json_line(line)
-        assert report.passed
-        assert report.json_line() == json.dumps(json.loads(line), sort_keys=True)
+@pytest.mark.parametrize("n_min, n_max, checks", [
+    pytest.param(1, 3, ("lemma3",), id="lemma3-n1-3"),
+    # every check (no --checks), over all 16,796 members of S_10(321)
+    pytest.param(10, 10, (), marks=pytest.mark.ci, id="every-check-n10"),
+    # Theorem 2's chain: the slide-and-flip route moves the rc-template's
+    # L's, which rc-template and bar-reflection check
+    pytest.param(11, 11, ("bar-reflection", "rc-template", "theorem2-route"),
+                 marks=pytest.mark.ci, id="theorem2-chain-n11"),
+])
+def test_verify_json_lines_parse_and_round_trip(n_min, n_max, checks):
+    # a new process, which exits nonzero when any check fails
+    argv = ["verify", "--n-min", str(n_min), "--n-max", str(n_max), "--format", "json"]
+    if checks:
+        argv += ["--checks", ",".join(checks)]
+    lines = helpers.run_python("-m", "permbij", *argv).splitlines()
+    reports = [CheckReport.from_json_line(line) for line in lines]
+    expected = [(c, n) for c in sorted(checks or CHECKS) for n in range(n_min, n_max + 1)]
+    assert [(r.check, r.n) for r in reports] == expected
+    for line, report in zip(lines, reports):
+        assert report.passed and report.cases == catalan(report.n), line
+        assert report.json_line() == line, f"{report.check} does not write its line back"
 
 
 def test_verify_unknown_check_exits_2(capsys):
@@ -206,8 +217,6 @@ def test_verify_unknown_check_exits_2(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    from permbij.verify import CHECKS
-
     def always_failing(n):
         yield {"input": [1], "expected": 0, "actual": 1}
 
@@ -269,21 +278,38 @@ def test_input_dash_with_empty_standard_input_exits_2(capsys, monkeypatch):
     assert "empty permutation text" in err
 
 
-def test_map_reads_an_input_over_the_argument_cap_from_stdin():
-    # Linux refuses one command-line argument over 128 KiB
-    sigma = helpers.uniform_321_avoider(30_000, random.Random("cli:stdin:30000"))
+#: (n, seed prefix, the in-process map, the `permbij map` chains that must
+#: print its image); theta(s) = gamma(irc s), so gamma runs on irc s
+MAP_CASES = [
+    pytest.param(30_000, "cli:stdin", gamma, [("gamma",)], id="gamma-30000"),
+    *(pytest.param(n, "cli", theta,
+                   [("theta",), ("theta-slide-flip",), ("theta-rsk",), ("irc", "gamma")],
+                   marks=pytest.mark.ci, id=f"template-routes-{n}")
+      for n in (10_000, 100_000)),
+    # the rewriting routes against the template routes, at their largest n
+    *(pytest.param(helpers.LARGEST_N[f"cli.map.{route}"], "cli", image, [(route,), (other,)],
+                   marks=pytest.mark.ci, id=route)
+      for route, other, image in (("gamma-iterative", "gamma", gamma),
+                                  ("theta-via-gamma", "theta", theta))),
+]
+
+
+@pytest.mark.parametrize("n, seed, image, chains", MAP_CASES)
+def test_map_reads_an_input_over_the_argument_cap_from_stdin(n, seed, image, chains):
+    # Linux refuses one command-line argument over 128 KiB, so every word
+    # goes in on stdin, and the one at n = 30,000 is over it
+    sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     text = format_permutation(sigma)
-    assert len(text.encode()) > 128 * 1024
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-m", "permbij", "map", "--bijection", "gamma", "--input", "-"],
-        input=text,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout == format_permutation(gamma(sigma)) + "\n"
+    assert n < 30_000 or len(text.encode()) > 128 * 1024
+    expected = image(sigma)
+    assert len(expected) == n and is_permutation(expected) and avoids(expected, "132")
+    assert helpers.smallest_132_by_passes(expected) is None
+    for chain in chains:
+        out = text
+        for bijection in chain:
+            out = helpers.run_python("-m", "permbij", "map", "--bijection", bijection,
+                                     "--input", "-", stdin=out)
+        assert out == format_permutation(expected) + "\n", chain
 
 
 def test_a_reader_that_closes_early_gets_no_traceback():
@@ -392,8 +418,6 @@ def test_later_calls_build_no_parser(capsys, monkeypatch):
 
 
 def test_a_call_carries_nothing_into_the_next(capsys):
-    from permbij.verify import CHECKS
-
     def map_golden(*extra):
         return run(capsys, "map", "--bijection", "theta", "--input", GOLDEN_TEXT, *extra)
 

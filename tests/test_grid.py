@@ -397,10 +397,15 @@ def test_diagonal_ls_rejects_negative_legs_with_the_run_message():
         diagonal_ls(3, [(1, -1)])
 
 
-def test_builders_rebuild_through_the_public_constructors():
+@pytest.mark.parametrize("sizes", [
+    pytest.param(range(1, 9), id="n1-8"),
+    pytest.param((9,), marks=pytest.mark.ci, id="n9"),
+    pytest.param((10,), marks=pytest.mark.ci, id="n10"),
+])
+def test_builders_rebuild_through_the_public_constructors(sizes):
     # the builders skip the public constructors' checks; every output of
-    # every class member up to n = 8 must pass them unchanged
-    for n in range(1, 9):
+    # every class member must pass them unchanged
+    for n in sizes:
         for p in enumerate_avoiders(n, "321"):
             assert helpers.public_rebuild_problems(p) == [], p
 

@@ -18,6 +18,9 @@ up to n = 400), and the slid and flipped rc-template has the corner
 template's runs.  At n = 10^3 and 10^4 every builder's output must also
 pass the public constructors' checks unchanged, and the rebuilt copies
 must compare equal and hash alike.
+The ci cases, which only ``pytest -m ci`` runs, run every Sweep once more
+at its largest n, at most CI_MAX_N (today 2000, 30,000 and 10^5); a test
+fails when a Sweep has no such case, or CI stops running them.
 """
 import collections
 import importlib.util
@@ -46,7 +49,18 @@ SEEDS = (1, 2, 3)
 #: the largest n at which the pair oracle runs
 PAIRS_MAX = 400
 SWEEPS = [name for name, check in CHECKS.items() if isinstance(check, Sweep)]
-BENCH = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+#: the largest n of a ci case
+CI_MAX_N = 100_000
+#: (seed, n) of test_routes_and_properties_at_large_n: each seed at each
+#: size, and one ci case, seeded "ci", at each Sweep's largest n
+ROUTE_CASES = [
+    *((seed, n) for n in SIZES for seed in SEEDS),
+    *(pytest.param("ci", n, marks=pytest.mark.ci, id=f"ci-{n}")
+      for n in sorted({min(helpers.LARGEST_N.get(name, CI_MAX_N), CI_MAX_N) for name in SWEEPS})),
+]
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench" / "layers.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_every_per_member_check_runs_at_large_n():
@@ -59,6 +73,14 @@ def test_every_per_member_check_runs_at_large_n():
     assert set(helpers.LARGEST_N) - set(SWEEPS) - layers == set()
     # and the table stops no Sweep short of n = 1000
     assert all(helpers.LARGEST_N.get(name, SIZES[2]) >= SIZES[2] for name in SWEEPS)
+    # every Sweep runs in a ci case at its largest n, at most CI_MAX_N ...
+    ci_sizes = {case.values[1] for case in ROUTE_CASES
+                if any(mark.name == "ci" for mark in getattr(case, "marks", ()))}
+    for name in SWEEPS:
+        assert min(helpers.LARGEST_N.get(name, CI_MAX_N), CI_MAX_N) in ci_sizes, name
+    # ... and CI runs the ci cases through pytest, with no Python heredoc
+    workflow = WORKFLOW.read_text()
+    assert "pytest -q -m ci" in workflow and "<<" not in workflow
 
 
 def test_sampler_is_uniform_on_a_small_class():
@@ -119,9 +141,8 @@ def test_builders_rebuild_through_the_public_constructors_at_large_n(n, seed):
     assert helpers.public_rebuild_problems(sigma) == []
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_routes_and_properties_at_large_n(n, seed):
+@pytest.mark.parametrize("seed, n", ROUTE_CASES)
+def test_routes_and_properties_at_large_n(seed, n):
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     assert is_permutation(sigma)
     failures = [(name, failure) for name in SWEEPS if n <= helpers.LARGEST_N.get(name, n)

@@ -5,17 +5,12 @@ copy and pickle; and importing permbij or its CLI loads neither
 dataclasses, with the modules it brings in, nor json.
 """
 import copy
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+import helpers
 from permbij import CheckReport, StatTable, Template, TwoRowTableau
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAILURE = {"input": [1], "expected": 1, "actual": 2}
 
@@ -146,10 +141,7 @@ def heavy_modules_loaded_by(module):
         f"import sys; before = set(sys.modules); import {module}; "
         f"print(sorted(set({HEAVY!r}) & (set(sys.modules) - before)))"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.strip()
+    return helpers.run_python("-c", code).strip()
 
 
 def test_importing_permbij_loads_no_dataclasses_and_no_json():

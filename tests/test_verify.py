@@ -1,9 +1,6 @@
 import itertools
 import json
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -358,15 +355,29 @@ def test_stats_table_total_is_catalan():
         assert stats_table(n, "321").total == catalan(n)
 
 
-def test_stats_table_matches_the_literal_definitions():
-    # stats_table counts over byte columns; this counts word by word
-    for n in range(1, 11):
+def _stats_table_from_a_process(n, pattern):
+    argv = ("-m", "permbij", "stats", "--n", str(n), "--class", pattern, "--format", "json")
+    return StatTable.from_json_line(helpers.run_python(*argv))
+
+
+@pytest.mark.parametrize("sizes, table", [
+    pytest.param(range(1, 11), stats_table, id="n1-10"),
+    # each table from its own `permbij stats` process
+    pytest.param((10, 11, 12), _stats_table_from_a_process, marks=pytest.mark.ci, id="cli-n10-12"),
+])
+def test_stats_table_matches_the_literal_definitions(sizes, table):
+    # stats_table counts over byte columns; this counts word by word, and
+    # the two classes' tables coincide
+    for n in sizes:
+        counts = {}
         for pattern in PATTERNS:
             words = enumerate_avoiders(n, pattern)
             oracle = Counter(
                 (helpers.fixed_points_by_loop(w), helpers.excedances_by_loop(w)) for w in words
             )
-            assert stats_table(n, pattern).rows == oracle, (n, pattern)
+            counts[pattern] = oracle
+            assert table(n, pattern) == StatTable(n, pattern, oracle), (n, pattern)
+        assert counts["321"] == counts["132"], n
 
 
 def test_stats_table_packing_cannot_carry_within_the_enumeration_cap():
@@ -424,15 +435,7 @@ for pattern in perm.PATTERNS:
     print(verify.stats_table(9, pattern).total)
 print(perm._avoider_list.cache_info().currsize)
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.split() == [str(catalan(9)), str(catalan(9)), "0"]
+    assert helpers.run_python("-c", script).split() == [str(catalan(9)), str(catalan(9)), "0"]
 
 
 def test_stat_table_json_round_trip():
@@ -443,6 +446,11 @@ def test_stat_table_json_round_trip():
     assert record["total"] == catalan(5)
 
 
+#: lines as json_line writes them, which some malformed lines below change
+REPORT_LINE = CheckReport("fact2", 3, 5).json_line()
+TABLE_LINE = StatTable(1, "321", {(1, 0): 1}).json_line()
+
+
 @pytest.mark.parametrize("record, line", [
     (CheckReport, "{}"),
     (CheckReport, "[]"),
@@ -450,6 +458,14 @@ def test_stat_table_json_round_trip():
     (StatTable, "{}"),
     (StatTable, "[]"),
     (StatTable, '{"n": 1, "class": "132", "rows": [{"fixed_points": 1, "count": 1}]}'),
+    # well formed, but "passed" contradicts the failures
+    (CheckReport, REPORT_LINE.replace("true", "false")),
+    # well formed, but of the wrong types
+    (CheckReport, '{"cases": null, "check": 5, "elapsed_ms": 0.0, "failures": [], "n": "x", '
+                  '"passed": true}'),
+    # well formed, but the total is not the rows' sum, or a key is unknown
+    (StatTable, TABLE_LINE.replace('"total": 1', '"total": 99')),
+    (StatTable, TABLE_LINE.replace('"total": 1', '"total": 1, "rows_sum": 1')),
 ])
 def test_a_malformed_json_line_raises_value_error_naming_its_record(record, line):
     with pytest.raises(ValueError, match=f"not a {record.__name__} line"):
@@ -470,12 +486,4 @@ try:
 except RuntimeError:
     print("stats guard")
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env={"PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.split("\n") == ["rsk guard", "stats guard", ""]
+    assert helpers.run_python("-O", "-c", script).split("\n") == ["rsk guard", "stats guard", ""]
