@@ -9,7 +9,7 @@ third row (exactly those containing a 321-pattern) are rejected.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import lt
 
 from .grid import Template
@@ -181,9 +181,11 @@ def template_from_dyck(word: str, n: int) -> Template:
     downs_before_up = _downs_before_ups(word) if len(word) == 2 * n else None
     if downs_before_up is None:
         raise ValueError(f"not a balanced up-down word of length {2 * n}: {word!r}")
-    row_runs = [
-        (i, 1, width) for i, width in enumerate(reversed(downs_before_up), start=1) if width
-    ]
     # a balanced word of length 2n gives n rows, each at most n wide
-    return Template._trusted(n, tuple(row_runs))
+    return _staircase(n, reversed(downs_before_up))
+
+
+def _staircase(n: int, widths: Iterable[int]) -> Template:
+    """The template whose row i is one run from column 1, widths[i - 1] wide."""
+    return Template._trusted(n, tuple([(i, 1, w) for i, w in enumerate(widths, start=1) if w]))
 

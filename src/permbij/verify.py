@@ -19,10 +19,15 @@ While it runs one n, the images of the default routes (maps.gamma,
 maps.gamma_template and maps.theta) are memoized over that class in a
 plain dict, keyed by the function looked up at call time and then by the
 input, so each route runs once per class member however many checks read
-it.  The memo holds images only, never a tableau, template or corner list,
-and no other route reads it; it is dropped before the next n, and a direct
-CHECKS[name](n) call outside run_suite is not memoized.  _member_132 alone
-decides membership of S_n(132), for the memo and the bijectivity checks.
+it; no other route reads it.  Beside the images it holds one bytearray,
+the Dyck row widths of each member of S_n(321) in n bytes at its class
+rank (2.5 MB at n = 12), and never a tableau, template or corner list.
+_dyck_template alone reads it, on one side of lemma1, theorem1-route and
+theorem2-route; the first to reach a member fills its bytes from the full
+pipeline, if that template is exactly the staircase rsk._staircase redraws
+from them.  The memo is dropped before the next n, and a direct
+CHECKS[name](n) call outside run_suite is not memoized.  _rank alone
+decides membership of a cached class.
 """
 from __future__ import annotations
 
@@ -137,31 +142,35 @@ class Sweep:
         return self.run_on(enumerate_avoiders(n, "321"))
 
 
-def _member_132(q, n: int) -> Perm | None:
+def _rank(q, n: int, pattern: str) -> int:
     """
-    The member of the cached S_n(132) equal to q, or None.  Only a tuple of
-    exact ints can be a member, so (3.0, 2.0, 1.0) and (True, 2) are not.
+    q's index in the cached S_n(pattern), or -1 when q is no member; only a
+    tuple of exact ints is one, so (3.0, 2.0, 1.0) and (True, 2) are not.
     """
     if type(q) is not tuple:
-        return None
-    members = _avoider_list(n, "132")
+        return -1
+    members = _avoider_list(n, pattern)
     try:
         # a binary search of the cached list, so that the lookup adds no table
         i = bisect_left(members, q)
     except TypeError:  # entries that do not compare with ints, such as strs
-        return None
-    if i == len(members):
-        return None
-    member = members[i]
+        return -1
     # a cached member itself passes at once; an equal tuple passes only
     # when its entries are exact ints, as the member's are
-    if member is q or (member == q and set(map(type, q)) == {int}):
-        return member
-    return None
+    if i < len(members) and (members[i] is q or (members[i] == q and set(map(type, q)) == {int})):
+        return i
+    return -1
 
 
-#: {route function: {input: image}} for the class run_suite is sweeping;
-#: None outside run_suite, so a direct CHECKS[name](n) call is unmemoized
+def _member_132(q, n: int) -> Perm | None:
+    """The member of the cached S_n(132) equal to q, or None (see _rank)."""
+    i = _rank(q, n, "132")
+    return _avoider_list(n, "132")[i] if i >= 0 else None
+
+
+#: {route function: {input: image}, (_dyck_template, n): row widths} for
+#: the class run_suite is sweeping; None outside run_suite, so a direct
+#: CHECKS[name](n) call is unmemoized
 _MEMO: ContextVar[dict | None] = ContextVar("route_memo", default=None)
 
 
@@ -199,8 +208,25 @@ def _reflected_nested_template(p: Perm) -> grid.Template:
 
 
 def _dyck_template(p: Perm) -> grid.Template:
+    # inside run_suite, through the member's n bytes of the Dyck table (module docstring)
+    memo, n = _MEMO.get(), len(p)
+    at = -1 if memo is None else _rank(p, n, "321") * n
+    if at >= 0:
+        table = memo.get((_dyck_template, n))
+        if table is None:  # 0xFF marks a member not drawn yet
+            table = memo[_dyck_template, n] = bytearray(b"\xff") * (n * catalan(n))
+        if table[at] != 0xFF:
+            return rsk._staircase(n, table[at : at + n])
     ins, rec = rsk.rsk_tableaux(p)
-    return rsk.template_from_dyck(rsk.dyck_from_tableaux(ins, rec), len(p))
+    template = rsk.template_from_dyck(rsk.dyck_from_tableaux(ins, rec), n)
+    if at >= 0 and type(template) is grid.Template and template.n == n and not template.col_runs:
+        widths = bytearray(n)
+        for i, _, last in template.row_runs:
+            widths[i - 1] = last
+        # kept only when a read would draw this very template again
+        if rsk._staircase(n, widths).row_runs == template.row_runs:
+            table[at : at + n] = widths
+    return template
 
 
 def _second_row_legs(p: Perm) -> grid.Template:
@@ -271,9 +297,11 @@ CHECKS: dict[str, Callable[[int], Iterator[dict]]] = {
     "theorem2-route": Sweep(
         ("slide_flip_template", _dyck_template, lambda p: maps.slide_flip_template(p))
     ),
-    "theorem3": Sweep(("theta_rsk", maps.theta_via_gamma, maps.theta_rsk)),
+    "theorem3": Sweep(
+        ("theta_rsk", lambda p: maps.theta_via_gamma(p), lambda p: maps.theta_rsk(p))
+    ),
     "fact3-route-agreement": Sweep(
-        ("gamma_template", maps.gamma_iterative, _route("gamma_template"))
+        ("gamma_template", lambda p: maps.gamma_iterative(p), _route("gamma_template"))
     ),
     "fixed-points": _preserves(fixed_points),
     "excedances": _preserves(excedances),
@@ -371,9 +399,10 @@ def stats_table(n: int, pattern: str) -> StatTable:
     to 16 at a fixed point, 1 at an excedance and 0 elsewhere; the n
     columns summed as little-endian ints hold 16 * fp + exc in each word's
     byte, with no carry while 16 * n <= 255 (n <= 15, above ENUMERATION_CAP).
-    Each distinct key byte is then counted by one bytes.count over all the
-    words, in key order, which is the rows' (fp, exc) order; a class has
-    at most a few dozen keys (67 at n = 12) against catalan(n) words.
+    Each key byte 0..16n that some word holds, found by a C-level `in`,
+    is then counted by one bytes.count over all the words, in key order,
+    which is the rows' (fp, exc) order; a class has at most a few dozen
+    keys (67 at n = 12) against catalan(n) words.
     """
     # looked up at call time, so a patched _avoider_records is honoured
     flat = b"".join(_avoider_records(n, pattern))
@@ -385,4 +414,5 @@ def stats_table(n: int, pattern: str) -> StatTable:
         marks = bytes(i) + b"\x10" + b"\x01" * (255 - i)
         packed += int.from_bytes(flat[i - 1 :: n].translate(marks), "little")
     words = packed.to_bytes(len(flat) // n, "little")
-    return StatTable(n, pattern, {divmod(k, 16): words.count(k) for k in sorted(set(words))})
+    keys = [k for k in range(16 * n + 1) if k in words]
+    return StatTable(n, pattern, {divmod(k, 16): words.count(k) for k in keys})

@@ -450,6 +450,7 @@ ROUTE_CALLS = {
         "rsk.size",
         "rsk.template_from_dyck",
         "rsk._downs_before_ups",
+        "rsk._staircase",
         *_REALIZATION,
         *_INPUT_CHECK,
     },

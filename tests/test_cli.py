@@ -195,6 +195,10 @@ def test_verify_text(capsys):
     # L's, which rc-template and bar-reflection check
     pytest.param(11, 11, ("bar-reflection", "rc-template", "theorem2-route"),
                  marks=pytest.mark.ci, id="theorem2-chain-n11"),
+    # the three checks that read run_suite's Dyck table: lemma1 fills it
+    # and the two route checks read it, at a size tier-1 does not reach
+    pytest.param(11, 11, ("lemma1", "theorem1-route", "theorem2-route"),
+                 marks=pytest.mark.ci, id="dyck-table-n11"),
 ])
 def test_verify_json_lines_parse_and_round_trip(n_min, n_max, checks):
     # a new process, which exits nonzero when any check fails

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import helpers
-from permbij import grid, maps, perm, verify
+from permbij import grid, maps, perm, rsk, verify
 from permbij.perm import ENUMERATION_CAP, PATTERNS, catalan, enumerate_avoiders
 from permbij.verify import (
     CHECKS,
@@ -167,10 +167,21 @@ def _faulty(route, at, image):
     return wrapped
 
 
+def _faulty_stage(stage, at, image):
+    """``stage``, except that it returns ``image`` when called with the arguments ``at``."""
+
+    def wrapped(*args):
+        return image if args == at else stage(*args)
+
+    return wrapped
+
+
 def _counted(route, calls):
-    def wrapped(p):
-        calls.append(p)
-        return route(p)
+    """``route``, appending its arguments to ``calls`` at each call (one input bare)."""
+
+    def wrapped(*args):
+        calls.append(args[0] if len(args) == 1 else args)
+        return route(*args)
 
     return wrapped
 
@@ -191,6 +202,17 @@ def _run_on_the_class(check, n):
     return check(n)
 
 
+#: a 321-avoider whose pipeline stages some cases below fault, and its
+#: tableaux and up-down word: the arguments those stages take for it
+PIPELINE_FAULT_AT = (2, 1, 4, 3)
+_TABLEAUX = rsk.rsk_tableaux(PIPELINE_FAULT_AT)
+_WORD = rsk.dyck_from_tableaux(*_TABLEAUX)
+
+
+#: the checks that hold a pipeline stage against another construction
+TEMPLATE_CHECKS = {"lemma1", "theorem1-route", "theorem2-route"}
+
+
 @pytest.mark.parametrize(
     "faults",
     [
@@ -202,10 +224,19 @@ def _run_on_the_class(check, n):
             "theta": ((2, 3, 1, 5, 4), (5, 3, 2, 4, 1)),
             "gamma": ((2, 3, 1, 5, 6, 4), (1, 2, 3, 4, 5, 6)),
         },
+        # the up-down word of another path: the template drawn from it is a
+        # staircase, so the Dyck table keeps its wrong widths
+        {"rsk.dyck_from_tableaux": (_TABLEAUX, "uuddudud")},
+        # a template that is no staircase, which the Dyck table never keeps
+        {"rsk.template_from_dyck": ((_WORD, 4), grid.Template(4, [(1, 1, 1)], [(1, 1, 2)]))},
     ],
 )
 def test_memo_changes_no_verdict(faults, monkeypatch):
     for name, (at, image) in faults.items():
+        if name.startswith("rsk."):
+            stage = name.removeprefix("rsk.")
+            monkeypatch.setattr(rsk, stage, _faulty_stage(getattr(rsk, stage), at, image))
+            continue
         faulty = _faulty(getattr(maps, name), at, image)
         monkeypatch.setattr(maps, name, faulty)
         if name == "gamma":
@@ -216,7 +247,26 @@ def test_memo_changes_no_verdict(faults, monkeypatch):
     assert memoized == _direct_reports(1, 6, _run_on_the_class)
     failed = {check for check, _, _, failures in memoized if failures}
     for name in faults:
-        assert {f"bijectivity-{name}", f"inverse-commute-{name}"} <= failed
+        if not name.startswith("rsk."):
+            assert {f"bijectivity-{name}", f"inverse-commute-{name}"} <= failed
+            continue
+        # theta_rsk draws through both stages, so theorem3 fails too; each
+        # template check fails at the faulted input, and only there
+        assert TEMPLATE_CHECKS | {"theorem3"} <= failed
+        for check, n, _, failures in memoized:
+            if check in TEMPLATE_CHECKS:
+                inputs = [f["input"] for f in failures]
+                assert inputs == ([list(PIPELINE_FAULT_AT)] if n == 4 else []), check
+
+
+def test_a_stage_that_draws_no_template_fills_no_dyck_slot(monkeypatch):
+    # no Template at all: each read runs the pipeline again, as a direct call does
+    fault = _faulty_stage(rsk.template_from_dyck, (_WORD, 4), None)
+    monkeypatch.setattr(rsk, "template_from_dyck", fault)
+    names = sorted(TEMPLATE_CHECKS)
+    memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(4, 4, names)]
+    assert memoized == [(name, 4, catalan(4), tuple(CHECKS[name](4))) for name in names]
+    assert all(failures for _, _, _, failures in memoized)
 
 
 def test_memo_is_keyed_by_route_function(monkeypatch):
@@ -261,6 +311,75 @@ def test_each_route_image_is_computed_once_per_class_member(monkeypatch):
     theta_calls.clear()
     list(CHECKS["inverse-commute-theta"](5))
     assert len(theta_calls) == 2 * catalan(5)
+
+
+def _count_pipeline_calls(monkeypatch) -> dict[str, list]:
+    """{stage: the arguments of each call} for the three stages of the Dyck pipeline."""
+    calls = {}
+    for stage in ("rsk_tableaux", "dyck_from_tableaux", "template_from_dyck"):
+        calls[stage] = []
+        monkeypatch.setattr(rsk, stage, _counted(getattr(rsk, stage), calls[stage]))
+    return calls
+
+
+def test_each_member_goes_through_the_dyck_pipeline_once_per_class(monkeypatch):
+    calls = _count_pipeline_calls(monkeypatch)
+    run_suite(1, 6)
+    members = [p for n in range(1, 7) for p in enumerate_avoiders(n, "321")]
+    # rsk_tableaux: the first Dyck template, lemma1's legs, lemma3's second
+    # rows and theorem3's theta_rsk; the word: the first template and theta_rsk
+    assert Counter(calls["rsk_tableaux"]) == Counter(members * 4)
+    # their arguments, the tableaux or the word, tell the members apart
+    for stage in ("dyck_from_tableaux", "template_from_dyck"):
+        counts = Counter(calls[stage])
+        assert len(counts) == len(members) and set(counts.values()) == {2}, stage
+
+
+def test_a_direct_check_call_builds_no_dyck_table(monkeypatch):
+    calls = _count_pipeline_calls(monkeypatch)
+    for _ in range(2):
+        assert list(CHECKS["theorem1-route"](5)) == []
+    # every call draws every member again
+    assert len(calls["template_from_dyck"]) == 2 * catalan(5)
+    assert verify._MEMO.get() is None
+
+
+def test_a_template_check_run_alone_fills_its_own_dyck_table(monkeypatch):
+    seen = []
+
+    def probe(n):
+        seen.append(dict(verify._MEMO.get()))
+        return iter(())
+
+    # theorem3 runs after theorem2-route, so it sees the table filled
+    monkeypatch.setitem(CHECKS, "theorem3", probe)
+    calls = _count_pipeline_calls(monkeypatch)
+    n = 6
+    run_suite(n, n, ["theorem2-route", "theorem3"])
+    (memo,) = seen
+    table = memo[verify._dyck_template, n]
+    members = list(enumerate_avoiders(n, "321"))
+    assert type(table) is bytearray and len(table) == n * len(members)
+    assert len(calls["template_from_dyck"]) == len(members)
+    # each member's n bytes draw its pipeline template again, runs and all
+    for rank, p in enumerate(members):
+        template = rsk.template_from_dyck(rsk.dyck_from_tableaux(*rsk.rsk_tableaux(p)), n)
+        redrawn = rsk._staircase(n, table[rank * n : rank * n + n])
+        assert (redrawn.n, redrawn.row_runs, redrawn.col_runs) == (
+            n, template.row_runs, template.col_runs
+        )
+
+
+@pytest.mark.parametrize("check, route", [
+    ("theorem3", "theta_via_gamma"),
+    ("theorem3", "theta_rsk"),
+    ("fact3-route-agreement", "gamma_iterative"),
+])
+def test_the_rewriting_checks_call_their_routes_as_patched(check, route, monkeypatch):
+    calls = []
+    monkeypatch.setattr(maps, route, _counted(getattr(maps, route), calls))
+    assert list(CHECKS[check](4)) == []
+    assert sorted(calls) == list(enumerate_avoiders(4, "321"))
 
 
 def test_no_memo_outlives_run_suite(monkeypatch):
@@ -376,7 +495,10 @@ def test_stats_table_matches_the_literal_definitions(sizes, table):
                 (helpers.fixed_points_by_loop(w), helpers.excedances_by_loop(w)) for w in words
             )
             counts[pattern] = oracle
-            assert table(n, pattern) == StatTable(n, pattern, oracle), (n, pattern)
+            got = table(n, pattern)
+            assert got == StatTable(n, pattern, oracle), (n, pattern)
+            # the rows come in (fixed points, excedances) order
+            assert list(got.rows) == sorted(oracle), (n, pattern)
         assert counts["321"] == counts["132"], n
 
 
