@@ -21,7 +21,7 @@ from .perm import (
     reverse,
     reverse_complement,
 )
-from .verify import CHECKS, run_suite, stats_table
+from .verify import run_suite, stats_table
 
 _MAPS = {
     "gamma": maps.gamma,

@@ -351,6 +351,14 @@ class _Record:
     constructor.  A subclass's constructor checks its arguments and then
     hands the fields to _Record.__init__, or, where construction is hot,
     sets them through the slot descriptors' own __set__.
+
+    One JSON contract serves every record: json_line writes _json(), the
+    fields by name unless a subclass overrides it, with sorted keys and
+    each record or tuple inside made JSON by _jsonable; from_json_line
+    rebuilds the record through its class's _from_json hook, and so its
+    public constructor, and raises ValueError naming the class for a line
+    that does not parse, does not rebuild, or that the record would not
+    write back byte for byte once the line's keys are sorted.
     """
 
     __slots__ = ()
@@ -383,3 +391,31 @@ class _Record:
 
     def __reduce__(self):
         return (self.__class__, self._fields())
+
+    def _json(self) -> dict:
+        return dict(zip(self.__slots__, self._fields()))
+
+    def json_line(self) -> str:
+        import json  # here, so that importing permbij does not import json
+        return json.dumps(_jsonable(self), sort_keys=True)
+
+    @classmethod
+    def from_json_line(cls, line: str):
+        import json
+        try:
+            value = json.loads(line)
+            record = cls._from_json(value)
+            if record.json_line() != json.dumps(value, sort_keys=True):
+                raise ValueError("the record read does not write the line back")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a {cls.__name__} line: {exc!r}") from exc
+        return record
+
+
+def _jsonable(value):
+    """value as JSON data: a record as the dict of its _json(), a tuple or list as a list."""
+    if isinstance(value, _Record):
+        return {key: _jsonable(field) for key, field in value._json().items()}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    return value

@@ -3,9 +3,8 @@ Exhaustive cross-checks over whole avoidance classes, plus the joint
 fixed-point/excedance tables.
 
 Every check sweeps all of S_n(321) for one n and reports counterexamples,
-capped so a broken build stays readable.  Reports serialize to JSON Lines
-and back without loss, and a line that its report would not write
-again raises ValueError.
+capped so a broken build stays readable.  Reports and tables are
+records, written to and read from JSON lines by perm._Record.
 A per-member check is a Sweep of named rows
 (row, expected_fn, actual_fn); its run_on compares them on any iterable of
 permutations, which is how tests/test_large_n.py runs every Sweep on seeded
@@ -37,7 +36,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextvars import ContextVar
 
-from . import grid, maps, rsk
+from . import grid, maps, perm, rsk
 from .perm import (
     ENUMERATION_CAP,
     PATTERNS,
@@ -45,13 +44,11 @@ from .perm import (
     _Record,
     _avoider_list,
     _avoider_records,
+    _jsonable,
     _require_class,
     bar,
     catalan,
     enumerate_avoiders,
-    excedances,
-    fixed_points,
-    inverse,
     reverse_complement,
 )
 
@@ -59,18 +56,8 @@ from .perm import (
 FAILURE_LIMIT = 20
 
 
-def _jsonable(value):
-    if isinstance(value, grid.Template):
-        return {"n": value.n, "row_runs": _jsonable(value.row_runs),
-                "col_runs": _jsonable(value.col_runs)}
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _failure(input_perm, expected, actual) -> dict:
-    return {"input": _jsonable(input_perm), "expected": _jsonable(expected),
-            "actual": _jsonable(actual)}
+    return dict(zip(("input", "expected", "actual"), _jsonable((input_perm, expected, actual))))
 
 
 class CheckReport(_Record):
@@ -78,9 +65,11 @@ class CheckReport(_Record):
 
     __slots__ = ("check", "n", "cases", "failures", "elapsed_ms")
 
-    def __init__(
-        self, check: str, n: int, cases: int, failures: tuple = (), elapsed_ms: float = 0.0
-    ) -> None:
+    def __init__(self, check: str, n: int, cases: int, failures: tuple = (),
+                 elapsed_ms: float = 0.0) -> None:
+        if not (type(check) is str and type(n) is type(cases) is int and type(failures) is tuple
+                and {*map(type, failures)} <= {dict} and type(elapsed_ms) in (int, float)):
+            raise ValueError("a report takes a str check, int n and cases, failure dicts, float ms")
         super().__init__(check, n, cases, failures, elapsed_ms)
 
     @property
@@ -91,30 +80,14 @@ class CheckReport(_Record):
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.check} n={self.n} cases={self.cases} failures={len(self.failures)}"
 
-    def json_line(self) -> str:
-        import json  # here, so that importing permbij does not import json
-
-        record = dict(zip(self.__slots__, self._fields()), passed=self.passed)
-        return json.dumps(record, sort_keys=True)
-
     @classmethod
-    def from_json_line(cls, line: str) -> "CheckReport":
-        import json
+    def _from_json(cls, record: dict) -> "CheckReport":
+        # "passed" is not read: the write-back check holds it to the failures
+        return cls(record["check"], record["n"], record["cases"], tuple(record["failures"]),
+                   record["elapsed_ms"])
 
-        record = json.loads(line)
-        try:
-            fields = {**record, "failures": tuple(record["failures"])}
-            del fields["passed"]
-            report = cls(**fields)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"not a CheckReport line: {exc!r}") from exc
-        # the report must write the line back, so "passed" agrees with the
-        # failures; and its check must be a str and its counts ints
-        if report.json_line() != json.dumps(record, sort_keys=True) or not (
-            type(report.check) is str and type(report.n) is type(report.cases) is int
-        ):
-            raise ValueError("not a CheckReport line: the report read does not write it back")
-        return report
+    def _json(self) -> dict:
+        return {**super()._json(), "passed": self.passed}
 
 
 class Sweep:
@@ -248,15 +221,16 @@ def _second_rows(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ins.row2, rec.row2
 
 
-def _preserves(stat) -> Sweep:
-    return Sweep(
-        ("gamma", stat, lambda p: stat(_gamma(p))),
-        ("theta", stat, lambda p: stat(_theta(p))),
-    )
+def _preserves(stat: str) -> Sweep:
+    # perm.<stat> and perm.inverse below are looked up at call time, so a patched one is honoured
+    def of(map_fn):
+        return lambda p: getattr(perm, stat)(map_fn(p))
+
+    return Sweep(("gamma", of(_itself), of(_gamma)), ("theta", of(_itself), of(_theta)))
 
 
 def _commutes_with_inverse(row: str, map_fn) -> Sweep:
-    return Sweep((row, lambda p: inverse(map_fn(p)), lambda p: map_fn(inverse(p))))
+    return Sweep((row, lambda p: perm.inverse(map_fn(p)), lambda p: map_fn(perm.inverse(p))))
 
 
 def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
@@ -303,8 +277,8 @@ CHECKS: dict[str, Callable[[int], Iterator[dict]]] = {
     "fact3-route-agreement": Sweep(
         ("gamma_template", lambda p: maps.gamma_iterative(p), _route("gamma_template"))
     ),
-    "fixed-points": _preserves(fixed_points),
-    "excedances": _preserves(excedances),
+    "fixed-points": _preserves("fixed_points"),
+    "excedances": _preserves("excedances"),
     "inverse-commute-gamma": _commutes_with_inverse("gamma", _gamma),
     "inverse-commute-theta": _commutes_with_inverse("theta", _theta),
     "bijectivity-gamma": _check_bijectivity(_gamma),
@@ -357,37 +331,27 @@ class StatTable(_Record):
     __slots__ = ("n", "pattern", "rows")
 
     def __init__(self, n: int, pattern: str, rows: dict[tuple[int, int], int] | None = None):
-        # a fresh dict for each table given none
-        super().__init__(n, pattern, {} if rows is None else rows)
+        _require_class(n, pattern)
+        rows = {} if rows is None else rows  # a fresh dict for each table given none
+        if not (isinstance(rows, dict) and all(type(k) is tuple and len(k) == 2 for k in rows)
+                and {*map(type, itertools.chain(*rows, rows.values()))} <= {int}):
+            raise ValueError("rows must map (fixed points, excedances) pairs of ints to int counts")
+        super().__init__(n, pattern, rows)
 
     @property
     def total(self) -> int:
         return sum(self.rows.values())
 
-    def json_line(self) -> str:
-        import json
+    @classmethod
+    def _from_json(cls, record: dict) -> "StatTable":
+        # "total" is not read: the write-back check holds it to the rows
+        rows = {(row["fixed_points"], row["excedances"]): row["count"] for row in record["rows"]}
+        return cls(record["n"], record["class"], rows)
 
+    def _json(self) -> dict:
         rows = [{"fixed_points": f, "excedances": e, "count": c}
                 for (f, e), c in sorted(self.rows.items())]
-        record = {"n": self.n, "class": self.pattern, "total": self.total, "rows": rows}
-        return json.dumps(record, sort_keys=True)
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "StatTable":
-        import json
-
-        record = json.loads(line)
-        try:
-            rows = {(row["fixed_points"], row["excedances"]): row["count"]
-                    for row in record["rows"]}
-            table = cls(n=record["n"], pattern=record["class"], rows=rows)
-            # the table must write the line back, so a total that is not
-            # the rows' sum, or a key the table does not write, fails
-            if table.json_line() != json.dumps(record, sort_keys=True):
-                raise ValueError("not a StatTable line: the table read does not write it back")
-            return table
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"not a StatTable line: {exc!r}") from exc
+        return {"n": self.n, "class": self.pattern, "total": self.total, "rows": rows}
 
 
 def stats_table(n: int, pattern: str) -> StatTable:

@@ -19,8 +19,11 @@ template's runs.  At n = 10^3 and 10^4 every builder's output must also
 pass the public constructors' checks unchanged, and the rebuilt copies
 must compare equal and hash alike.
 The ci cases, which only ``pytest -m ci`` runs, run every Sweep once more
-at its largest n, at most CI_MAX_N (today 2000, 30,000 and 10^5); a test
-fails when a Sweep has no such case, or CI stops running them.
+at its largest n, at most CI_MAX_N: each case runs only the Sweeps whose
+largest n it is (today theorem3 and fact3-route-agreement at 2000, the
+four template checks at 30,000, and the rest at 10^5), beside the route
+and oracle assertions, which every case makes.  A test fails when a Sweep
+has no such case, or CI stops running them.
 """
 import collections
 import importlib.util
@@ -51,12 +54,19 @@ PAIRS_MAX = 400
 SWEEPS = [name for name, check in CHECKS.items() if isinstance(check, Sweep)]
 #: the largest n of a ci case
 CI_MAX_N = 100_000
+
+
+def ci_n(name):
+    """The n of the ci case that runs the Sweep ``name``: its largest n, at most CI_MAX_N."""
+    return min(helpers.LARGEST_N.get(name, CI_MAX_N), CI_MAX_N)
+
+
 #: (seed, n) of test_routes_and_properties_at_large_n: each seed at each
 #: size, and one ci case, seeded "ci", at each Sweep's largest n
 ROUTE_CASES = [
     *((seed, n) for n in SIZES for seed in SEEDS),
     *(pytest.param("ci", n, marks=pytest.mark.ci, id=f"ci-{n}")
-      for n in sorted({min(helpers.LARGEST_N.get(name, CI_MAX_N), CI_MAX_N) for name in SWEEPS})),
+      for n in sorted({ci_n(name) for name in SWEEPS})),
 ]
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench" / "layers.py"
@@ -77,7 +87,7 @@ def test_every_per_member_check_runs_at_large_n():
     ci_sizes = {case.values[1] for case in ROUTE_CASES
                 if any(mark.name == "ci" for mark in getattr(case, "marks", ()))}
     for name in SWEEPS:
-        assert min(helpers.LARGEST_N.get(name, CI_MAX_N), CI_MAX_N) in ci_sizes, name
+        assert ci_n(name) in ci_sizes, name
     # ... and CI runs the ci cases through pytest, with no Python heredoc
     workflow = WORKFLOW.read_text()
     assert "pytest -q -m ci" in workflow and "<<" not in workflow
@@ -145,8 +155,10 @@ def test_builders_rebuild_through_the_public_constructors_at_large_n(n, seed):
 def test_routes_and_properties_at_large_n(seed, n):
     sigma = helpers.uniform_321_avoider(n, random.Random(f"{seed}:{n}"))
     assert is_permutation(sigma)
-    failures = [(name, failure) for name in SWEEPS if n <= helpers.LARGEST_N.get(name, n)
-                for failure in CHECKS[name].run_on([sigma])]
+    # a seeded case runs every Sweep allowed at n, a ci case only those whose largest n it is
+    sweeps = [name for name in SWEEPS
+              if (ci_n(name) == n if seed == "ci" else n <= helpers.LARGEST_N.get(name, n))]
+    failures = [(name, failure) for name in sweeps for failure in CHECKS[name].run_on([sigma])]
     assert failures == []
 
     image_theta, *others = [route(sigma) for route in (theta_corners, theta_rsk, theta_slide_flip)]

@@ -1,7 +1,8 @@
 """
 The four frozen record classes: Template, TwoRowTableau, CheckReport and
 StatTable.  Each compares, hashes, prints, refuses changes and survives
-copy and pickle; and importing permbij or its CLI loads neither
+copy and pickle; a report or table refuses fields of the wrong types, and
+its JSON line keeps its bytes; and importing permbij or its CLI loads neither
 dataclasses, with the modules it brings in, nor json.
 """
 import copy
@@ -128,6 +129,37 @@ def test_a_report_line_keeps_its_bytes():
         '"expected": 1, "input": [1]}], "n": 3, "passed": false}'
     )
     assert CheckReport.from_json_line(report.json_line()) == report
+    table = StatTable(2, "321", {(2, 0): 1, (0, 1): 1})
+    assert table.json_line() == (
+        '{"class": "321", "n": 2, "rows": [{"count": 1, "excedances": 1, "fixed_points": 0}, '
+        '{"count": 1, "excedances": 0, "fixed_points": 2}], "total": 2}'
+    )
+    assert StatTable.from_json_line(table.json_line()) == table
+
+
+#: (record, constructor arguments with one field that the constructor refuses)
+WRONG_FIELDS = [
+    (CheckReport, (b"fact2", 3, 5)),
+    (CheckReport, ("fact2", True, 5)),
+    (CheckReport, ("fact2", 3, 5.0)),
+    (CheckReport, ("fact2", 3, 5, [FAILURE])),
+    (CheckReport, ("fact2", 3, 5, (5,))),
+    (CheckReport, ("fact2", 3, 5, (), "1.5")),
+    (StatTable, (13, "321")),
+    (StatTable, (2, "231")),
+    (StatTable, (2, "321", [((0, 1), 1)])),
+    (StatTable, (2, "321", {(0, 1, 0): 1})),
+    (StatTable, (2, "321", {0: 1})),
+    (StatTable, (2, "321", {(True, 1): 1})),
+    (StatTable, (2, "321", {(0, 1): 1.0})),
+]
+
+
+@pytest.mark.parametrize("record, args", WRONG_FIELDS,
+                         ids=[f"{record.__name__}{args!r}" for record, args in WRONG_FIELDS])
+def test_a_report_or_table_refuses_fields_of_the_wrong_type(record, args):
+    with pytest.raises(ValueError):
+        record(*args)
 
 
 #: modules that importing permbij must not load; typing is left out, as on

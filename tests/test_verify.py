@@ -370,6 +370,27 @@ def test_a_template_check_run_alone_fills_its_own_dyck_table(monkeypatch):
         )
 
 
+def test_the_statistic_and_inverse_checks_call_perm_as_patched(monkeypatch):
+    # fixed_points miscounts (2, 1, 3), which theta sends to (3, 2, 1) and
+    # gamma fixes; inverse sends (1, 3, 2) to (2, 1, 3), whose images
+    # under both maps differ from those of the true inverse, (1, 3, 2)
+    fixed_points = perm.fixed_points
+    monkeypatch.setattr(perm, "fixed_points", lambda p: fixed_points(p) + (tuple(p) == (2, 1, 3)))
+    monkeypatch.setattr(perm, "inverse", _faulty(perm.inverse, (1, 3, 2), (2, 1, 3)))
+    checks = ["fixed-points", "inverse-commute-gamma", "inverse-commute-theta"]
+    fixed, gamma, theta = run_suite(3, 3, checks)
+    assert fixed.failures == (
+        {"row": "theta", "input": [1, 3, 2], "expected": 1, "actual": 2},
+        {"row": "theta", "input": [2, 1, 3], "expected": 2, "actual": 1},
+    )
+    assert gamma.failures == (
+        {"row": "gamma", "input": [1, 3, 2], "expected": [3, 2, 1], "actual": [2, 1, 3]},
+    )
+    assert theta.failures == (
+        {"row": "theta", "input": [1, 3, 2], "expected": [2, 1, 3], "actual": [3, 2, 1]},
+    )
+
+
 @pytest.mark.parametrize("check, route", [
     ("theorem3", "theta_via_gamma"),
     ("theorem3", "theta_rsk"),
@@ -588,6 +609,15 @@ TABLE_LINE = StatTable(1, "321", {(1, 0): 1}).json_line()
     # well formed, but the total is not the rows' sum, or a key is unknown
     (StatTable, TABLE_LINE.replace('"total": 1', '"total": 99')),
     (StatTable, TABLE_LINE.replace('"total": 1', '"total": 1, "rows_sum": 1')),
+    # well formed and written back, but of the wrong types for the constructor
+    (StatTable, '{"n": "x", "class": 5, "total": 0, "rows": []}'),
+    (StatTable, '{"n": 1, "class": "321", "total": 1.5, '
+                '"rows": [{"fixed_points": true, "excedances": 0, "count": 1.5}]}'),
+    (CheckReport, REPORT_LINE.replace("0.0", '"x"')),
+    (CheckReport, REPORT_LINE.replace("[]", "[5]").replace("true", "false")),
+    # not JSON at all
+    (CheckReport, "PASS fact2 n=3 cases=5 failures=0"),
+    (StatTable, "n=1 avoid=321 total=1"),
 ])
 def test_a_malformed_json_line_raises_value_error_naming_its_record(record, line):
     with pytest.raises(ValueError, match=f"not a {record.__name__} line"):
