@@ -4,7 +4,8 @@ the template layers, template equality, the four template routes and the
 two rewriting routes; in-process `permbij map` calls of the six routes and
 one build of the CLI's argument parser; cold class enumeration and cold
 statistics tables; the import of permbij and of its CLI in fresh
-interpreters; per-check timings of the exhaustive verifier; the
+interpreters; per-check timings of the exhaustive verifier, and its
+per-check calls into each library function; the
 tier-1 test suite's wall time; and the line count of the library, for two
 checkouts side by side.
 
@@ -57,6 +58,19 @@ pattern)) with nothing cached, for n from 1 to ENUMERATION_CAP; rows
 way, for n in STATS_SIZES, enumeration of the class included, as in a
 `permbij stats` process.
 
+Rows "count.verify.<check>" at n count work, not time, so they read the
+same on every run: one run_suite(n, n) per side and n in COUNT_SIZES, in a
+fresh interpreter apart from the timed runs, under sys.setprofile, as
+tests/test_maps.py records each route's calls.  A row maps each permbij
+function that the check's CHECKS[name](n) call entered, named
+"module.function" as in tests/helpers.ROUTE_CALLS (comprehensions and
+lambdas left out), to its calls per member of S_n(321); each resumption of
+a generator counts as a call, so maps._least_132_rewrites counts the
+rewrites it yields plus one per rewriting run.  Calls that run_suite makes
+before its first check are row "count.verify.run_suite"; a check's row
+includes the enumeration and the memo fills it is the first to make, and
+the building of its report.
+
 Rows "import.permbij" and "import.permbij.cli" hold IMPORT_RUNS fresh
 interpreters per side, each timing one import of the module (interpreter
 start left out), on a copy of the checkout's src made for the purpose.
@@ -97,6 +111,7 @@ LAYER_RUNS = 4
 SUITE_N_MAX = 10
 SUITE_ROW_SIZES = (9, 10)
 SUITE_RUNS = 8
+COUNT_SIZES = (9, 10)
 COLD_RUNS = 6
 IMPORT_RUNS = 20
 STATS_SIZES = (9, 10, 11, 12)
@@ -119,6 +134,35 @@ start = time.perf_counter()
 reports = run_suite(1, int(sys.argv[1]))
 total = time.perf_counter() - start
 print(json.dumps([total * 1e3, [[r.check, r.n, r.elapsed_ms] for r in reports]]))
+"""
+
+#: one profiled run_suite(n, n) in a fresh interpreter: [check, {function: calls per member}]
+COUNT_SCRIPT = """
+import collections, json, sys
+from permbij import verify
+from permbij.perm import catalan
+n = int(sys.argv[1])
+label = ["run_suite"]
+counts = collections.defaultdict(collections.Counter)
+
+def labelled(name, check):
+    def run(n):
+        label[0] = name
+        return check(n)
+    return run
+
+def profile(frame, event, arg):
+    module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+    if event == "call" and module.startswith("permbij.") and not name.startswith("<"):
+        counts[label[0]][f"{module[len('permbij.'):]}.{name}"] += 1
+
+for name, check in list(verify.CHECKS.items()):
+    verify.CHECKS[name] = labelled(name, check)
+sys.setprofile(profile)
+verify.run_suite(n, n)
+sys.setprofile(None)
+print(json.dumps([[check, {fn: round(c / catalan(n), 4) for fn, c in sorted(calls.items())}]
+                  for check, calls in sorted(counts.items())]))
 """
 
 #: one cold call in a fresh interpreter: the expression argv[2] after the import argv[1], in ms
@@ -340,6 +384,17 @@ def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
     return rows
 
 
+def count_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
+    """Rows "count.verify.<check>": one profiled run_suite(n, n) per side and n in COUNT_SIZES."""
+    rows: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for n in COUNT_SIZES:
+        for side in SIDES:
+            for check, per_member in json.loads(fresh_run(checkouts[side], COUNT_SCRIPT, n)):
+                rows[side].append({"layer": f"count.verify.{check}", "n": n,
+                                   "calls_per_member": per_member})
+    return rows
+
+
 def tier1_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
     """TIER1_RUNS runs per side of the checkout's test suite: wall time and summary line."""
 
@@ -384,13 +439,14 @@ def main(argv=None) -> int:
         (cold_rows(checkouts, layer, call, n, pattern)
          for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
         (import_rows(checkouts, module) for module in ("permbij", "permbij.cli")),
-        (rows_of(checkouts) for rows_of in (suite_rows, tier1_rows)),
+        (rows_of(checkouts) for rows_of in (suite_rows, count_rows, tier1_rows)),
     )
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for part in parts:
         for side, side_rows in part.items():
             for row in side_rows:
-                figure = f"{row['ms']:10.3f} ms" if "ms" in row else row["skipped"]
+                figure = (f"{row['ms']:10.3f} ms" if "ms" in row else row.get("skipped")
+                          or f"{len(row['calls_per_member'])} functions")
                 layer, n = row["layer"], row.get("n") or row.get("bytecode") or "-"
                 print(f"{side:7s}{layer:30s} n={n!s:<7s} {figure}", file=sys.stderr)
             rows[side] += side_rows
@@ -412,7 +468,9 @@ def main(argv=None) -> int:
             f"the calls of {LAYER_RUNS} runs per side, each run up to {MAX_CALLS} calls per "
             f"size, fewer once they add up to {MIN_TOTAL_S} s, up to the largest n that "
             f"tests/helpers.LARGEST_N gives the layer, larger sizes skipped; verify.* rows: "
-            f"{SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side; "
+            f"{SUITE_RUNS} runs of run_suite(1, {SUITE_N_MAX}) per side; count.verify.* "
+            f"rows: calls per member of S_n(321) into each permbij function, from one "
+            f"run_suite(n, n) per side under sys.setprofile, untimed, for n in {COUNT_SIZES}; "
             f"perm.enumerate_avoiders.* and verify.stats_table.* rows: {COLD_RUNS} cold "
             f"runs per side; import.* rows: "
             f"{IMPORT_RUNS} imports per side in fresh interpreters, without and then with "

@@ -10,6 +10,7 @@ from collections.abc import Sequence
 from . import grid, maps, rsk
 from .perm import (
     PATTERNS,
+    _Record,
     complement,
     enumerate_avoiders,
     excedances,
@@ -92,25 +93,18 @@ def _read_permutation(text: str):
     return parse_permutation(sys.stdin.read() if text == "-" else text)
 
 
+class _MapRecord(_Record):
+    """The line that permbij map --format json prints: sigma, its image and its statistics."""
+
+    __slots__ = ("n", "sigma", "map", "image", "fixed_points", "excedances")
+
+
 def _run_map(args) -> int:
     sigma = _read_permutation(args.input)
     image = _MAPS[args.bijection](sigma)
     if args.format == "json":
-        import json  # here, so that importing the CLI does not import json
-
-        print(
-            json.dumps(
-                {
-                    "n": len(sigma),
-                    "sigma": list(sigma),
-                    "map": args.bijection,
-                    "image": list(image),
-                    "fixed_points": fixed_points(sigma),
-                    "excedances": excedances(sigma),
-                },
-                sort_keys=True,
-            )
-        )
+        print(_MapRecord(len(sigma), sigma, args.bijection, image, fixed_points(sigma),
+                         excedances(sigma)).json_line())
     else:
         print(format_permutation(image, compact=args.compact))
     return 0

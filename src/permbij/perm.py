@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
+from contextvars import ContextVar
 from itertools import chain, groupby
 from operator import eq, gt, itemgetter
 
@@ -27,6 +29,9 @@ PATTERNS = ("321", "132")
 
 #: largest n that enumerate_avoiders() and the verifier accept
 ENUMERATION_CAP = 12
+
+#: the members of S_n(321) that verify.run_suite has validated, in order; else None
+_VOUCHED: ContextVar[list | None] = ContextVar("vouched", default=None)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -51,6 +56,11 @@ def require_permutation(word: Sequence[int]) -> None:
     ...
     ValueError: not a permutation of 1..n (n=2)
     """
+    try:  # a word that does not compare with the members, or sorts past them, is checked
+        if (index := _VOUCHED.get()) is not None and index[bisect_left(index, word)] is word:
+            return
+    except (IndexError, TypeError):
+        pass
     if not is_permutation(word):
         raise ValueError(f"not a permutation of 1..n (n={len(word)})")
 
@@ -59,13 +69,19 @@ def require_321_avoider(word: Sequence[int]) -> None:
     """
     The input contract of every map route and corner builder: raise
     ValueError unless ``word`` is a permutation (require_permutation) that
-    avoids 321.
+    avoids 321.  Inside verify.run_suite both pass its validated members at
+    once, by identity (_VOUCHED); an equal tuple or a list is checked in full.
 
     >>> require_321_avoider((3, 2, 1))
     Traceback (most recent call last):
     ...
     ValueError: permutation contains a 321-pattern
     """
+    try:  # a word that does not compare with the members, or sorts past them, is checked
+        if (index := _VOUCHED.get()) is not None and index[bisect_left(index, word)] is word:
+            return
+    except (IndexError, TypeError):
+        pass
     require_permutation(word)
     if _contains_321(word):
         raise ValueError("permutation contains a 321-pattern")

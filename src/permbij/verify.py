@@ -26,7 +26,11 @@ theorem2-route; the first to reach a member fills its bytes from the full
 pipeline, if that template is exactly the staircase rsk._staircase redraws
 from them.  The memo is dropped before the next n, and a direct
 CHECKS[name](n) call outside run_suite is not memoized.  _rank alone
-decides membership of a cached class.
+decides membership of a cached class.  Beside the memo, and dropped with
+it, run_suite keeps perm._VOUCHED, the members of S_n(321) validated in
+full, in class order: the first check to iterate the class fills it in its
+timed call, leaving out any that fails.  perm's two validators pass those
+very objects at once, found by binary search and matched by identity.
 """
 from __future__ import annotations
 
@@ -111,8 +115,17 @@ class Sweep:
                     yield {"row": row, **_failure(p, expected, actual)}
 
     def __call__(self, n: int) -> Iterator[dict]:
-        # looked up at call time, so a patched enumerate_avoiders is honoured
-        return self.run_on(enumerate_avoiders(n, "321"))
+        return self.run_on(_class_321(n))
+
+
+def _class_321(n: int) -> Iterator[Perm]:
+    # looked up at call time, so a patched enumerate_avoiders is honoured
+    members, index = enumerate_avoiders(n, "321"), perm._VOUCHED.get()
+    if index == []:  # the first check to iterate the class fills the index
+        members = list(members)
+        index += [p for p in members if type(p) is tuple and perm.is_permutation(p)
+                  and not perm._contains_321(p)]
+    return iter(members)
 
 
 def _rank(q, n: int, pattern: str) -> int:
@@ -236,7 +249,7 @@ def _commutes_with_inverse(row: str, map_fn) -> Sweep:
 def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
     def run(n: int) -> Iterator[dict]:
         image: dict[Perm, Perm] = {}
-        for p in enumerate_avoiders(n, "321"):
+        for p in _class_321(n):
             q = map_fn(p)
             if q in image:
                 yield _failure(p, "a fresh image", {"collides_with": _jsonable(image[q])})
@@ -312,7 +325,7 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
         raise ValueError(f"n range {n_min}..{n_max} is empty or outside 1..{ENUMERATION_CAP}")
     reports = []
     for n in range(n_min, n_max + 1):
-        token = _MEMO.set({})
+        tokens = _MEMO.set({}), perm._VOUCHED.set([])
         try:
             for name in names:
                 start = time.perf_counter()
@@ -320,7 +333,8 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 reports.append(CheckReport(name, n, catalan(n), failures, elapsed_ms))
         finally:
-            _MEMO.reset(token)
+            _MEMO.reset(tokens[0])
+            perm._VOUCHED.reset(tokens[1])
     reports.sort(key=lambda r: (r.check, r.n))
     return reports
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import helpers
 import pytest
+from permbij.verify import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench" / "layers.py"
@@ -81,3 +82,16 @@ def test_both_sides_run_each_layer_at_the_same_sizes_up_to_its_cap(layers, monke
         ]
         assert side_rows[2] == {"layer": "some.layer", "n": 400,
                                 "skipped": "over its largest n, 100, in helpers.LARGEST_N"}
+
+
+def test_two_count_runs_at_a_small_n_read_alike(layers, monkeypatch):
+    monkeypatch.setattr(layers, "COUNT_SIZES", (4,))
+    runs = [layers.count_rows({"parent": ROOT, "change": ROOT}) for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0]["parent"] == runs[0]["change"]
+    rows = {row["layer"]: row["calls_per_member"] for row in runs[0]["parent"]}
+    assert set(rows) == {"count.verify.run_suite", *(f"count.verify.{name}" for name in CHECKS)}
+    # run_suite validates each member once in full for its index, and
+    # bar-reflection validates the reverse-complement of each once more
+    for fn in ("perm.is_permutation", "perm._contains_321"):
+        assert sum(per_member.get(fn, 0) for per_member in rows.values()) == pytest.approx(2)
+    assert rows["count.verify.theorem3"]["maps.theta_rsk"] == 1

@@ -65,6 +65,11 @@ def test_map_json_record(capsys):
         "--format", "json",
     )
     assert status == 0
+    # perm._Record's writer: sorted keys, json.dumps' default separators
+    assert out == (
+        '{"excedances": 3, "fixed_points": 1, "image": [7, 5, 4, 2, 3, 1, 6, 8], '
+        '"map": "theta", "n": 8, "sigma": [1, 4, 2, 3, 7, 5, 8, 6]}\n'
+    )
     record = json.loads(out)
     assert record == {
         "n": 8,
@@ -191,6 +196,9 @@ def test_verify_text(capsys):
     pytest.param(1, 3, ("lemma3",), id="lemma3-n1-3"),
     # every check (no --checks), over all 16,796 members of S_10(321)
     pytest.param(10, 10, (), marks=pytest.mark.ci, id="every-check-n10"),
+    # every check over all 58,786 members of S_11(321): the validation
+    # index, the route memo and the Dyck table together
+    pytest.param(11, 11, (), marks=pytest.mark.ci, id="every-check-n11"),
     # Theorem 2's chain: the slide-and-flip route moves the rc-template's
     # L's, which rc-template and bar-reflection check
     pytest.param(11, 11, ("bar-reflection", "rc-template", "theorem2-route"),

@@ -242,9 +242,23 @@ def test_memo_changes_no_verdict(faults, monkeypatch):
         if name == "gamma":
             # gamma is the gamma_template route; fault both names alike
             monkeypatch.setattr(maps, "gamma_template", faulty)
+    validated = _count_validations(monkeypatch)
     memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(1, 6)]
+    # the validation index was live, and is gone: each member itself was
+    # validated once, and an equal copy of it once, bar-reflection's rc copy
+    members = [p for n in range(1, 7) for p in enumerate_avoiders(n, "321")]
+    ids = set(map(id, members))
+    assert sorted(id(w) for w in validated["is_permutation"] if id(w) in ids) == sorted(ids)
+    assert Counter(validated["is_permutation"]) == Counter(members * 2)
+    assert perm._VOUCHED.get() is None
     assert memoized == _direct_reports(1, 6)
     assert memoized == _direct_reports(1, 6, _run_on_the_class)
+    # the index alone, live and full, without the memo, changes no verdict either
+    token = perm._VOUCHED.set(sorted(members))
+    try:
+        assert memoized == _direct_reports(1, 6)
+    finally:
+        perm._VOUCHED.reset(token)
     failed = {check for check, _, _, failures in memoized if failures}
     for name in faults:
         if not name.startswith("rsk."):
@@ -474,6 +488,137 @@ def test_a_float_image_is_not_a_member_of_the_class(monkeypatch):
     assert tuple(CHECKS["bijectivity-theta"](3)) == expected
     (report,) = run_suite(3, 3, ["bijectivity-theta"])
     assert report.failures == expected
+
+
+# --------------------------------------------------------- validation index
+
+def _count_validations(monkeypatch) -> dict[str, list]:
+    """{validator: the word of each call} for perm.is_permutation and perm._contains_321."""
+    calls = {}
+    for name in ("is_permutation", "_contains_321"):
+        calls[name] = []
+        monkeypatch.setattr(perm, name, _counted(getattr(perm, name), calls[name]))
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, pytest.param(9, marks=pytest.mark.ci)])
+def test_run_suite_validates_each_member_once_per_class(n, monkeypatch):
+    calls = _count_validations(monkeypatch)
+    assert all(r.passed for r in run_suite(n, n))
+    members = list(enumerate_avoiders(n, "321"))
+    ids = set(map(id, members))
+    # per member: once itself, for the index, and once more as an equal
+    # copy, bar-reflection's reverse_complement of its rc partner
+    for words in calls.values():
+        assert Counter(words) == Counter(members * 2)
+        assert sorted(id(w) for w in words if id(w) in ids) == sorted(ids)
+
+
+def test_direct_check_calls_validate_as_before(monkeypatch):
+    # outside run_suite nothing is indexed: 26 and 20 calls per member at n = 6
+    calls = _count_validations(monkeypatch)
+    for name in sorted(CHECKS):
+        list(CHECKS[name](6))
+    assert perm._VOUCHED.get() is None
+    assert (len(calls["is_permutation"]), len(calls["_contains_321"])) == (
+        26 * catalan(6), 20 * catalan(6)
+    )
+
+
+def _validations_inside_run_suite(words, monkeypatch, n: int = 3) -> list[tuple]:
+    """
+    (is_permutation calls, _contains_321 calls, ValueError text or None) of
+    require_321_avoider(word) for each word, called inside run_suite(n, n)
+    once fact2 has swept S_n(321).
+    """
+    seen = []
+
+    def probe(n):
+        calls = _count_validations(monkeypatch)
+        for word in words:
+            try:
+                perm.require_321_avoider(word)
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            seen.append((len(calls["is_permutation"]), len(calls["_contains_321"]), error))
+            calls["is_permutation"].clear()
+            calls["_contains_321"].clear()
+        return iter(())
+
+    # theorem3 runs after fact2, so it sees the index filled
+    monkeypatch.setitem(CHECKS, "theorem3", probe)
+    run_suite(n, n, ["fact2", "theorem3"])
+    return seen
+
+
+def test_only_the_members_themselves_are_vouched_for(monkeypatch):
+    member = next(p for p in enumerate_avoiders(3, "321") if p == (2, 1, 3))
+    twin = next(q for q in enumerate_avoiders(3, "132") if q == (2, 1, 3))
+    assert twin is not member
+    words = [member, tuple(list(member)), list(member), twin, (True, 2, 3), (2.0, 1.0, 3.0),
+             ([2], 1, 3), (3, 2, 1)]
+    assert _validations_inside_run_suite(words, monkeypatch) == [
+        (0, 0, None),  # the member itself
+        (1, 1, None),  # an equal fresh tuple
+        (1, 1, None),  # a list
+        (1, 1, None),  # the equal member of the cached S_3(132)
+        (1, 0, "not a permutation of 1..n (n=3)"),  # equal to the member (1, 2, 3)
+        (1, 0, "not a permutation of 1..n (n=3)"),  # equal to the member (2, 1, 3)
+        (1, 0, "not a permutation of 1..n (n=3)"),  # incomparable: the lookup raises nothing
+        (1, 1, "permutation contains a 321-pattern"),
+    ]
+
+
+def test_nothing_is_vouched_for_once_run_suite_returns_or_raises(monkeypatch):
+    members = list(enumerate_avoiders(4, "321"))
+    run_suite(4, 4, ["fact2"])
+    assert perm._VOUCHED.get() is None
+    calls = _count_validations(monkeypatch)
+    for p in members:
+        perm.require_321_avoider(p)
+    assert calls["is_permutation"] == calls["_contains_321"] == members
+    monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (2, 1, 4, 3), [3, 2, 1]))
+    with pytest.raises(TypeError):  # bijectivity-theta hashes the list image
+        run_suite(4, 4, ["fact2", "bijectivity-theta"])
+    assert perm._VOUCHED.get() is None
+    calls["is_permutation"].clear()
+    calls["_contains_321"].clear()
+    for p in members:
+        perm.require_321_avoider(p)
+    assert calls["is_permutation"] == calls["_contains_321"] == members
+
+
+def test_a_stage_that_returns_a_321_containing_word_is_still_rejected(monkeypatch):
+    # inverse sends one member of S_6(321) to a word with a 321-pattern,
+    # which grid.l_corners rejects under maps.gamma_template
+    monkeypatch.setattr(perm, "inverse", _faulty(perm.inverse, (2, 1, 3, 5, 4, 6),
+                                                 (3, 2, 1, 4, 5, 6)))
+    with pytest.raises(ValueError, match="^permutation contains a 321-pattern$"):
+        run_suite(6, 6)
+    assert perm._VOUCHED.get() is None
+
+
+def _enumeration_with_321(n, pattern):
+    """S_n(pattern), with (3, 1, 2) replaced by the 321-containing (3, 2, 1) in S_3(321)."""
+    words = perm.enumerate_avoiders(n, pattern)
+    if (n, pattern) == (3, "321"):
+        words = [(3, 2, 1) if p == (3, 1, 2) else p for p in words]
+    return iter(words)
+
+
+@pytest.mark.parametrize("name", [None, *sorted(EXPECTED_CHECK_NAMES - {"catalan-counts"})])
+def test_an_enumerated_word_with_a_321_is_rejected_as_unindexed(name, monkeypatch):
+    # each check run alone, and the whole suite, raise what a direct call
+    # raises; the whole suite raises in its first check, bar-reflection
+    monkeypatch.setattr(verify, "enumerate_avoiders", _enumeration_with_321)
+    direct = CHECKS[name or "bar-reflection"]
+    with pytest.raises(ValueError) as unindexed:
+        list(direct(3))
+    with pytest.raises(ValueError) as indexed:
+        run_suite(3, 3, name and [name])
+    assert str(indexed.value) == str(unindexed.value) == "permutation contains a 321-pattern"
+    assert perm._VOUCHED.get() is None
 
 
 # ------------------------------------------------------------------- tables
