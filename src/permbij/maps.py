@@ -10,10 +10,11 @@ rc-template's runs (theta_slide_flip), and transport of the rewriting map
 through the half-turn (theta_via_gamma).  All routes agree point for point;
 the verification suite holds them against each other exhaustively.  All six
 reject a word that is not a 321-avoiding permutation with the same
-ValueError, and each call checks its input once (at once for a member
-that verify.run_suite has validated, see perm._VOUCHED): the template
-routes through the corner layer (grid.l_corners, grid.rcl_corners),
-theta_rsk through rsk.rsk_tableaux, the other two at entry.
+ValueError, and each call checks its input once (at once for a member of
+the class that verify.run_suite vouches for, see perm._VOUCHED): the
+template routes through the corner layer (grid.l_corners,
+grid.rcl_corners), theta_rsk through rsk.rsk_tableaux, the other two at
+entry.
 
 The literal iteration rotates the least 132 (i, j, k), values a < c < b at
 positions i < j < k, to b, c, a, and two facts spare it a whole-word search

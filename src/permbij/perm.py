@@ -30,8 +30,10 @@ PATTERNS = ("321", "132")
 #: largest n that enumerate_avoiders() and the verifier accept
 ENUMERATION_CAP = 12
 
-#: the members of S_n(321) that verify.run_suite has validated, in order; else None
-_VOUCHED: ContextVar[list | None] = ContextVar("vouched", default=None)
+#: the class verify.run_suite vouches for, whose members the validators pass
+#: (_rank): None outside run_suite; inside it, [] until its first check has
+#: validated the cached S_n(321), then that very list, or () if one failed
+_VOUCHED: ContextVar[list | tuple | None] = ContextVar("vouched", default=None)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -56,12 +58,7 @@ def require_permutation(word: Sequence[int]) -> None:
     ...
     ValueError: not a permutation of 1..n (n=2)
     """
-    try:  # a word that does not compare with the members, or sorts past them, is checked
-        if (index := _VOUCHED.get()) is not None and index[bisect_left(index, word)] is word:
-            return
-    except (IndexError, TypeError):
-        pass
-    if not is_permutation(word):
+    if _rank(word, _VOUCHED.get()) < 0 and not is_permutation(word):
         raise ValueError(f"not a permutation of 1..n (n={len(word)})")
 
 
@@ -69,22 +66,37 @@ def require_321_avoider(word: Sequence[int]) -> None:
     """
     The input contract of every map route and corner builder: raise
     ValueError unless ``word`` is a permutation (require_permutation) that
-    avoids 321.  Inside verify.run_suite both pass its validated members at
-    once, by identity (_VOUCHED); an equal tuple or a list is checked in full.
+    avoids 321.  Both validators pass a member of the class that
+    verify.run_suite has vouched for (_VOUCHED) at once, by _rank's rule;
+    any other word, a list included, is checked in full.
 
     >>> require_321_avoider((3, 2, 1))
     Traceback (most recent call last):
     ...
     ValueError: permutation contains a 321-pattern
     """
-    try:  # a word that does not compare with the members, or sorts past them, is checked
-        if (index := _VOUCHED.get()) is not None and index[bisect_left(index, word)] is word:
-            return
-    except (IndexError, TypeError):
-        pass
-    require_permutation(word)
-    if _contains_321(word):
-        raise ValueError("permutation contains a 321-pattern")
+    if _rank(word, _VOUCHED.get()) < 0:
+        require_permutation(word)
+        if _contains_321(word):
+            raise ValueError("permutation contains a 321-pattern")
+
+
+def _rank(word, members: list | tuple | None) -> int:
+    """
+    The index of word in the sorted list members, or -1; -1 at once when
+    members is None.  word matches a member when it is that object, or an
+    equal tuple of exact ints, so (3.0, 2.0, 1.0), (True, 2) and lists never do.
+    """
+    if members is None or type(word) is not tuple:
+        return -1
+    try:
+        i = bisect_left(members, word)
+    except TypeError:  # entries that do not compare with ints, such as strs
+        return -1
+    if i < len(members) and (members[i] is word
+                             or (members[i] == word and set(map(type, word)) == {int})):
+        return i
+    return -1
 
 
 def parse_permutation(text: str) -> Perm:
@@ -373,8 +385,9 @@ class _Record:
     each record or tuple inside made JSON by _jsonable; from_json_line
     rebuilds the record through its class's _from_json hook, and so its
     public constructor, and raises ValueError naming the class for a line
-    that does not parse, does not rebuild, or that the record would not
-    write back byte for byte once the line's keys are sorted.
+    that does not parse, does not rebuild (as none does for a class with no
+    hook), or that the record would not write back byte for byte once the
+    line's keys are sorted.
     """
 
     __slots__ = ()
@@ -410,6 +423,10 @@ class _Record:
 
     def _json(self) -> dict:
         return dict(zip(self.__slots__, self._fields()))
+
+    @classmethod
+    def _from_json(cls, value):
+        raise TypeError(f"{cls.__name__} has no JSON reader")
 
     def json_line(self) -> str:
         import json  # here, so that importing permbij does not import json

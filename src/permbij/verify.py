@@ -25,18 +25,18 @@ _dyck_template alone reads it, on one side of lemma1, theorem1-route and
 theorem2-route; the first to reach a member fills its bytes from the full
 pipeline, if that template is exactly the staircase rsk._staircase redraws
 from them.  The memo is dropped before the next n, and a direct
-CHECKS[name](n) call outside run_suite is not memoized.  _rank alone
-decides membership of a cached class.  Beside the memo, and dropped with
-it, run_suite keeps perm._VOUCHED, the members of S_n(321) validated in
-full, in class order: the first check to iterate the class fills it in its
-timed call, leaving out any that fails.  perm's two validators pass those
-very objects at once, found by binary search and matched by identity.
+CHECKS[name](n) call outside run_suite is not memoized.  One rule,
+perm._rank, decides membership of a cached class: for the memo's 132
+images, for the Dyck table's rank and for perm's two validators.  Beside
+the memo, and dropped with it, run_suite keeps perm._VOUCHED: the first
+check to iterate the class validates the cached S_n(321) in its timed
+call and, if every member passes, vouches for that very list, whose
+members the validators then pass at once; if any fails, none is vouched for.
 """
 from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextvars import ContextVar
 
@@ -119,39 +119,19 @@ class Sweep:
 
 
 def _class_321(n: int) -> Iterator[Perm]:
+    if perm._VOUCHED.get() == []:  # the first check to iterate the class validates it
+        members = _avoider_list(n, "321")
+        valid = all(perm.is_permutation(p) and not perm._contains_321(p) for p in members)
+        perm._VOUCHED.set(members if valid else ())
     # looked up at call time, so a patched enumerate_avoiders is honoured
-    members, index = enumerate_avoiders(n, "321"), perm._VOUCHED.get()
-    if index == []:  # the first check to iterate the class fills the index
-        members = list(members)
-        index += [p for p in members if type(p) is tuple and perm.is_permutation(p)
-                  and not perm._contains_321(p)]
-    return iter(members)
-
-
-def _rank(q, n: int, pattern: str) -> int:
-    """
-    q's index in the cached S_n(pattern), or -1 when q is no member; only a
-    tuple of exact ints is one, so (3.0, 2.0, 1.0) and (True, 2) are not.
-    """
-    if type(q) is not tuple:
-        return -1
-    members = _avoider_list(n, pattern)
-    try:
-        # a binary search of the cached list, so that the lookup adds no table
-        i = bisect_left(members, q)
-    except TypeError:  # entries that do not compare with ints, such as strs
-        return -1
-    # a cached member itself passes at once; an equal tuple passes only
-    # when its entries are exact ints, as the member's are
-    if i < len(members) and (members[i] is q or (members[i] == q and set(map(type, q)) == {int})):
-        return i
-    return -1
+    return enumerate_avoiders(n, "321")
 
 
 def _member_132(q, n: int) -> Perm | None:
-    """The member of the cached S_n(132) equal to q, or None (see _rank)."""
-    i = _rank(q, n, "132")
-    return _avoider_list(n, "132")[i] if i >= 0 else None
+    """The member of the cached S_n(132) equal to q, or None (see perm._rank)."""
+    members = _avoider_list(n, "132")
+    i = perm._rank(q, members)
+    return members[i] if i >= 0 else None
 
 
 #: {route function: {input: image}, (_dyck_template, n): row widths} for
@@ -195,12 +175,12 @@ def _reflected_nested_template(p: Perm) -> grid.Template:
 
 def _dyck_template(p: Perm) -> grid.Template:
     # inside run_suite, through the member's n bytes of the Dyck table (module docstring)
-    memo, n = _MEMO.get(), len(p)
-    at = -1 if memo is None else _rank(p, n, "321") * n
+    memo, n, members = _MEMO.get(), len(p), perm._VOUCHED.get()
+    at = -1 if memo is None else perm._rank(p, members) * n
     if at >= 0:
         table = memo.get((_dyck_template, n))
         if table is None:  # 0xFF marks a member not drawn yet
-            table = memo[_dyck_template, n] = bytearray(b"\xff") * (n * catalan(n))
+            table = memo[_dyck_template, n] = bytearray(b"\xff") * (n * len(members))
         if table[at] != 0xFF:
             return rsk._staircase(n, table[at : at + n])
     ins, rec = rsk.rsk_tableaux(p)

@@ -196,17 +196,9 @@ def test_verify_text(capsys):
     pytest.param(1, 3, ("lemma3",), id="lemma3-n1-3"),
     # every check (no --checks), over all 16,796 members of S_10(321)
     pytest.param(10, 10, (), marks=pytest.mark.ci, id="every-check-n10"),
-    # every check over all 58,786 members of S_11(321): the validation
-    # index, the route memo and the Dyck table together
+    # every check over all 58,786 members of S_11(321): the vouched-for
+    # class, the route memo and the Dyck table together
     pytest.param(11, 11, (), marks=pytest.mark.ci, id="every-check-n11"),
-    # Theorem 2's chain: the slide-and-flip route moves the rc-template's
-    # L's, which rc-template and bar-reflection check
-    pytest.param(11, 11, ("bar-reflection", "rc-template", "theorem2-route"),
-                 marks=pytest.mark.ci, id="theorem2-chain-n11"),
-    # the three checks that read run_suite's Dyck table: lemma1 fills it
-    # and the two route checks read it, at a size tier-1 does not reach
-    pytest.param(11, 11, ("lemma1", "theorem1-route", "theorem2-route"),
-                 marks=pytest.mark.ci, id="dyck-table-n11"),
 ])
 def test_verify_json_lines_parse_and_round_trip(n_min, n_max, checks):
     # a new process, which exits nonzero when any check fails

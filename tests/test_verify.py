@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import helpers
-from permbij import grid, maps, perm, rsk, verify
+from permbij import cli, grid, maps, perm, rsk, verify
 from permbij.perm import ENUMERATION_CAP, PATTERNS, catalan, enumerate_avoiders
 from permbij.verify import (
     CHECKS,
@@ -244,16 +244,16 @@ def test_memo_changes_no_verdict(faults, monkeypatch):
             monkeypatch.setattr(maps, "gamma_template", faulty)
     validated = _count_validations(monkeypatch)
     memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(1, 6)]
-    # the validation index was live, and is gone: each member itself was
-    # validated once, and an equal copy of it once, bar-reflection's rc copy
+    # the class was vouched for, and is no longer: each member itself was
+    # validated once, and no other word
     members = [p for n in range(1, 7) for p in enumerate_avoiders(n, "321")]
     ids = set(map(id, members))
     assert sorted(id(w) for w in validated["is_permutation"] if id(w) in ids) == sorted(ids)
-    assert Counter(validated["is_permutation"]) == Counter(members * 2)
+    assert Counter(validated["is_permutation"]) == Counter(members)
     assert perm._VOUCHED.get() is None
     assert memoized == _direct_reports(1, 6)
     assert memoized == _direct_reports(1, 6, _run_on_the_class)
-    # the index alone, live and full, without the memo, changes no verdict either
+    # a vouched-for list alone, without the memo, changes no verdict either
     token = perm._VOUCHED.set(sorted(members))
     try:
         assert memoized == _direct_reports(1, 6)
@@ -506,12 +506,9 @@ def test_run_suite_validates_each_member_once_per_class(n, monkeypatch):
     calls = _count_validations(monkeypatch)
     assert all(r.passed for r in run_suite(n, n))
     members = list(enumerate_avoiders(n, "321"))
-    ids = set(map(id, members))
-    # per member: once itself, for the index, and once more as an equal
-    # copy, bar-reflection's reverse_complement of its rc partner
+    # per member: once itself, before the class is vouched for, and no more
     for words in calls.values():
-        assert Counter(words) == Counter(members * 2)
-        assert sorted(id(w) for w in words if id(w) in ids) == sorted(ids)
+        assert list(map(id, words)) == list(map(id, members))
 
 
 def test_direct_check_calls_validate_as_before(monkeypatch):
@@ -560,14 +557,31 @@ def test_only_the_members_themselves_are_vouched_for(monkeypatch):
              ([2], 1, 3), (3, 2, 1)]
     assert _validations_inside_run_suite(words, monkeypatch) == [
         (0, 0, None),  # the member itself
-        (1, 1, None),  # an equal fresh tuple
+        (0, 0, None),  # an equal fresh tuple of exact ints
         (1, 1, None),  # a list
-        (1, 1, None),  # the equal member of the cached S_3(132)
+        (0, 0, None),  # the equal member of the cached S_3(132)
         (1, 0, "not a permutation of 1..n (n=3)"),  # equal to the member (1, 2, 3)
         (1, 0, "not a permutation of 1..n (n=3)"),  # equal to the member (2, 1, 3)
         (1, 0, "not a permutation of 1..n (n=3)"),  # incomparable: the lookup raises nothing
         (1, 1, "permutation contains a 321-pattern"),
     ]
+
+
+def test_a_cached_class_with_a_321_is_not_vouched_for(monkeypatch):
+    # one word of the cached S_6(321) replaced by a 321-containing one:
+    # inside run_suite every member is then validated in full, as a direct
+    # call validates it, and no verdict changes
+    members = list(enumerate_avoiders(6, "321"))
+
+    def cached_with_321(n, pattern):
+        words = perm._avoider_list(n, pattern)
+        return words[:-1] + [(3, 2, 1, 4, 5, 6)] if (n, pattern) == (6, "321") else words
+
+    monkeypatch.setattr(verify, "_avoider_list", cached_with_321)
+    assert _validations_inside_run_suite(members, monkeypatch, 6) == [(1, 1, None)] * len(members)
+    memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(6, 6)]
+    assert memoized == _direct_reports(6, 6)
+    assert perm._VOUCHED.get() is None
 
 
 def test_nothing_is_vouched_for_once_run_suite_returns_or_raises(monkeypatch):
@@ -763,6 +777,10 @@ TABLE_LINE = StatTable(1, "321", {(1, 0): 1}).json_line()
     # not JSON at all
     (CheckReport, "PASS fact2 n=3 cases=5 failures=0"),
     (StatTable, "n=1 avoid=321 total=1"),
+    # records with no _from_json hook, which read no line
+    (grid.Template, "{}"),
+    (rsk.TwoRowTableau, "{}"),
+    (cli._MapRecord, cli._MapRecord(1, (1,), "theta", (1,), 1, 0).json_line()),
 ])
 def test_a_malformed_json_line_raises_value_error_naming_its_record(record, line):
     with pytest.raises(ValueError, match=f"not a {record.__name__} line"):
