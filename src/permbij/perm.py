@@ -221,9 +221,13 @@ def avoids(perm: Sequence[int], pattern: str) -> bool:
     """
     if pattern == "321":
         return not _contains_321(perm)
-    if pattern == "132":
-        return _least_132_start(perm, 0) < 0
-    raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    _require_pattern(pattern)
+    return _least_132_start(perm, 0) < 0
+
+
+def _require_pattern(pattern: str) -> None:
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
 
 
 def _contains_321(word: Sequence[int]) -> bool:
@@ -290,8 +294,7 @@ _PAD = 128
 
 
 def _require_class(n: int, pattern: str) -> None:
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    _require_pattern(pattern)
     if type(n) is not int or not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"n={n!r} outside 1..{ENUMERATION_CAP}")
 

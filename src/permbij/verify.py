@@ -3,15 +3,15 @@ Exhaustive cross-checks over whole avoidance classes, plus the joint
 fixed-point/excedance tables.
 
 Every check sweeps all of S_n(321) for one n and reports counterexamples,
-capped so a broken build stays readable.  Reports and tables are
-records, written to and read from JSON lines by perm._Record.
-A per-member check is a Sweep of named rows
-(row, expected_fn, actual_fn); its run_on compares them on any iterable of
-permutations, which is how tests/test_large_n.py runs every Sweep on seeded
-inputs up to the largest n that tests/helpers.LARGEST_N allows it, and
-each failure names its row under "row".  The three whole-class checks,
-bijectivity-gamma, bijectivity-theta and catalan-counts, are plain n ->
-failures callables that compare entire images at once.
+capped so a broken build stays readable.  Reports and tables are records,
+written to and read from JSON lines by perm._Record.  A per-member check
+is a Sweep of named rows (row, expected_fn, actual_fn); its run_on
+compares them on any iterable of permutations (tests/test_large_n.py runs
+every Sweep on seeded and extremal inputs up to its helpers.LARGEST_N),
+and each failure names its row under "row".  The whole-class checks,
+bijectivity-gamma, bijectivity-theta and catalan-counts, are n -> failures
+callables; the bijectivity checks rank each image in the cached S_n(132)
+and read collisions and misses off one slot per member.
 
 run_suite sweeps n in the outer loop and the checks in the inner one.
 While it runs one n, the images of the default routes (maps.gamma,
@@ -26,12 +26,11 @@ theorem2-route; the first to reach a member fills its bytes from the full
 pipeline, if that template is exactly the staircase rsk._staircase redraws
 from them.  The memo is dropped before the next n, and a direct
 CHECKS[name](n) call outside run_suite is not memoized.  One rule,
-perm._rank, decides membership of a cached class: for the memo's 132
-images, for the Dyck table's rank and for perm's two validators.  Beside
-the memo, and dropped with it, run_suite keeps perm._VOUCHED: the first
-check to iterate the class validates the cached S_n(321) in its timed
-call and, if every member passes, vouches for that very list, whose
-members the validators then pass at once; if any fails, none is vouched for.
+perm._rank, decides membership of a cached class: for the bijectivity
+checks, the memo's 132 images, the Dyck table and perm's validators.
+Beside the memo, and dropped with it, perm._VOUCHED holds the cached
+S_n(321) once the first check to iterate it has validated every member in
+its timed call (else ()), and the validators pass those members at once.
 """
 from __future__ import annotations
 
@@ -127,13 +126,6 @@ def _class_321(n: int) -> Iterator[Perm]:
     return enumerate_avoiders(n, "321")
 
 
-def _member_132(q, n: int) -> Perm | None:
-    """The member of the cached S_n(132) equal to q, or None (see perm._rank)."""
-    members = _avoider_list(n, "132")
-    i = perm._rank(q, members)
-    return members[i] if i >= 0 else None
-
-
 #: {route function: {input: image}, (_dyck_template, n): row widths} for
 #: the class run_suite is sweeping; None outside run_suite, so a direct
 #: CHECKS[name](n) call is unmemoized
@@ -154,8 +146,9 @@ def _route(name: str) -> Callable[[Perm], Perm]:
         q = images.get(p)
         if q is None:
             # a member is stored as the cached one, so the memo adds no tuples
-            q = fn(p)
-            q = images[p] = _member_132(q, len(p)) or q
+            q, members = fn(p), _avoider_list(len(p), "132")
+            i = perm._rank(q, members)
+            q = images[p] = members[i] if i >= 0 else q
         return q
 
     return image
@@ -228,16 +221,19 @@ def _commutes_with_inverse(row: str, map_fn) -> Sweep:
 
 def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
     def run(n: int) -> Iterator[dict]:
-        image: dict[Perm, Perm] = {}
+        members = _avoider_list(n, "132")
+        hit_by: list[Perm | None] = [None] * len(members)  # the latest input to hit each
         for p in _class_321(n):
             q = map_fn(p)
-            if q in image:
-                yield _failure(p, "a fresh image", {"collides_with": _jsonable(image[q])})
-            elif _member_132(q, n) is None:
+            i = perm._rank(q, members)
+            if i < 0:
                 yield _failure(p, "an image avoiding 132", q)
-            image[q] = p
-        for missed in _avoider_list(n, "132"):
-            if missed not in image:
+                continue
+            if hit_by[i] is not None:
+                yield _failure(p, "a fresh image", {"collides_with": _jsonable(hit_by[i])})
+            hit_by[i] = p
+        for missed, p in zip(members, hit_by):
+            if p is None:
                 yield _failure(missed, "hit by some 321-avoider", "not in image")
 
     return run

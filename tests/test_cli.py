@@ -220,6 +220,12 @@ def test_verify_unknown_check_exits_2(capsys):
     assert "unknown checks" in err
 
 
+def test_verify_checks_without_a_name_exits_2(capsys):
+    status, _, err = run(capsys, "verify", "--checks", ",")
+    assert status == 2
+    assert err == "error: --checks given but no check names found\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def always_failing(n):
         yield {"input": [1], "expected": 0, "actual": 1}

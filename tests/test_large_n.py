@@ -4,7 +4,11 @@ Seeded cross-checks at sizes the exhaustive sweeps cannot reach.
 Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  Every per-member check of the verifier,
 each Sweep in verify.CHECKS, runs on each input through run_on, at every
-size up to the largest n that helpers.LARGEST_N gives it.  Beside them run
+size up to the largest n that helpers.LARGEST_N gives it.  A uniform
+input has almost no fixed points, so every Sweep also runs on two extremal
+families built here, the identity (n fixed points, no excedance) and the
+adjacent swaps (no fixed point, n/2 excedances), whose statistics and
+those of their gamma and theta images are counted here.  Beside them run
 only oracles and comparisons that no check makes.  The corner extractors
 are held to their literal oracles at n = 100, and the phase-by-phase 132
 rewriting to the literal loop, rewrite for rewrite, at n = 100 and 400.
@@ -35,7 +39,9 @@ import pytest
 from permbij.grid import l_corners, rcl_corners
 from permbij.maps import (
     _least_132_rewrites,
+    gamma,
     gamma_template,
+    theta,
     slide_flip_template,
     theta_corners,
     theta_rsk,
@@ -54,6 +60,12 @@ PAIRS_MAX = 400
 SWEEPS = [name for name, check in CHECKS.items() if isinstance(check, Sweep)]
 #: the largest n of a ci case
 CI_MAX_N = 100_000
+#: the extremal families at even n: (builder, (fixed points, excedances))
+FAMILIES = {
+    "identity": (helpers.identity, lambda n: (n, 0)),
+    "adjacent-swaps": (lambda n: tuple(v + 1 if v % 2 else v - 1 for v in range(1, n + 1)),
+                       lambda n: (0, n // 2)),
+}
 
 
 def ci_n(name):
@@ -171,6 +183,22 @@ def test_routes_and_properties_at_large_n(seed, n):
             assert not helpers.contains_132_by_pairs(image)
         assert avoids(image, "132")
         assert helpers.smallest_132_by_passes(image) is None
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_sweep_on_the_extremal_families_at_large_n(family, n):
+    build, stats = FAMILIES[family]
+    sigma = build(n)
+    sweeps = [name for name in SWEEPS if n <= helpers.LARGEST_N.get(name, n)]
+    failures = [(name, failure) for name in sweeps for failure in CHECKS[name].run_on([sigma])]
+    assert failures == []
+    # counted here, not by perm.fixed_points and perm.excedances, which
+    # both sides of the statistic checks call
+    for word in (sigma, gamma(sigma), theta(sigma)):
+        fixed = sum(v == i for i, v in enumerate(word, 1))
+        exceeding = sum(v > i for i, v in enumerate(word, 1))
+        assert (fixed, exceeding) == stats(n)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -165,6 +165,11 @@ def test_avoids_golden_cases():
 def test_avoids_rejects_unknown_pattern():
     with pytest.raises(ValueError, match="unknown pattern"):
         avoids(GOLDEN, "213")
+    # one text, whether avoids or the enumeration rejects the pattern
+    text = r"^unknown pattern '231'; expected one of \('321', '132'\)$"
+    for reject in (lambda: avoids(GOLDEN, "231"), lambda: enumerate_avoiders(3, "231")):
+        with pytest.raises(ValueError, match=text):
+            reject()
 
 
 def test_avoids_matches_literal_triple_scan():

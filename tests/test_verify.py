@@ -167,6 +167,17 @@ def _faulty(route, at, image):
     return wrapped
 
 
+def _raising(route, at):
+    """``route``, except that it raises RuntimeError at the input ``at``."""
+
+    def wrapped(p):
+        if tuple(p) == at:
+            raise RuntimeError(f"fault at {at}")
+        return route(p)
+
+    return wrapped
+
+
 def _faulty_stage(stage, at, image):
     """``stage``, except that it returns ``image`` when called with the arguments ``at``."""
 
@@ -420,8 +431,8 @@ def test_the_rewriting_checks_call_their_routes_as_patched(check, route, monkeyp
 def test_no_memo_outlives_run_suite(monkeypatch):
     run_suite(1, 4)
     assert verify._MEMO.get() is None
-    monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (2, 1, 3), [3, 2, 1]))
-    with pytest.raises(TypeError):  # bijectivity-theta hashes the list image
+    monkeypatch.setattr(maps, "theta", _raising(maps.theta, (2, 1, 3)))
+    with pytest.raises(RuntimeError, match=r"^fault at \(2, 1, 3\)$"):
         run_suite(1, 4)
     assert verify._MEMO.get() is None
     gamma_calls = []
@@ -448,10 +459,11 @@ def test_each_n_gets_a_fresh_memo(monkeypatch):
 
 
 def test_memo_stores_only_class_members_canonically(monkeypatch):
-    member = next(q for q in enumerate_avoiders(3, "132") if q == (2, 3, 1))
+    members = perm._avoider_list(3, "132")
+    member = next(q for q in members if q == (2, 3, 1))
     fresh = tuple([2, 3, 1])
     assert fresh is not member
-    assert verify._member_132(fresh, 3) is member
+    assert members[perm._rank(fresh, members)] is member
     memo = {}
     token = verify._MEMO.set(memo)
     try:
@@ -461,7 +473,7 @@ def test_memo_stores_only_class_members_canonically(monkeypatch):
         assert memo[maps.theta][(1, 2, 3)] is member
         odds = [(2.0, 3.0, 1.0), [2, 3, 1], (1, 3, 2), (2, True, 1), (4, 3, 2, 1)]
         for i, odd in enumerate(odds):
-            assert verify._member_132(odd, 3) is None
+            assert perm._rank(odd, members) == -1
             monkeypatch.setattr(maps, "theta", lambda p, odd=odd: odd)
             assert verify._theta(("input", i, repr(odd))) is odd
             assert memo[maps.theta][("input", i, repr(odd))] is odd
@@ -471,23 +483,50 @@ def test_memo_stores_only_class_members_canonically(monkeypatch):
 
 def test_a_cached_member_is_its_own_member_and_odd_tuples_are_none():
     for n in range(1, 7):
+        members = perm._avoider_list(n, "132")
         for member in enumerate_avoiders(n, "132"):
-            assert verify._member_132(member, n) is member
+            assert members[perm._rank(member, members)] is member
     # entries that do not compare with ints make no member and raise nothing
     for odd in [("a", "b"), ("a", 2, 1), (1, "b", 2), ([2], [1]), (None,)]:
-        assert verify._member_132(odd, len(odd)) is None
+        assert perm._rank(odd, perm._avoider_list(len(odd), "132")) == -1
 
 
 def test_a_float_image_is_not_a_member_of_the_class(monkeypatch):
     # (3.0, 2.0, 1.0) equals and hashes like theta((2, 1, 3)) = (3, 2, 1),
-    # but no float tuple is a member of S_3(132)
+    # but no float tuple is a member of S_3(132), so (3, 2, 1) is missed
     assert maps.theta((2, 1, 3)) == (3, 2, 1)
     monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (2, 1, 3), (3.0, 2.0, 1.0)))
     expected = ({"input": [2, 1, 3], "expected": "an image avoiding 132",
-                 "actual": [3.0, 2.0, 1.0]},)
+                 "actual": [3.0, 2.0, 1.0]},
+                {"input": [3, 2, 1], "expected": "hit by some 321-avoider",
+                 "actual": "not in image"})
     assert tuple(CHECKS["bijectivity-theta"](3)) == expected
     (report,) = run_suite(3, 3, ["bijectivity-theta"])
     assert report.failures == expected
+
+
+def test_a_list_image_is_a_failure_row_and_the_suite_finishes(monkeypatch):
+    # a list is no member of S_3(132), whose (3, 2, 1) it would have hit
+    monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (2, 1, 3), [3, 2, 1]))
+    reports = run_suite(1, 4)
+    assert len(reports) == 4 * len(CHECKS)
+    (report,) = [r for r in reports if (r.check, r.n) == ("bijectivity-theta", 3)]
+    assert report.failures == (
+        {"input": [2, 1, 3], "expected": "an image avoiding 132", "actual": [3, 2, 1]},
+        {"input": [3, 2, 1], "expected": "hit by some 321-avoider", "actual": "not in image"},
+    )
+
+
+def test_a_repeated_image_outside_the_class_fails_as_outside_each_time(monkeypatch):
+    # (1, 3, 2) contains 132: it has no slot to collide in
+    theta = _faulty(_faulty(maps.theta, (2, 1, 3), (1, 3, 2)), (3, 1, 2), (1, 3, 2))
+    monkeypatch.setattr(maps, "theta", theta)
+    outside = {"expected": "an image avoiding 132", "actual": [1, 3, 2]}
+    missed = {"expected": "hit by some 321-avoider", "actual": "not in image"}
+    assert tuple(CHECKS["bijectivity-theta"](3)) == (
+        {"input": [2, 1, 3], **outside}, {"input": [3, 1, 2], **outside},
+        {"input": [3, 1, 2], **missed}, {"input": [3, 2, 1], **missed},
+    )
 
 
 # --------------------------------------------------------- validation index
@@ -592,8 +631,8 @@ def test_nothing_is_vouched_for_once_run_suite_returns_or_raises(monkeypatch):
     for p in members:
         perm.require_321_avoider(p)
     assert calls["is_permutation"] == calls["_contains_321"] == members
-    monkeypatch.setattr(maps, "theta", _faulty(maps.theta, (2, 1, 4, 3), [3, 2, 1]))
-    with pytest.raises(TypeError):  # bijectivity-theta hashes the list image
+    monkeypatch.setattr(maps, "theta", _raising(maps.theta, (2, 1, 4, 3)))
+    with pytest.raises(RuntimeError, match=r"^fault at \(2, 1, 4, 3\)$"):
         run_suite(4, 4, ["fact2", "bijectivity-theta"])
     assert perm._VOUCHED.get() is None
     calls["is_permutation"].clear()
