@@ -30,8 +30,9 @@ The builders consume the corner data of a 321-avoiding permutation:
   and left borders; nested_template() draws them, and realizing that
   template returns the original word.
 * rcl_corners() is the same corner data read through the half-turn
-  v -> n + 1 - v; rc_template() draws inverted L's reaching the bottom and
-  right borders, and rc_realize() on the result returns the original word.
+  v -> n + 1 - v, by a sweep of its own; rc_template() draws inverted L's
+  reaching the bottom and right borders, and rc_realize() on the result
+  returns the original word.
 * diagonal_ls() packs inverted L's along the main diagonal, the shape that
   every 132-avoider's diagram takes.
 """
@@ -127,6 +128,8 @@ class Template(_Record):
     def __eq__(self, other):
         if not isinstance(other, Template):
             return NotImplemented
+        if self.row_runs == other.row_runs and self.col_runs == other.col_runs:
+            return self.n == other.n  # identical runs shade identical squares
         return self.n == other.n and self._row_masks() == other._row_masks()
 
     def __hash__(self):
@@ -332,22 +335,38 @@ def diagonal_template(perm: Sequence[int]) -> Template:
 
 def rcl_corners(perm: Sequence[int]) -> list[tuple[int, int]]:
     """
-    The (value, position) corner pairs obtained by taking the corners of
-    the reverse-complement and pulling both coordinates back through
+    The (value, position) corner pairs of the half-turn: the corners of
+    the reverse-complement, both coordinates pulled back through
     v -> n + 1 - v.  Returned in increasing order (both coordinates grow
     together).  Intrinsically, the first pair is (smallest 2-value,
     position of the smallest 1-value) and each later pair repeats that
     rule on the 21-patterns whose members are strictly larger than the
     previous pair's two values.
 
+    The half-turn defines the pairs; one left-to-right sweep of perm by the
+    intrinsic rule finds them, in O(n).  A 321-avoider's 2s and 1s both
+    increase, so the next 1 is the leftmost x, right of the last, with an
+    earlier value above perm[x] and the last 2; every earlier value above
+    perm[x] is a 2, and the pair's is the leftmost right of the last 2.
+
     >>> rcl_corners((1, 4, 2, 3, 7, 5, 8, 6))
     [(4, 3), (7, 6), (8, 8)]
     """
     require_321_avoider(perm)
-    m = len(perm) + 1
-    # the sweep lists the flipped corners with both coordinates falling, so
-    # their pull-backs through v -> m - v come out already increasing
-    return [(m - b, m - a) for a, b in _corner_sweep(reverse_complement(perm))]
+    # before[x] is the greatest value left of position x
+    before = list(accumulate(perm, max, initial=0))
+    corners: list[tuple[int, int]] = []
+    two_floor = y = 0
+    for x, v in enumerate(perm):
+        if before[x] > v and before[x] > two_floor:
+            while y < x and perm[y] <= v:
+                y += 1
+            if y == x:
+                raise RuntimeError("rcl_corners lost the 2 of a corner; this is a bug")
+            two_floor = perm[y]
+            corners.append((two_floor, x + 1))
+            y += 1
+    return corners
 
 
 def rc_template(perm: Sequence[int]) -> Template:

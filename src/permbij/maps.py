@@ -66,7 +66,6 @@ from . import grid, rsk
 from .perm import (
     Perm,
     _least_132_start,
-    bar,
     inverse_reverse_complement,
     require_321_avoider,
 )
@@ -150,10 +149,10 @@ def theta_template(perm: Sequence[int]) -> grid.Template:
     rcl_corners() contributes an inverted L at (i, i) with vertical leg
     n + 1 - v and horizontal leg n + 1 - p.
     """
-    n = len(perm)
-    legs = [(bar(v, n), bar(p, n)) for v, p in grid.rcl_corners(perm)]
+    m = len(perm) + 1
+    legs = [(m - v, m - p) for v, p in grid.rcl_corners(perm)]
     # both corner coordinates rise strictly from 1 up, so the i-th L stays in the grid
-    return grid.Template._trusted(n, *grid._diagonal_runs(legs))
+    return grid.Template._trusted(m - 1, *grid._diagonal_runs(legs))
 
 
 def theta_corners(perm: Sequence[int]) -> Perm:
@@ -161,10 +160,10 @@ def theta_corners(perm: Sequence[int]) -> Perm:
     return grid.realize(theta_template(perm))
 
 
-#: the tableau map's default route: the corner template realization.  It
-#: is no longer the faster one (Python 3.11, 2 vCPUs, alternating passes):
-#: over S_9(321) it takes 87.0 ms to theta_rsk's 87.9, and at n = 400 and
-#: 10^4 theta_rsk is faster, 0.44 ms to 0.50 and 13.3 ms to 15.4
+#: the tableau map's default route: the corner template realization
+#: (Python 3.11, 2 vCPUs, alternating passes): over S_9(321) it takes 72-73
+#: ms to theta_rsk's 80-81, and at n = 400 and 10^4 the two are within 3 %,
+#: 0.455 ms to 0.443 and 13.2-13.5 ms to 13.0-13.1
 theta = theta_corners
 
 

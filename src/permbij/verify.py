@@ -49,7 +49,6 @@ from .perm import (
     _avoider_records,
     _jsonable,
     _require_class,
-    bar,
     catalan,
     enumerate_avoiders,
     reverse_complement,
@@ -191,9 +190,9 @@ def _dyck_template(p: Perm) -> grid.Template:
 def _second_row_legs(p: Perm) -> grid.Template:
     # Lemma 1: the path template is made of diagonal inverted L's whose leg
     # lengths are the bar-reflected tableau second rows.
-    n = len(p)
+    m = len(p) + 1
     ins, rec = rsk.rsk_tableaux(p)
-    return grid.diagonal_ls(n, [(bar(a, n), bar(b, n)) for a, b in zip(ins.row2, rec.row2)])
+    return grid.diagonal_ls(m - 1, [(m - a, m - b) for a, b in zip(ins.row2, rec.row2)])
 
 
 def _corner_rows(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:

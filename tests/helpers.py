@@ -4,10 +4,11 @@ Everything here recomputes results from first principles (literal triple
 scans, polygon membership, recursive generation) so that a library bug
 cannot hide behind shared code.  The uniform sampler of S_n(321) at the
 end feeds the large-n checks, and likewise uses nothing from the library.
-The one exception is public_rebuild_problems, which holds the library's
-builders to its own public constructors; ROUTE_CALLS is no oracle but a
-declared ledger of the library functions each map route calls,
-LARGEST_N the one table of the sizes that the large-n checks and
+The exceptions are public_rebuild_problems, which holds the library's
+builders to its own public constructors, and half_turned_l_corners, which
+reads rcl_corners' data through l_corners' sweep; ROUTE_CALLS is no
+oracle but a declared ledger of the library functions each map route
+calls, LARGEST_N the one table of the sizes that the large-n checks and
 bench/layers.py stop the costly paths at, and run_python runs a new
 interpreter on the library.
 """
@@ -225,6 +226,19 @@ def rcl_corners_by_smallest_rule(perm):
         two_floor, one_floor = two_val, one_val
 
 
+def half_turned_l_corners(perm):
+    """
+    rcl_corners' definition through the library's other sweep: the
+    l_corners of the reverse-complement, both coordinates pulled back
+    through v -> n + 1 - v.  Linear, for words too long for the oracles.
+    """
+    from permbij.grid import l_corners
+    from permbij.perm import reverse_complement
+
+    m = len(perm) + 1
+    return [(m - v, m - p) for p, v in l_corners(reverse_complement(perm))]
+
+
 def l_corners_by_pair_scan(perm):
     """
     Corner pairs (position, value) grown from above, rescanning every
@@ -395,7 +409,6 @@ def _record_fields(record):
 _INPUT_CHECK = {"perm.require_permutation", "perm._rank", "perm.is_permutation"}
 _NO_321 = {"perm.require_321_avoider", "perm._contains_321"}
 _REWRITING = {"maps._rewrite_until_132_free", "maps._least_132_rewrites", "perm._least_132_start"}
-_RC_CORNERS = {"grid.rcl_corners", "perm.reverse_complement", "grid._corner_sweep"}
 #: the unchecked Template constructor and the one realization, shared by
 #: all four template routes
 _REALIZATION = {"grid._trusted", "grid.realize", "grid._leftmost_dots"}
@@ -424,9 +437,8 @@ ROUTE_CALLS = {
     "theta_corners": {
         "maps.theta_corners",
         "maps.theta_template",
-        "perm.bar",
+        "grid.rcl_corners",
         "grid._diagonal_runs",
-        *_RC_CORNERS,
         *_REALIZATION,
         *_INPUT_CHECK,
         *_NO_321,
@@ -435,7 +447,7 @@ ROUTE_CALLS = {
         "maps.theta_slide_flip",
         "maps.slide_flip_template",
         "grid.rc_template",
-        *_RC_CORNERS,
+        "grid.rcl_corners",
         *_REALIZATION,
         *_INPUT_CHECK,
         *_NO_321,

@@ -351,9 +351,20 @@ def test_rcl_corners_trivial():
 
 def test_rcl_corners_match_smallest_element_rule():
     # independent characterization: iterate smallest 2-/1-values upward
-    for n in range(1, 10):
+    for n in range(1, 11):
         for p in enumerate_avoiders(n, "321"):
             assert rcl_corners(p) == helpers.rcl_corners_by_smallest_rule(p)
+
+
+@pytest.mark.parametrize("sizes", [
+    pytest.param(range(1, 11), id="n1-10"),
+    pytest.param((11, 12), marks=pytest.mark.ci, id="n11-12"),
+])
+def test_rcl_corners_are_the_half_turned_l_corners(sizes):
+    # the definition, through l_corners' sweep, which rcl_corners shares no code with
+    for n in sizes:
+        for p in enumerate_avoiders(n, "321"):
+            assert rcl_corners(p) == helpers.half_turned_l_corners(p), p
 
 
 # ---------------------------------------------------------------- builders

@@ -5,12 +5,15 @@ Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  Every per-member check of the verifier,
 each Sweep in verify.CHECKS, runs on each input through run_on, at every
 size up to the largest n that helpers.LARGEST_N gives it.  A uniform
-input has almost no fixed points, so every Sweep also runs on two extremal
-families built here, the identity (n fixed points, no excedance) and the
-adjacent swaps (no fixed point, n/2 excedances), whose statistics and
-those of their gamma and theta images are counted here.  Beside them run
-only oracles and comparisons that no check makes.  The corner extractors
-are held to their literal oracles at n = 100, and the phase-by-phase 132
+input has almost no fixed points, so every Sweep also runs on five extremal
+families built here, the identity (n fixed points, no excedance), the
+adjacent swaps (no fixed point, n/2 excedances), the rotation (h + 1,
+..., n, 1, ..., h) by h = n // 3 and the shifts (n, 1, ..., n - 1) and
+(2, ..., n, 1), which have a single corner; their statistics and those of
+their gamma and theta images are counted here.  Beside them run only oracles
+and comparisons that no check makes.  The corner extractors are held to
+their literal oracles at n = 100, rcl_corners to the half-turned
+l_corners on every input at every size, and the phase-by-phase 132
 rewriting to the literal loop, rewrite for rewrite, at n = 100 and 400.
 At n = 1000, where the literal loop is too slow, each rewrite is held to
 what facts (a) and (b) of the maps module promise: it rotates a 132 of the
@@ -60,11 +63,16 @@ PAIRS_MAX = 400
 SWEEPS = [name for name, check in CHECKS.items() if isinstance(check, Sweep)]
 #: the largest n of a ci case
 CI_MAX_N = 100_000
-#: the extremal families at even n: (builder, (fixed points, excedances))
+#: the extremal families at even n: (builder, (fixed points, excedances));
+#: the rotation by h = n // 3 has h corners and each shift has one
 FAMILIES = {
     "identity": (helpers.identity, lambda n: (n, 0)),
     "adjacent-swaps": (lambda n: tuple(v + 1 if v % 2 else v - 1 for v in range(1, n + 1)),
                        lambda n: (0, n // 2)),
+    "rotation": (lambda n: (*range(n // 3 + 1, n + 1), *range(1, n // 3 + 1)),
+                 lambda n: (0, n - n // 3)),
+    "shift-right": (lambda n: (n, *range(1, n)), lambda n: (0, 1)),
+    "shift-left": (lambda n: (*range(2, n + 1), 1), lambda n: (0, n - 1)),
 }
 
 
@@ -172,6 +180,7 @@ def test_routes_and_properties_at_large_n(seed, n):
               if (ci_n(name) == n if seed == "ci" else n <= helpers.LARGEST_N.get(name, n))]
     failures = [(name, failure) for name in sweeps for failure in CHECKS[name].run_on([sigma])]
     assert failures == []
+    assert rcl_corners(sigma) == helpers.half_turned_l_corners(sigma)
 
     image_theta, *others = [route(sigma) for route in (theta_corners, theta_rsk, theta_slide_flip)]
     assert others == [image_theta, image_theta]
@@ -193,6 +202,7 @@ def test_every_sweep_on_the_extremal_families_at_large_n(family, n):
     sweeps = [name for name in SWEEPS if n <= helpers.LARGEST_N.get(name, n)]
     failures = [(name, failure) for name in sweeps for failure in CHECKS[name].run_on([sigma])]
     assert failures == []
+    assert rcl_corners(sigma) == helpers.half_turned_l_corners(sigma)
     # counted here, not by perm.fixed_points and perm.excedances, which
     # both sides of the statistic checks call
     for word in (sigma, gamma(sigma), theta(sigma)):

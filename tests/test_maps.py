@@ -247,6 +247,15 @@ def test_the_slide_and_flip_route_moves_the_rc_template():
     assert not calls & {"maps.theta_template", "grid._diagonal_runs"}
 
 
+def test_the_two_maps_read_corners_through_sweeps_of_their_own():
+    # l_corners and rcl_corners share no sweep, so the theta template routes
+    # cannot go wrong with gamma_template through one fault in it
+    assert "grid._corner_sweep" in helpers.ROUTE_CALLS["gamma_template"]
+    for route in ("theta_corners", "theta_slide_flip"):
+        calls = helpers.ROUTE_CALLS[route]
+        assert "grid.rcl_corners" in calls and "grid._corner_sweep" not in calls
+
+
 def test_canonical_aliases():
     assert gamma is gamma_template
     assert theta is theta_corners

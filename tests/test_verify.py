@@ -284,6 +284,20 @@ def test_memo_changes_no_verdict(faults, monkeypatch):
                 assert inputs == ([list(PIPELINE_FAULT_AT)] if n == 4 else []), check
 
 
+def test_a_fault_in_l_corners_sweep_fails_bar_reflection(monkeypatch):
+    # bar-reflection holds rc_template, drawn from rcl_corners' own sweep,
+    # against the half-turned nested template, drawn through _corner_sweep
+    sweep = grid._corner_sweep
+
+    def drop_last(word):
+        corners = sweep(word)
+        return corners[:-1] if len(corners) >= 2 else corners
+
+    monkeypatch.setattr(grid, "_corner_sweep", drop_last)
+    failed = {r.check for r in run_suite(1, 6) if not r.passed}
+    assert {"bar-reflection", "fact2", "fact3-route-agreement"} <= failed
+
+
 def test_a_stage_that_draws_no_template_fills_no_dyck_slot(monkeypatch):
     # no Template at all: each read runs the pipeline again, as a direct call does
     fault = _faulty_stage(rsk.template_from_dyck, (_WORD, 4), None)
