@@ -11,7 +11,7 @@ through the half-turn (theta_via_gamma).  All routes agree point for point;
 the verification suite holds them against each other exhaustively.  All six
 reject a word that is not a 321-avoiding permutation with the same
 ValueError, and each call checks its input once (at once for a member of
-the class that verify.run_suite vouches for, see perm._VOUCHED): the
+the class that verify.run_suite vouches for, by perm._vouched_rank): the
 template routes through the corner layer (grid.l_corners,
 grid.rcl_corners), theta_rsk through rsk.rsk_tableaux, the other two at
 entry.

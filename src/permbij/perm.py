@@ -31,9 +31,13 @@ PATTERNS = ("321", "132")
 ENUMERATION_CAP = 12
 
 #: the class verify.run_suite vouches for, whose members the validators pass
-#: (_rank): None outside run_suite; inside it, [] until its first check has
-#: validated the cached S_n(321), then that very list, or () if one failed
+#: (_vouched_rank): None outside run_suite; inside it, [] until its first
+#: check has validated the cached S_n(321), then that very list, or () if
+#: one failed
 _VOUCHED: ContextVar[list | tuple | None] = ContextVar("vouched", default=None)
+#: set and reset with _VOUCHED: [member, rank] of the vouched member that a
+#: sweep of the class is at (verify._class_321), [None, -1] between sweeps
+_SWEPT: ContextVar[list | None] = ContextVar("swept", default=None)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -58,7 +62,7 @@ def require_permutation(word: Sequence[int]) -> None:
     ...
     ValueError: not a permutation of 1..n (n=2)
     """
-    if _rank(word, _VOUCHED.get()) < 0 and not is_permutation(word):
+    if _vouched_rank(word) < 0 and not is_permutation(word):
         raise ValueError(f"not a permutation of 1..n (n={len(word)})")
 
 
@@ -67,7 +71,7 @@ def require_321_avoider(word: Sequence[int]) -> None:
     The input contract of every map route and corner builder: raise
     ValueError unless ``word`` is a permutation (require_permutation) that
     avoids 321.  Both validators pass a member of the class that
-    verify.run_suite has vouched for (_VOUCHED) at once, by _rank's rule;
+    verify.run_suite has vouched for (_VOUCHED) at once, by _vouched_rank;
     any other word, a list included, is checked in full.
 
     >>> require_321_avoider((3, 2, 1))
@@ -75,17 +79,32 @@ def require_321_avoider(word: Sequence[int]) -> None:
     ...
     ValueError: permutation contains a 321-pattern
     """
-    if _rank(word, _VOUCHED.get()) < 0:
+    if _vouched_rank(word) < 0:
         require_permutation(word)
         if _contains_321(word):
             raise ValueError("permutation contains a 321-pattern")
 
 
+def _vouched_rank(word) -> int:
+    """
+    The vouching rule: word's rank in the class that verify.run_suite
+    vouches for (_VOUCHED), or -1, and -1 when none is.  The member
+    being swept (_SWEPT) is ranked at once when word is that very object;
+    any other word is ranked by _rank.
+    """
+    swept = _SWEPT.get()
+    if swept is not None and swept[0] is word:
+        return swept[1]
+    return _rank(word, _VOUCHED.get())
+
+
 def _rank(word, members: list | tuple | None) -> int:
     """
-    The index of word in the sorted list members, or -1; -1 at once when
-    members is None.  word matches a member when it is that object, or an
-    equal tuple of exact ints, so (3.0, 2.0, 1.0), (True, 2) and lists never do.
+    The class rank of word, its index in the sorted list members found by
+    bisection, or -1; -1 at once when members is None.  word matches a
+    member when it is that object, or an equal tuple of exact ints, so
+    (3.0, 2.0, 1.0), (True, 2) and lists never do.  It backs _vouched_rank
+    and ranks images in S_n(132) for verify's memo and bijectivity checks.
     """
     if members is None or type(word) is not tuple:
         return -1
@@ -351,7 +370,8 @@ def _avoider_records(n: int, pattern: str) -> list[bytes]:
     return [children for _, children in grown]
 
 
-@functools.lru_cache(maxsize=None)
+# keeps the two classes of one n, as verify.run_suite sweeps them
+@functools.lru_cache(maxsize=2)
 def _avoider_list(n: int, pattern: str) -> list[Perm]:
     # n references to one iterator: zip reads n bytes per tuple
     return list(chain.from_iterable(zip(*[iter(r)] * n) for r in _avoider_records(n, pattern)))

@@ -15,22 +15,26 @@ and read collisions and misses off one slot per member.
 
 run_suite sweeps n in the outer loop and the checks in the inner one.
 While it runs one n, the images of the default routes (maps.gamma,
-maps.gamma_template and maps.theta) are memoized over that class in a
-plain dict, keyed by the function looked up at call time and then by the
-input, so each route runs once per class member however many checks read
-it; no other route reads it.  Beside the images it holds one bytearray,
-the Dyck row widths of each member of S_n(321) in n bytes at its class
-rank (2.5 MB at n = 12), and never a tableau, template or corner list.
+maps.gamma_template and maps.theta) are memoized over that class, keyed
+by the function looked up at call time, in one array slot per member of
+S_n(321) at its class rank, holding the image's rank in S_n(132).  So
+each route runs once per member however many checks read it; an image
+outside S_n(132) is not kept, but passed on as the route returned it.  No
+other route reads the memo.  Beside them it holds one bytearray, the Dyck
+row widths of each member of S_n(321) in n bytes at its class rank
+(2.5 MB at n = 12), and never a tableau, template or corner list.
 _dyck_template alone reads it, on one side of lemma1, theorem1-route and
 theorem2-route; the first to reach a member fills its bytes from the full
 pipeline, if that template is exactly the staircase rsk._staircase redraws
 from them.  The memo is dropped before the next n, and a direct
-CHECKS[name](n) call outside run_suite is not memoized.  One rule,
-perm._rank, decides membership of a cached class: for the bijectivity
-checks, the memo's 132 images, the Dyck table and perm's validators.
-Beside the memo, and dropped with it, perm._VOUCHED holds the cached
-S_n(321) once the first check to iterate it has validated every member in
-its timed call (else ()), and the validators pass those members at once.
+CHECKS[name](n) call outside run_suite is not memoized.  Beside the memo,
+and dropped with it, perm._VOUCHED holds the cached S_n(321) once the
+first check to iterate it has validated every member in its timed call
+(else ()), and perm._SWEPT the member each sweep of it is at, with its
+rank (_class_321).  One rule, perm._vouched_rank, ranks a word in that
+class for the validators, the memo and the Dyck table: the swept member
+at once, by identity, and any other word by perm._rank's bisection, which
+also ranks the images in S_n(132).
 """
 from __future__ import annotations
 
@@ -122,12 +126,27 @@ def _class_321(n: int) -> Iterator[Perm]:
         valid = all(perm.is_permutation(p) and not perm._contains_321(p) for p in members)
         perm._VOUCHED.set(members if valid else ())
     # looked up at call time, so a patched enumerate_avoiders is honoured
-    return enumerate_avoiders(n, "321")
+    words, swept, members = enumerate_avoiders(n, "321"), perm._SWEPT.get(), perm._VOUCHED.get()
+    return words if swept is None or not members else _publish(words, members, swept)
 
 
-#: {route function: {input: image}, (_dyck_template, n): row widths} for
-#: the class run_suite is sweeping; None outside run_suite, so a direct
-#: CHECKS[name](n) call is unmemoized
+def _publish(words: Iterator[Perm], members: list, swept: list) -> Iterator[Perm]:
+    # the vouched member at each rank, as the word at that rank is yielded, for
+    # perm._vouched_rank; cleared when the sweep ends or is dropped, at
+    # FAILURE_LIMIT or by an error; any words past the class go unranked
+    try:
+        for rank, (member, p) in enumerate(zip(members, words)):
+            swept[0], swept[1] = member, rank
+            yield p
+        swept[0], swept[1] = None, -1
+        yield from words
+    finally:
+        swept[0], swept[1] = None, -1
+
+
+#: {route function: (array of ranks, the cached S_n(132)), (_dyck_template, n):
+#: row widths} for the class run_suite is sweeping; None outside run_suite,
+#: so a direct CHECKS[name](n) call is unmemoized
 _MEMO: ContextVar[dict | None] = ContextVar("route_memo", default=None)
 
 
@@ -137,18 +156,23 @@ def _route(name: str) -> Callable[[Perm], Perm]:
     def image(p: Perm) -> Perm:
         fn = getattr(maps, name)
         memo = _MEMO.get()
-        if memo is None:
+        i = -1 if memo is None else perm._vouched_rank(p)
+        if i < 0:
             return fn(p)
-        images = memo.get(fn)
-        if images is None:
-            images = memo[fn] = {}
-        q = images.get(p)
-        if q is None:
-            # a member is stored as the cached one, so the memo adds no tuples
-            q, members = fn(p), _avoider_list(len(p), "132")
-            i = perm._rank(q, members)
-            q = images[p] = members[i] if i >= 0 else q
-        return q
+        entry = memo.get(fn)
+        if entry is None:  # -1 marks a member not mapped yet
+            from array import array  # here, so that importing permbij does not load array
+            slots = array("i", [-1]) * len(perm._VOUCHED.get())
+            entry = memo[fn] = slots, _avoider_list(len(p), "132")
+        slots, members = entry
+        j = slots[i]
+        if j < 0:
+            q = fn(p)
+            j = perm._rank(q, members)
+            if j < 0:  # no member of S_n(132): passed on as the route returned it
+                return q
+            slots[i] = j
+        return members[j]
 
     return image
 
@@ -167,12 +191,12 @@ def _reflected_nested_template(p: Perm) -> grid.Template:
 
 def _dyck_template(p: Perm) -> grid.Template:
     # inside run_suite, through the member's n bytes of the Dyck table (module docstring)
-    memo, n, members = _MEMO.get(), len(p), perm._VOUCHED.get()
-    at = -1 if memo is None else perm._rank(p, members) * n
+    memo, n = _MEMO.get(), len(p)
+    at = -1 if memo is None else perm._vouched_rank(p) * n
     if at >= 0:
         table = memo.get((_dyck_template, n))
         if table is None:  # 0xFF marks a member not drawn yet
-            table = memo[_dyck_template, n] = bytearray(b"\xff") * (n * len(members))
+            table = memo[_dyck_template, n] = bytearray(b"\xff") * (n * len(perm._VOUCHED.get()))
         if table[at] != 0xFF:
             return rsk._staircase(n, table[at : at + n])
     ins, rec = rsk.rsk_tableaux(p)
@@ -289,18 +313,19 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
     if checks is None:
         names = sorted(CHECKS)
     else:
-        unknown = sorted(set(checks) - CHECKS.keys())
+        names = set(checks)  # read once, so an iterator of names is honoured
+        unknown = sorted(names - CHECKS.keys())
         if unknown:
             known = ", ".join(sorted(CHECKS))
             raise ValueError(f"unknown checks {unknown}; known checks: {known}")
-        names = sorted(set(checks))
+        names = sorted(names)
     for bound in (n_min, n_max):
         _require_class(bound, "321")
     if n_min > n_max:
         raise ValueError(f"n range {n_min}..{n_max} is empty or outside 1..{ENUMERATION_CAP}")
     reports = []
     for n in range(n_min, n_max + 1):
-        tokens = _MEMO.set({}), perm._VOUCHED.set([])
+        tokens = _MEMO.set({}), perm._VOUCHED.set([]), perm._SWEPT.set([None, -1])
         try:
             for name in names:
                 start = time.perf_counter()
@@ -310,6 +335,7 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
         finally:
             _MEMO.reset(tokens[0])
             perm._VOUCHED.reset(tokens[1])
+            perm._SWEPT.reset(tokens[2])
     reports.sort(key=lambda r: (r.check, r.n))
     return reports
 

@@ -406,7 +406,9 @@ def _record_fields(record):
 # "rsk._trusted" TwoRowTableau._trusted.  tests/test_maps.py records the
 # calls of each route and holds them to ROUTE_CALLS, so a route that starts
 # or stops sharing a function with another fails until this table changes.
-_INPUT_CHECK = {"perm.require_permutation", "perm._rank", "perm.is_permutation"}
+_INPUT_CHECK = {
+    "perm.require_permutation", "perm._vouched_rank", "perm._rank", "perm.is_permutation"
+}
 _NO_321 = {"perm.require_321_avoider", "perm._contains_321"}
 _REWRITING = {"maps._rewrite_until_132_free", "maps._least_132_rewrites", "perm._least_132_start"}
 #: the unchecked Template constructor and the one realization, shared by

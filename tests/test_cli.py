@@ -199,6 +199,9 @@ def test_verify_text(capsys):
     # every check over all 58,786 members of S_11(321): the vouched-for
     # class, the route memo and the Dyck table together
     pytest.param(11, 11, (), marks=pytest.mark.ci, id="every-check-n11"),
+    # every check over all 208,012 members of S_12(321), the largest class
+    # the verifier accepts (ENUMERATION_CAP)
+    pytest.param(12, 12, (), marks=pytest.mark.ci, id="every-check-n12"),
 ])
 def test_verify_json_lines_parse_and_round_trip(n_min, n_max, checks):
     # a new process, which exits nonzero when any check fails

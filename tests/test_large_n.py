@@ -5,12 +5,14 @@ Inputs are uniform 321-avoiders from helpers.uniform_321_avoider, which
 shares no code with the library.  Every per-member check of the verifier,
 each Sweep in verify.CHECKS, runs on each input through run_on, at every
 size up to the largest n that helpers.LARGEST_N gives it.  A uniform
-input has almost no fixed points, so every Sweep also runs on five extremal
+input has almost no fixed points, so every Sweep also runs on six extremal
 families built here, the identity (n fixed points, no excedance), the
 adjacent swaps (no fixed point, n/2 excedances), the rotation (h + 1,
-..., n, 1, ..., h) by h = n // 3 and the shifts (n, 1, ..., n - 1) and
-(2, ..., n, 1), which have a single corner; their statistics and those of
-their gamma and theta images are counted here.  Beside them run only oracles
+..., n, 1, ..., h) by h = n // 3, the shifts (n, 1, ..., n - 1) and
+(2, ..., n, 1), which have a single corner, and the direct sum
+tau_1 + 1 + tau_2 + 1 + ... of seeded uniform blocks tau_i and singletons,
+whose statistics are those of its blocks added up; their statistics and
+those of their gamma and theta images are counted here.  Beside them run only oracles
 and comparisons that no check makes.  The corner extractors are held to
 their literal oracles at n = 100, rcl_corners to the half-turned
 l_corners on every input at every size, and the phase-by-phase 132
@@ -63,6 +65,41 @@ PAIRS_MAX = 400
 SWEEPS = [name for name, check in CHECKS.items() if isinstance(check, Sweep)]
 #: the largest n of a ci case
 CI_MAX_N = 100_000
+
+
+def direct_sum_blocks(n):
+    """
+    The blocks of tau_1 + 1 + tau_2 + 1 + ... of size n, in order: seeded
+    uniform 321-avoiders tau_i of 1 to max(1, n // 8) entries, each but the
+    last followed by the singleton (1,), the last cut to fill n.
+    """
+    rng = random.Random(f"direct-sum:{n}")
+    blocks, size = [], 0
+    while size < n:
+        tau = helpers.uniform_321_avoider(min(rng.randint(1, max(1, n // 8)), n - size), rng)
+        blocks.append(tau)
+        size += len(tau)
+        if size < n:
+            blocks.append((1,))
+            size += 1
+    return blocks
+
+
+def direct_sum(n):
+    """The direct sum of direct_sum_blocks(n): each block shifted past the ones before it."""
+    word = []
+    for block in direct_sum_blocks(n):
+        word += [v + len(word) for v in block]
+    return tuple(word)
+
+
+def block_stats(n):
+    """(fixed points, excedances) of direct_sum(n), added up over its blocks."""
+    blocks = direct_sum_blocks(n)
+    return (sum(v == i for block in blocks for i, v in enumerate(block, 1)),
+            sum(v > i for block in blocks for i, v in enumerate(block, 1)))
+
+
 #: the extremal families at even n: (builder, (fixed points, excedances));
 #: the rotation by h = n // 3 has h corners and each shift has one
 FAMILIES = {
@@ -73,6 +110,7 @@ FAMILIES = {
                  lambda n: (0, n - n // 3)),
     "shift-right": (lambda n: (n, *range(1, n)), lambda n: (0, 1)),
     "shift-left": (lambda n: (*range(2, n + 1), 1), lambda n: (0, n - 1)),
+    "direct-sum": (direct_sum, block_stats),
 }
 
 

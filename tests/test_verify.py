@@ -1,3 +1,4 @@
+import contextvars
 import itertools
 import json
 from collections import Counter
@@ -109,6 +110,16 @@ def test_run_suite_rejects_unknown_checks_and_bad_ranges():
             run_suite(*bounds)
 
 
+def test_run_suite_reads_an_iterator_of_check_names_once():
+    # a generator of names runs the checks a list of the same names runs
+    listed = [(r.check, r.n, r.failures) for r in run_suite(1, 3, ["fact2", "lemma3"])]
+    generated = run_suite(1, 3, (name for name in ["lemma3", "fact2"]))
+    assert [(r.check, r.n, r.failures) for r in generated] == listed
+    assert len(listed) == 6
+    with pytest.raises(ValueError, match="unknown checks"):
+        run_suite(1, 3, iter(["fact2", "nonsense"]))
+
+
 def test_failures_are_capped(monkeypatch):
     yielded = []
 
@@ -157,6 +168,21 @@ def test_check_report_json_round_trip():
 
 
 # --------------------------------------------------------------- route memo
+
+def _record_vouched_classes(monkeypatch) -> list[list]:
+    """The cached S_n(321) that run_suite reads to vouch for, one list per n, as it reads them."""
+    classes = []
+    read = verify._avoider_list
+
+    def recorded(n, pattern):
+        words = read(n, pattern)
+        if pattern == "321":
+            classes.append(words)
+        return words
+
+    monkeypatch.setattr(verify, "_avoider_list", recorded)
+    return classes
+
 
 def _faulty(route, at, image):
     """``route``, except that it returns ``image`` at the input ``at``."""
@@ -254,10 +280,12 @@ def test_memo_changes_no_verdict(faults, monkeypatch):
             # gamma is the gamma_template route; fault both names alike
             monkeypatch.setattr(maps, "gamma_template", faulty)
     validated = _count_validations(monkeypatch)
+    classes = _record_vouched_classes(monkeypatch)
     memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(1, 6)]
     # the class was vouched for, and is no longer: each member itself was
     # validated once, and no other word
-    members = [p for n in range(1, 7) for p in enumerate_avoiders(n, "321")]
+    assert [len(words) for words in classes] == [catalan(n) for n in range(1, 7)]
+    members = [p for words in classes for p in words]
     ids = set(map(id, members))
     assert sorted(id(w) for w in validated["is_permutation"] if id(w) in ids) == sorted(ids)
     assert Counter(validated["is_permutation"]) == Counter(members)
@@ -472,27 +500,40 @@ def test_each_n_gets_a_fresh_memo(monkeypatch):
     assert len(set(map(id, memos))) == 3 and all(memos)
 
 
-def test_memo_stores_only_class_members_canonically(monkeypatch):
+@pytest.mark.parametrize("image, kept", [
+    (tuple([2, 3, 1]), True),  # equal to the cached member of S_3(132), but a fresh tuple
+    ((2.0, 3.0, 1.0), False), ([2, 3, 1], False), ((1, 3, 2), False), ((2, True, 1), False),
+    ((4, 3, 2, 1), False),
+], ids=repr)
+def test_memo_stores_only_class_members_canonically(image, kept, monkeypatch):
+    # theta sends (1, 2, 3) to image: a member image is kept as its rank in
+    # S_3(132) and read back as the cached member; any other image is passed
+    # on as the route returned it, and not kept
     members = perm._avoider_list(3, "132")
     member = next(q for q in members if q == (2, 3, 1))
-    fresh = tuple([2, 3, 1])
-    assert fresh is not member
-    assert members[perm._rank(fresh, members)] is member
-    memo = {}
-    token = verify._MEMO.set(memo)
-    try:
-        monkeypatch.setattr(maps, "theta", lambda p: fresh)
-        assert verify._theta((1, 2, 3)) is member
-        assert memo == {maps.theta: {(1, 2, 3): member}}
-        assert memo[maps.theta][(1, 2, 3)] is member
-        odds = [(2.0, 3.0, 1.0), [2, 3, 1], (1, 3, 2), (2, True, 1), (4, 3, 2, 1)]
-        for i, odd in enumerate(odds):
-            assert perm._rank(odd, members) == -1
-            monkeypatch.setattr(maps, "theta", lambda p, odd=odd: odd)
-            assert verify._theta(("input", i, repr(odd))) is odd
-            assert memo[maps.theta][("input", i, repr(odd))] is odd
-    finally:
-        verify._MEMO.reset(token)
+    rank = perm._rank(image, members)
+    assert image is not member
+    assert rank == (members.index(member) if kept else -1)
+    calls, seen = [], []
+    monkeypatch.setattr(maps, "theta", _counted(lambda p: image, calls))
+
+    def probe(n):
+        words = verify._class_321(n)
+        swept = next(words)  # the member (1, 2, 3) itself, while its sweep is at it
+        for p in (swept, tuple(list(swept))):  # ranked by identity, then by bisection
+            seen.append(verify._theta(p))
+        memo = verify._MEMO.get()
+        seen.append({fn: (slots.tolist(), members) for fn, (slots, members) in memo.items()})
+        return iter(())
+
+    monkeypatch.setitem(CHECKS, "fact2", probe)
+    run_suite(3, 3, ["fact2"])
+    first, again, memo = seen
+    assert memo == {maps.theta: ([rank, -1, -1, -1, -1], members)}
+    if kept:
+        assert first is again is member and len(calls) == 1
+    else:
+        assert first is again is image and len(calls) == 2
 
 
 def test_a_cached_member_is_its_own_member_and_odd_tuples_are_none():
@@ -637,6 +678,17 @@ def test_a_cached_class_with_a_321_is_not_vouched_for(monkeypatch):
     assert perm._VOUCHED.get() is None
 
 
+def test_the_tuple_cache_keeps_the_two_classes_of_one_n():
+    run_suite(1, 5)
+    info = perm._avoider_list.cache_info()
+    assert info.maxsize == info.currsize == 2
+    for pattern in PATTERNS:  # the last n's two classes, and no others
+        enumerate_avoiders(5, pattern)
+    assert perm._avoider_list.cache_info().hits == info.hits + 2
+    enumerate_avoiders(4, "321")
+    assert perm._avoider_list.cache_info().misses == info.misses + 1
+
+
 def test_nothing_is_vouched_for_once_run_suite_returns_or_raises(monkeypatch):
     members = list(enumerate_avoiders(4, "321"))
     run_suite(4, 4, ["fact2"])
@@ -654,6 +706,85 @@ def test_nothing_is_vouched_for_once_run_suite_returns_or_raises(monkeypatch):
     for p in members:
         perm.require_321_avoider(p)
     assert calls["is_permutation"] == calls["_contains_321"] == members
+
+
+def test_the_swept_member_is_ranked_without_a_bisection(monkeypatch):
+    ranks, calls = [], []
+
+    def probe(n):
+        words = verify._class_321(n)  # the first sweep at n vouches for the class
+        calls.clear()
+        members = perm._VOUCHED.get()
+        for i, p in enumerate(words):
+            swept = perm._SWEPT.get()
+            assert swept[0] is members[i] is p and swept[1] == i
+            ranks.append((perm._vouched_rank(p), len(calls)))
+            # an equal copy, and the member beside it, are bisected for
+            ranks.append((perm._vouched_rank(tuple(list(p))), len(calls)))
+            ranks.append((perm._vouched_rank(members[i - 1]), len(calls)))
+        assert perm._SWEPT.get() == [None, -1]
+        return iter(())
+
+    n = 5
+    monkeypatch.setattr(perm, "_rank", _counted(perm._rank, calls))
+    monkeypatch.setitem(CHECKS, "fact2", probe)
+    run_suite(n, n, ["fact2"])
+    m = catalan(n)
+    assert ranks == [(r, calls) for i in range(m)
+                     for r, calls in ((i, 2 * i), (i, 2 * i + 1), ((i - 1) % m, 2 * i + 2))]
+
+
+def test_suites_in_separate_contexts_never_see_each_others_member(monkeypatch):
+    # a probe sweeping S_5(321) runs a suite over S_4(321) in a context of
+    # its own at every tenth member; each sweep sees its own member and rank
+    # throughout, and the outer one is where it was when the inner returns
+    seen = []
+
+    def probe(n):
+        words = verify._class_321(n)
+        members = perm._VOUCHED.get()
+        for i, p in enumerate(words):
+            seen.append((n, i, perm._vouched_rank(p), perm._SWEPT.get()[0] is members[i] is p))
+            if n == 5 and i % 10 == 0:
+                contextvars.copy_context().run(run_suite, 4, 4, ["fact2"])
+                assert perm._VOUCHED.get() is members and perm._SWEPT.get() == [p, i]
+                assert perm._SWEPT.get()[0] is p
+        return iter(())
+
+    monkeypatch.setitem(CHECKS, "fact2", probe)
+    run_suite(5, 5, ["fact2"])
+    inner = [(4, i, i, True) for i in range(catalan(4))]
+    expected = []
+    for i in range(catalan(5)):
+        expected.append((5, i, i, True))
+        expected += inner if i % 10 == 0 else []
+    assert seen == expected
+    assert perm._SWEPT.get() is None and perm._VOUCHED.get() is None
+
+
+def test_a_sweep_abandoned_at_the_failure_limit_leaves_no_rank(monkeypatch):
+    # every member fails fact2 here, so run_suite drops its sweep at the
+    # FAILURE_LIMIT-th member of S_5(321); the next check at n = 5 finds no
+    # member published, and n = 6 gets a published rank and a memo of its own
+    seen = []
+
+    def probe(n):
+        swept, memo = perm._SWEPT.get(), verify._MEMO.get()
+        seen.append((swept, list(swept), memo, sum(j >= 0 for j in memo[maps.theta][0])))
+        words = verify._class_321(n)
+        next(words), next(words)
+        assert swept[0] is perm._VOUCHED.get()[1] and swept[1] == 1
+        del words  # a sweep dropped between two members
+        assert swept == [None, -1]
+        return iter(())
+
+    monkeypatch.setitem(CHECKS, "fact2", Sweep(("theta", lambda p: None, verify._theta)))
+    monkeypatch.setitem(CHECKS, "lemma1", probe)
+    reports = run_suite(5, 6, ["fact2", "lemma1"])
+    assert [len(r.failures) for r in reports] == [FAILURE_LIMIT, FAILURE_LIMIT, 0, 0]
+    (swept5, at5, memo5, filled5), (swept6, at6, memo6, filled6) = seen
+    assert at5 == at6 == [None, -1] and swept5 is not swept6 and memo5 is not memo6
+    assert filled5 == filled6 == FAILURE_LIMIT
 
 
 def test_a_stage_that_returns_a_321_containing_word_is_still_rejected(monkeypatch):
