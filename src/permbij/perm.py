@@ -36,7 +36,7 @@ ENUMERATION_CAP = 12
 #: one failed
 _VOUCHED: ContextVar[list | tuple | None] = ContextVar("vouched", default=None)
 #: set and reset with _VOUCHED: [member, rank] of the vouched member that a
-#: sweep of the class is at (verify._class_321), [None, -1] between sweeps
+#: sweep of the class is at (_publish), [None, -1] between sweeps
 _SWEPT: ContextVar[list | None] = ContextVar("swept", default=None)
 
 
@@ -96,6 +96,29 @@ def _vouched_rank(word) -> int:
     if swept is not None and swept[0] is word:
         return swept[1]
     return _rank(word, _VOUCHED.get())
+
+
+def _publish(words: Iterator[Perm]) -> Iterator[Perm]:
+    """
+    A sweep of the vouched class (verify._class_321): words, each yielded
+    while _SWEPT holds the vouched member of the same rank, for
+    _vouched_rank; words itself outside run_suite or while no class is
+    vouched for.  _SWEPT is cleared when the sweep ends or is dropped, at
+    the failure cap or by an error; any words past the class go unranked.
+    """
+    swept, members = _SWEPT.get(), _VOUCHED.get()
+    return words if swept is None or not members else _published(words, members, swept)
+
+
+def _published(words, members, swept):
+    try:
+        for rank, (member, p) in enumerate(zip(members, words)):
+            swept[0], swept[1] = member, rank
+            yield p
+        swept[0], swept[1] = None, -1
+        yield from words
+    finally:
+        swept[0], swept[1] = None, -1
 
 
 def _rank(word, members: list | tuple | None) -> int:

@@ -31,7 +31,7 @@ CHECKS[name](n) call outside run_suite is not memoized.  Beside the memo,
 and dropped with it, perm._VOUCHED holds the cached S_n(321) once the
 first check to iterate it has validated every member in its timed call
 (else ()), and perm._SWEPT the member each sweep of it is at, with its
-rank (_class_321).  One rule, perm._vouched_rank, ranks a word in that
+rank (perm._publish).  One rule, perm._vouched_rank, ranks a word in that
 class for the validators, the memo and the Dyck table: the swept member
 at once, by identity, and any other word by perm._rank's bisection, which
 also ranks the images in S_n(132).
@@ -126,22 +126,7 @@ def _class_321(n: int) -> Iterator[Perm]:
         valid = all(perm.is_permutation(p) and not perm._contains_321(p) for p in members)
         perm._VOUCHED.set(members if valid else ())
     # looked up at call time, so a patched enumerate_avoiders is honoured
-    words, swept, members = enumerate_avoiders(n, "321"), perm._SWEPT.get(), perm._VOUCHED.get()
-    return words if swept is None or not members else _publish(words, members, swept)
-
-
-def _publish(words: Iterator[Perm], members: list, swept: list) -> Iterator[Perm]:
-    # the vouched member at each rank, as the word at that rank is yielded, for
-    # perm._vouched_rank; cleared when the sweep ends or is dropped, at
-    # FAILURE_LIMIT or by an error; any words past the class go unranked
-    try:
-        for rank, (member, p) in enumerate(zip(members, words)):
-            swept[0], swept[1] = member, rank
-            yield p
-        swept[0], swept[1] = None, -1
-        yield from words
-    finally:
-        swept[0], swept[1] = None, -1
+    return perm._publish(enumerate_avoiders(n, "321"))
 
 
 #: {route function: (array of ranks, the cached S_n(132)), (_dyck_template, n):
@@ -159,20 +144,17 @@ def _route(name: str) -> Callable[[Perm], Perm]:
         i = -1 if memo is None else perm._vouched_rank(p)
         if i < 0:
             return fn(p)
-        entry = memo.get(fn)
-        if entry is None:  # -1 marks a member not mapped yet
+        if fn not in memo:  # -1 marks a member not mapped yet
             from array import array  # here, so that importing permbij does not load array
-            slots = array("i", [-1]) * len(perm._VOUCHED.get())
-            entry = memo[fn] = slots, _avoider_list(len(p), "132")
-        slots, members = entry
-        j = slots[i]
-        if j < 0:
+            memo[fn] = array("i", [-1]) * len(perm._VOUCHED.get()), _avoider_list(len(p), "132")
+        slots, members = memo[fn]
+        if slots[i] < 0:
             q = fn(p)
             j = perm._rank(q, members)
             if j < 0:  # no member of S_n(132): passed on as the route returned it
                 return q
             slots[i] = j
-        return members[j]
+        return members[slots[i]]
 
     return image
 
@@ -310,15 +292,12 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
     """
     if isinstance(checks, str):
         raise ValueError(f"pass a list of check names, not the string {checks!r}")
-    if checks is None:
-        names = sorted(CHECKS)
-    else:
-        names = set(checks)  # read once, so an iterator of names is honoured
-        unknown = sorted(names - CHECKS.keys())
-        if unknown:
-            known = ", ".join(sorted(CHECKS))
-            raise ValueError(f"unknown checks {unknown}; known checks: {known}")
-        names = sorted(names)
+    names = set(CHECKS if checks is None else checks)  # read once, so an iterator is honoured
+    unknown = sorted(names - CHECKS.keys())
+    if unknown:
+        known = ", ".join(sorted(CHECKS))
+        raise ValueError(f"unknown checks {unknown}; known checks: {known}")
+    names = sorted(names)
     for bound in (n_min, n_max):
         _require_class(bound, "321")
     if n_min > n_max:
@@ -333,9 +312,8 @@ def run_suite(n_min: int, n_max: int, checks: Sequence[str] | None = None) -> li
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 reports.append(CheckReport(name, n, catalan(n), failures, elapsed_ms))
         finally:
-            _MEMO.reset(tokens[0])
-            perm._VOUCHED.reset(tokens[1])
-            perm._SWEPT.reset(tokens[2])
+            for token in tokens:
+                token.var.reset(token)
     reports.sort(key=lambda r: (r.check, r.n))
     return reports
 

@@ -500,40 +500,39 @@ def test_each_n_gets_a_fresh_memo(monkeypatch):
     assert len(set(map(id, memos))) == 3 and all(memos)
 
 
-@pytest.mark.parametrize("image, kept", [
-    (tuple([2, 3, 1]), True),  # equal to the cached member of S_3(132), but a fresh tuple
-    ((2.0, 3.0, 1.0), False), ([2, 3, 1], False), ((1, 3, 2), False), ((2, True, 1), False),
-    ((4, 3, 2, 1), False),
-], ids=repr)
-def test_memo_stores_only_class_members_canonically(image, kept, monkeypatch):
-    # theta sends (1, 2, 3) to image: a member image is kept as its rank in
-    # S_3(132) and read back as the cached member; any other image is passed
-    # on as the route returned it, and not kept
+def test_memo_stores_only_class_members_canonically(monkeypatch):
+    # theta sends (1, 2, 3) to each image in turn: a member image is kept as
+    # its rank in S_3(132) and read back as the cached member; any other
+    # image is passed on as the route returned it, and not kept
     members = perm._avoider_list(3, "132")
     member = next(q for q in members if q == (2, 3, 1))
-    rank = perm._rank(image, members)
-    assert image is not member
-    assert rank == (members.index(member) if kept else -1)
-    calls, seen = [], []
-    monkeypatch.setattr(maps, "theta", _counted(lambda p: image, calls))
+    fresh = tuple([2, 3, 1])  # equal to the cached member, but a fresh tuple
+    odds = [(2.0, 3.0, 1.0), [2, 3, 1], (1, 3, 2), (2, True, 1), (4, 3, 2, 1)]
+    for image in [fresh, *odds]:
+        kept = image is fresh
+        rank = perm._rank(image, members)
+        assert image is not member
+        assert rank == (members.index(member) if kept else -1)
+        calls, seen = [], []
+        monkeypatch.setattr(maps, "theta", _counted(lambda p, image=image: image, calls))
 
-    def probe(n):
-        words = verify._class_321(n)
-        swept = next(words)  # the member (1, 2, 3) itself, while its sweep is at it
-        for p in (swept, tuple(list(swept))):  # ranked by identity, then by bisection
-            seen.append(verify._theta(p))
-        memo = verify._MEMO.get()
-        seen.append({fn: (slots.tolist(), members) for fn, (slots, members) in memo.items()})
-        return iter(())
+        def probe(n):
+            words = verify._class_321(n)
+            swept = next(words)  # the member (1, 2, 3) itself, while its sweep is at it
+            for p in (swept, tuple(list(swept))):  # ranked by identity, then by bisection
+                seen.append(verify._theta(p))
+            memo = verify._MEMO.get()
+            seen.append({fn: (slots.tolist(), words) for fn, (slots, words) in memo.items()})
+            return iter(())
 
-    monkeypatch.setitem(CHECKS, "fact2", probe)
-    run_suite(3, 3, ["fact2"])
-    first, again, memo = seen
-    assert memo == {maps.theta: ([rank, -1, -1, -1, -1], members)}
-    if kept:
-        assert first is again is member and len(calls) == 1
-    else:
-        assert first is again is image and len(calls) == 2
+        monkeypatch.setitem(CHECKS, "fact2", probe)
+        run_suite(3, 3, ["fact2"])
+        first, again, memo = seen
+        assert memo == {maps.theta: ([rank, -1, -1, -1, -1], members)}
+        if kept:
+            assert first is again is member and len(calls) == 1
+        else:
+            assert first is again is image and len(calls) == 2
 
 
 def test_a_cached_member_is_its_own_member_and_odd_tuples_are_none():
