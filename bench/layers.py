@@ -5,9 +5,10 @@ two rewriting routes; in-process `permbij map` calls of the six routes and
 one build of the CLI's argument parser; cold class enumeration and cold
 statistics tables; the import of permbij and of its CLI in fresh
 interpreters; per-check timings of the exhaustive verifier, and its
-per-check calls into each library function; the
-tier-1 test suite's wall time; and the line count of the library, for two
-checkouts side by side.
+per-check calls into each library function; the peak memory of
+run_suite(n, n) and the cost of one class-membership lookup (perm._rank);
+the tier-1 test suite's wall time; and the line count of the library, for
+two checkouts side by side.
 
     python bench/layers.py OUT.json PARENT [CHANGE]
 
@@ -71,6 +72,15 @@ before its first check are row "count.verify.run_suite"; a check's row
 includes the enumeration and the memo fills it is the first to make, and
 the building of its report.
 
+Rows "mem.run_suite" at n hold, in MB (key "mb"), the peak RSS
+(ru_maxrss) of MEM_RUNS fresh interpreters per side, each running
+run_suite(n, n) with every check, for n in MEM_SIZES.  Rows "perm._rank"
+at n hold, in microseconds per call (key "us"), RANK_PASSES timed passes
+of perm._rank in each of RANK_RUNS fresh interpreters per side, each pass
+over the same RANK_WORDS fresh tuples, equal to seeded members of
+S_n(132), looked up in that class as the checkout caches it, for n in
+RANK_SIZES.
+
 Rows "import.permbij" and "import.permbij.cli" hold IMPORT_RUNS fresh
 interpreters per side, each timing one import of the module (interpreter
 start left out), on a copy of the checkout's src made for the purpose.
@@ -115,6 +125,12 @@ COUNT_SIZES = (9, 10)
 COLD_RUNS = 6
 IMPORT_RUNS = 20
 STATS_SIZES = (9, 10, 11, 12)
+MEM_SIZES = (9, 10, 11, 12)
+MEM_RUNS = 2
+RANK_SIZES = (9, 10, 12)
+RANK_RUNS = 4
+RANK_PASSES = 5
+RANK_WORDS = 2000
 TIER1_RUNS = 2
 SIDES = ("parent", "change")
 
@@ -163,6 +179,39 @@ verify.run_suite(n, n)
 sys.setprofile(None)
 print(json.dumps([[check, {fn: round(c / catalan(n), 4) for fn, c in sorted(calls.items())}]
                   for check, calls in sorted(counts.items())]))
+"""
+
+#: one run_suite(n, n) in a child of a fresh interpreter: a JSON list of its
+#: peak RSS in MB (ru_maxrss, which Linux gives in KB).  A child's ru_maxrss
+#: starts from the high-water mark of the process it was spawned from, which
+#: here is this small launcher's, not the bench's
+MEM_SCRIPT = """
+import json, resource, subprocess, sys
+suite = f"from permbij.verify import run_suite; run_suite({int(sys.argv[1])}, {int(sys.argv[1])})"
+subprocess.run([sys.executable, "-c", suite], check=True)
+print(json.dumps([resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024]))
+"""
+
+#: RANK_PASSES timed passes of perm._rank over RANK_WORDS fresh tuples equal
+#: to seeded members of S_n(132), in a fresh interpreter: a JSON list of the
+#: microseconds per call of each pass
+RANK_SCRIPT = """
+import json, random, sys, time
+from permbij import perm
+n, passes, count = map(int, sys.argv[1:])
+# the class as the checkout caches it: packed records, or a list of tuples before them
+members = (getattr(perm, "_avoiders", None) or perm._avoider_list)(n, "132")
+rng = random.Random(f"rank:{n}")
+picked = set(rng.sample(range(len(members)), min(count, len(members))))
+words = [tuple(list(p)) for i, p in enumerate(members) if i in picked]
+rng.shuffle(words)
+rank, times = perm._rank, []
+for _ in range(passes):
+    start = time.perf_counter()
+    for word in words:
+        rank(word, members)
+    times.append((time.perf_counter() - start) / len(words) * 1e6)
+print(json.dumps(times))
 """
 
 #: one cold call in a fresh interpreter: the expression argv[2] after the import argv[1], in ms
@@ -308,12 +357,15 @@ def alternate(checkouts: dict[str, Path], runs: int, measure, start: int = 0) ->
     return samples
 
 
-def timed_row(layer: str, samples: list[float], **fields) -> dict:
-    """The row of ``samples`` (ms): their median, their inclusive quartiles and their count."""
+def timed_row(layer: str, samples: list[float], unit: str = "ms", **fields) -> dict:
+    """
+    The row of ``samples``, in ``unit`` (its key): their median, their
+    inclusive quartiles and their count.
+    """
     q1, _, q3 = (
         statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
     )
-    return {"layer": layer, **fields, "ms": round(statistics.median(samples), 4),
+    return {"layer": layer, **fields, unit: round(statistics.median(samples), 4),
             "q1": round(q1, 4), "q3": round(q3, 4), "calls": len(samples)}
 
 
@@ -342,6 +394,15 @@ def cold_rows(checkouts: dict[str, Path], layer: str, call: str, n: int, pattern
         call.format(n=n, pattern=pattern),
     )))
     return {side: [timed_row(f"{layer}.{pattern}", times, n=n)] for side, times in samples.items()}
+
+
+def fresh_rows(checkouts: dict[str, Path], layer: str, unit: str, runs: int, script: str,
+               n: int, *args) -> dict[str, list[dict]]:
+    """Row ``layer`` at n: the samples of ``runs`` fresh runs per side of ``script`` at n."""
+    samples = alternate(checkouts, runs,
+                        lambda checkout: json.loads(fresh_run(checkout, script, n, *args)))
+    return {side: [timed_row(layer, [x for run in side_runs for x in run], unit, n=n)]
+            for side, side_runs in samples.items()}
 
 
 def import_rows(checkouts: dict[str, Path], module: str) -> dict[str, list[dict]]:
@@ -439,13 +500,17 @@ def main(argv=None) -> int:
         (cold_rows(checkouts, layer, call, n, pattern)
          for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
         (import_rows(checkouts, module) for module in ("permbij", "permbij.cli")),
+        (fresh_rows(checkouts, "mem.run_suite", "mb", MEM_RUNS, MEM_SCRIPT, n) for n in MEM_SIZES),
+        (fresh_rows(checkouts, "perm._rank", "us", RANK_RUNS, RANK_SCRIPT, n, RANK_PASSES,
+                    RANK_WORDS) for n in RANK_SIZES),
         (rows_of(checkouts) for rows_of in (suite_rows, count_rows, tier1_rows)),
     )
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for part in parts:
         for side, side_rows in part.items():
             for row in side_rows:
-                figure = (f"{row['ms']:10.3f} ms" if "ms" in row else row.get("skipped")
+                unit = next((unit for unit in ("ms", "us", "mb") if unit in row), None)
+                figure = (f"{row[unit]:10.3f} {unit}" if unit else row.get("skipped")
                           or f"{len(row['calls_per_member'])} functions")
                 layer, n = row["layer"], row.get("n") or row.get("bytecode") or "-"
                 print(f"{side:7s}{layer:30s} n={n!s:<7s} {figure}", file=sys.stderr)
@@ -472,7 +537,10 @@ def main(argv=None) -> int:
             f"rows: calls per member of S_n(321) into each permbij function, from one "
             f"run_suite(n, n) per side under sys.setprofile, untimed, for n in {COUNT_SIZES}; "
             f"perm.enumerate_avoiders.* and verify.stats_table.* rows: {COLD_RUNS} cold "
-            f"runs per side; import.* rows: "
+            f"runs per side; mem.run_suite rows: peak RSS (MB) of {MEM_RUNS} fresh "
+            f"run_suite(n, n) runs per side; perm._rank rows: microseconds per call, "
+            f"{RANK_PASSES} passes over {RANK_WORDS} fresh tuples equal to members of "
+            f"S_n(132) in each of {RANK_RUNS} runs per side; import.* rows: "
             f"{IMPORT_RUNS} imports per side in fresh interpreters, without and then with "
             f"bytecode caches, interpreter start left out; tier1.pytest: "
             f"{TIER1_RUNS} runs of the checkout's test suite per side"

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from contextvars import ContextVar
-from itertools import chain, groupby
+from itertools import groupby
 from operator import eq, gt, itemgetter
 
 Perm = tuple[int, ...]
@@ -32,9 +32,9 @@ ENUMERATION_CAP = 12
 
 #: the class verify.run_suite vouches for, whose members the validators pass
 #: (_vouched_rank): None outside run_suite; inside it, [] until its first
-#: check has validated the cached S_n(321), then that very list, or () if
-#: one failed
-_VOUCHED: ContextVar[list | tuple | None] = ContextVar("vouched", default=None)
+#: check has validated the packed S_n(321) (_avoiders), then those very
+#: records, or () if a member failed
+_VOUCHED: ContextVar[_Avoiders | list | tuple | None] = ContextVar("vouched", default=None)
 #: set and reset with _VOUCHED: [member, rank] of the vouched member that a
 #: sweep of the class is at (_publish), [None, -1] between sweeps
 _SWEPT: ContextVar[list | None] = ContextVar("swept", default=None)
@@ -98,45 +98,53 @@ def _vouched_rank(word) -> int:
     return _rank(word, _VOUCHED.get())
 
 
-def _publish(words: Iterator[Perm]) -> Iterator[Perm]:
+def _publish(enumerate_fn, n: int) -> Iterator[Perm]:
     """
-    A sweep of the vouched class (verify._class_321): words, each yielded
-    while _SWEPT holds the vouched member of the same rank, for
-    _vouched_rank; words itself outside run_suite or while no class is
-    vouched for.  _SWEPT is cleared when the sweep ends or is dropped, at
-    the failure cap or by an error; any words past the class go unranked.
+    The sweep of S_n(321) for verify._class_321: enumerate_fn(n, "321"),
+    unless enumerate_fn is enumerate_avoiders and run_suite vouches for the
+    class; then each member is cut from the records and yielded while
+    _SWEPT holds it with its rank, until the sweep ends or is dropped.
     """
     swept, members = _SWEPT.get(), _VOUCHED.get()
-    return words if swept is None or not members else _published(words, members, swept)
+    if swept is None or not members or members.n != n or enumerate_fn is not enumerate_avoiders:
+        return enumerate_fn(n, "321")
+    return _published(members, swept)
 
 
-def _published(words, members, swept):
+def _published(members, swept):
     try:
-        for rank, (member, p) in enumerate(zip(members, words)):
+        for rank, member in enumerate(members):
             swept[0], swept[1] = member, rank
-            yield p
-        swept[0], swept[1] = None, -1
-        yield from words
+            yield member
     finally:
         swept[0], swept[1] = None, -1
 
 
-def _rank(word, members: list | tuple | None) -> int:
+def _rank(word, members: _Avoiders | None) -> int:
     """
-    The class rank of word, its index in the sorted list members found by
-    bisection, or -1; -1 at once when members is None.  word matches a
-    member when it is that object, or an equal tuple of exact ints, so
-    (3.0, 2.0, 1.0), (True, 2) and lists never do.  It backs _vouched_rank
-    and ranks images in S_n(132) for verify's memo and bijectivity checks.
+    The class rank of word in the records members (_avoiders), or -1, at
+    once for no records, such as None: the member last cut by index when
+    word is that very tuple, else by bisecting the keys for word's key.
+    word matches a tuple of exact ints whose bytes are the member's
+    record, so (3.0, 2.0, 1.0), (True, 2), lists and strs never do.  It
+    backs _vouched_rank and ranks images in S_n(132) for verify.
     """
-    if members is None or type(word) is not tuple:
+    if type(members) is not _Avoiders:
+        return -1
+    cut, rank = members.cut
+    if cut is word:
+        return rank
+    if type(word) is not tuple or len(word) != members.n:
         return -1
     try:
-        i = bisect_left(members, word)
-    except TypeError:  # entries that do not compare with ints, such as strs
+        record = bytes(word)
+    except (TypeError, ValueError):  # entries that are no ints in 0..255
         return -1
-    if i < len(members) and (members[i] is word
-                             or (members[i] == word and set(map(type, word)) == {int})):
+    n, keys = len(record), members.keys
+    # an entry above 15 loses its high digit here, but not in the record
+    i = bisect_left(keys, int(record.hex()[1::2], 16))
+    if (i < len(keys) and members.flat[i * n : i * n + n] == record
+            and list(map(type, word)).count(int) == n):
         return i
     return -1
 
@@ -365,7 +373,7 @@ def _avoider_records(n: int, pattern: str) -> list[bytes]:
     # the pad left of every word into v and raises the entries >= v, so a
     # level makes a few calls in C per block and runs no bytecode per
     # word.  The last level's children, S_n(pattern) in order, are returned
-    # unjoined and uncached; _avoider_list caches the tuples cut from them.
+    # unjoined and uncached; _avoiders caches them packed.
     _require_class(n, pattern)
     pads = bytes(range(_PAD, _PAD + n))
     grown = [((1, 1), pads)]
@@ -393,11 +401,42 @@ def _avoider_records(n: int, pattern: str) -> list[bytes]:
     return [children for _, children in grown]
 
 
+class _Avoiders:
+    """
+    S_n(pattern) in class order as flat, the n-byte records joined, and
+    keys, an array('Q') of one int per member whose hex digits are its
+    entries (at most ENUMERATION_CAP < 16).  A member is cut as a tuple
+    only when read, by index or by iteration.
+    """
+
+    __slots__ = ("n", "flat", "keys", "cut")
+
+    def __init__(self, n: int, records: list[bytes]) -> None:
+        from array import array  # here, so that importing permbij does not load array
+        self.n, self.flat, self.cut = n, b"".join(records), (None, -1)
+        # the low hex digit of each byte is its entry
+        digits = self.flat.hex()[1::2]
+        self.keys = array("Q", (int(digits[i : i + n], 16) for i in range(0, len(digits), n)))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Perm:
+        if not 0 <= i < len(self.keys):
+            raise IndexError(i)
+        member = tuple(self.flat[i * self.n : (i + 1) * self.n])
+        self.cut = member, i  # for _rank
+        return member
+
+    def __iter__(self) -> Iterator[Perm]:
+        # n references to one iterator: zip reads n bytes per tuple
+        return zip(*[iter(self.flat)] * self.n)
+
+
 # keeps the two classes of one n, as verify.run_suite sweeps them
 @functools.lru_cache(maxsize=2)
-def _avoider_list(n: int, pattern: str) -> list[Perm]:
-    # n references to one iterator: zip reads n bytes per tuple
-    return list(chain.from_iterable(zip(*[iter(r)] * n) for r in _avoider_records(n, pattern)))
+def _avoiders(n: int, pattern: str) -> _Avoiders:
+    return _Avoiders(n, _avoider_records(n, pattern))
 
 
 def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
@@ -412,7 +451,7 @@ def enumerate_avoiders(n: int, pattern: str) -> Iterator[Perm]:
     ['123', '132', '213', '231', '312']
     """
     _require_class(n, pattern)
-    return iter(_avoider_list(n, pattern))
+    return iter(_avoiders(n, pattern))
 
 
 class _Record:

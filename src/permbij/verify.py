@@ -10,8 +10,8 @@ compares them on any iterable of permutations (tests/test_large_n.py runs
 every Sweep on seeded and extremal inputs up to its helpers.LARGEST_N),
 and each failure names its row under "row".  The whole-class checks,
 bijectivity-gamma, bijectivity-theta and catalan-counts, are n -> failures
-callables; the bijectivity checks rank each image in the cached S_n(132)
-and read collisions and misses off one slot per member.
+callables; the bijectivity checks rank each image in S_n(132) and read
+collisions and misses off one rank slot per member.
 
 run_suite sweeps n in the outer loop and the checks in the inner one.
 While it runs one n, the images of the default routes (maps.gamma,
@@ -28,13 +28,14 @@ theorem2-route; the first to reach a member fills its bytes from the full
 pipeline, if that template is exactly the staircase rsk._staircase redraws
 from them.  The memo is dropped before the next n, and a direct
 CHECKS[name](n) call outside run_suite is not memoized.  Beside the memo,
-and dropped with it, perm._VOUCHED holds the cached S_n(321) once the
+and dropped with it, perm._VOUCHED holds the packed S_n(321) once the
 first check to iterate it has validated every member in its timed call
 (else ()), and perm._SWEPT the member each sweep of it is at, with its
 rank (perm._publish).  One rule, perm._vouched_rank, ranks a word in that
 class for the validators, the memo and the Dyck table: the swept member
 at once, by identity, and any other word by perm._rank's bisection, which
-also ranks the images in S_n(132).
+also ranks the images in S_n(132).  No class is held as tuples: each is
+cut from the records as it is read.
 """
 from __future__ import annotations
 
@@ -49,8 +50,8 @@ from .perm import (
     PATTERNS,
     Perm,
     _Record,
-    _avoider_list,
     _avoider_records,
+    _avoiders,
     _jsonable,
     _require_class,
     catalan,
@@ -122,14 +123,14 @@ class Sweep:
 
 def _class_321(n: int) -> Iterator[Perm]:
     if perm._VOUCHED.get() == []:  # the first check to iterate the class validates it
-        members = _avoider_list(n, "321")
+        members = _avoiders(n, "321")
         valid = all(perm.is_permutation(p) and not perm._contains_321(p) for p in members)
         perm._VOUCHED.set(members if valid else ())
     # looked up at call time, so a patched enumerate_avoiders is honoured
-    return perm._publish(enumerate_avoiders(n, "321"))
+    return perm._publish(enumerate_avoiders, n)
 
 
-#: {route function: (array of ranks, the cached S_n(132)), (_dyck_template, n):
+#: {route function: (array of ranks, the records of S_n(132)), (_dyck_template, n):
 #: row widths} for the class run_suite is sweeping; None outside run_suite,
 #: so a direct CHECKS[name](n) call is unmemoized
 _MEMO: ContextVar[dict | None] = ContextVar("route_memo", default=None)
@@ -146,7 +147,7 @@ def _route(name: str) -> Callable[[Perm], Perm]:
             return fn(p)
         if fn not in memo:  # -1 marks a member not mapped yet
             from array import array  # here, so that importing permbij does not load array
-            memo[fn] = array("i", [-1]) * len(perm._VOUCHED.get()), _avoider_list(len(p), "132")
+            memo[fn] = array("i", [-1]) * len(perm._VOUCHED.get()), _avoiders(len(p), "132")
         slots, members = memo[fn]
         if slots[i] < 0:
             q = fn(p)
@@ -195,10 +196,13 @@ def _dyck_template(p: Perm) -> grid.Template:
 
 def _second_row_legs(p: Perm) -> grid.Template:
     # Lemma 1: the path template is made of diagonal inverted L's whose leg
-    # lengths are the bar-reflected tableau second rows.
+    # lengths are the bar-reflected tableau second rows.  A standard
+    # tableau's i-th second-row entry is at least 2i, so the i-th L ends by
+    # line n - i, in the grid.
     m = len(p) + 1
     ins, rec = rsk.rsk_tableaux(p)
-    return grid.diagonal_ls(m - 1, [(m - a, m - b) for a, b in zip(ins.row2, rec.row2)])
+    legs = [(m - a, m - b) for a, b in zip(ins.row2, rec.row2)]
+    return grid.Template._trusted(m - 1, *grid._diagonal_runs(legs))
 
 
 def _corner_rows(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -226,20 +230,29 @@ def _commutes_with_inverse(row: str, map_fn) -> Sweep:
 
 def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
     def run(n: int) -> Iterator[dict]:
-        members = _avoider_list(n, "132")
-        hit_by: list[Perm | None] = [None] * len(members)  # the latest input to hit each
+        from array import array
+        inputs, members = _avoiders(n, "321"), _avoiders(n, "132")
+        # per member, the rank in S_n(321) of the latest input to hit it, -1
+        # until hit; an input outside S_n(321) is kept in strays, at -2, -3, ...
+        hit_by, strays = array("i", [-1]) * len(members), []
         for p in _class_321(n):
             q = map_fn(p)
             i = perm._rank(q, members)
             if i < 0:
                 yield _failure(p, "an image avoiding 132", q)
                 continue
-            if hit_by[i] is not None:
-                yield _failure(p, "a fresh image", {"collides_with": _jsonable(hit_by[i])})
-            hit_by[i] = p
-        for missed, p in zip(members, hit_by):
-            if p is None:
-                yield _failure(missed, "hit by some 321-avoider", "not in image")
+            j = hit_by[i]
+            if j != -1:
+                earlier = inputs[j] if j >= 0 else strays[-2 - j]
+                yield _failure(p, "a fresh image", {"collides_with": _jsonable(earlier)})
+            j = perm._vouched_rank(p)
+            j = j if j >= 0 else perm._rank(p, inputs)
+            if j < 0:
+                strays.append(p)
+                j = -1 - len(strays)
+            hit_by[i] = j
+        for i in [i for i, j in enumerate(hit_by) if j == -1]:
+            yield _failure(members[i], "hit by some 321-avoider", "not in image")
 
     return run
 

@@ -94,3 +94,16 @@ def test_two_count_runs_at_a_small_n_read_alike(layers, monkeypatch):
     for fn in ("perm.is_permutation", "perm._contains_321"):
         assert sum(per_member.get(fn, 0) for per_member in rows.values()) == pytest.approx(1)
     assert rows["count.verify.theorem3"]["maps.theta_rsk"] == 1
+
+
+def test_memory_and_rank_rows_read_each_side_in_their_units(layers):
+    checkouts = {"parent": ROOT, "change": ROOT}
+    mem = layers.fresh_rows(checkouts, "mem.run_suite", "mb", 1, layers.MEM_SCRIPT, 4)
+    rank = layers.fresh_rows(checkouts, "perm._rank", "us", 1, layers.RANK_SCRIPT, 4, 3, 10)
+    for side in layers.SIDES:
+        (mem_row,), (rank_row,) = mem[side], rank[side]
+        assert (mem_row["layer"], mem_row["n"], mem_row["calls"]) == ("mem.run_suite", 4, 1)
+        assert 1 < mem_row["mb"] < 1000 and "ms" not in mem_row
+        # three passes over the whole class: S_4(132) has 14 members
+        assert (rank_row["layer"], rank_row["n"], rank_row["calls"]) == ("perm._rank", 4, 3)
+        assert 0 < rank_row["q1"] <= rank_row["us"] <= rank_row["q3"]

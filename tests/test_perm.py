@@ -375,6 +375,48 @@ def test_the_generating_tree_grows_the_recorded_records_and_blocks(
     assert hashlib.sha256(lengths).hexdigest() == blocks_digest
 
 
+class _Int(int):
+    """An int subclass: equal to its value, but not an exact int."""
+
+
+def _near_misses(member, pattern):
+    """Words equal to member, or agreeing with its bytes or key, that no class member is."""
+    n = len(member)
+    k = member.index(1)
+
+    def with_one(v):
+        return member[:k] + (v,) + member[k + 1 :]
+
+    words = [list(member), tuple(map(str, member)), member[:-1], member + (n + 1,), (0,) + member,
+             with_one(True), with_one(1.0), with_one(_Int(1)), with_one(-1),
+             with_one(17),  # the same low hex digit as 1, so the same key
+             with_one(1 + 256)]
+    if n >= 3:  # a permutation outside the class
+        words.append(tuple(range(n, 0, -1)) if pattern == "321" else (1, n, *range(2, n)))
+    return words
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("pattern", perm.PATTERNS)
+def test_rank_finds_members_and_nothing_else(n, pattern):
+    members = perm._avoiders(n, pattern)
+    assert len(members) == catalan(n)
+    # every member below n = 9; a first, middle and last one above
+    ranks = range(len(members)) if n < 9 else {0, len(members) // 2, len(members) - 1}
+    for i, member in enumerate(enumerate_avoiders(n, pattern)):
+        if i not in ranks:
+            continue
+        assert members[i] == member and {*map(type, members[i])} == {int}
+        fresh = tuple(list(member))  # equal to the member, but not cut from the records
+        assert perm._rank(fresh, members) == perm._rank(members[i], members) == i
+        for word in _near_misses(member, pattern):
+            assert perm._rank(word, members) == -1, word
+    assert perm._rank(fresh, None) == perm._rank(fresh, []) == perm._rank(fresh, ()) == -1
+    for i in (-1, len(members)):
+        with pytest.raises(IndexError):
+            members[i]
+
+
 def test_catalan_against_recurrence():
     # C_0 = 1, C_{m+1} = sum C_i C_{m-i}
     values = [1]

@@ -169,18 +169,18 @@ def test_check_report_json_round_trip():
 
 # --------------------------------------------------------------- route memo
 
-def _record_vouched_classes(monkeypatch) -> list[list]:
-    """The cached S_n(321) that run_suite reads to vouch for, one list per n, as it reads them."""
+def _record_vouched_classes(monkeypatch) -> list:
+    """The cached records of S_n(321) that run_suite reads to vouch for, one per n, as it reads them."""
     classes = []
-    read = verify._avoider_list
+    read = verify._avoiders
 
     def recorded(n, pattern):
-        words = read(n, pattern)
-        if pattern == "321":
-            classes.append(words)
-        return words
+        members = read(n, pattern)
+        if pattern == "321" and not any(members is seen for seen in classes):
+            classes.append(members)
+        return members
 
-    monkeypatch.setattr(verify, "_avoider_list", recorded)
+    monkeypatch.setattr(verify, "_avoiders", recorded)
     return classes
 
 
@@ -282,22 +282,22 @@ def test_memo_changes_no_verdict(faults, monkeypatch):
     validated = _count_validations(monkeypatch)
     classes = _record_vouched_classes(monkeypatch)
     memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(1, 6)]
-    # the class was vouched for, and is no longer: each member itself was
-    # validated once, and no other word
-    assert [len(words) for words in classes] == [catalan(n) for n in range(1, 7)]
+    classes = classes[:]  # as run_suite read them, before the direct calls below
+    # the class was vouched for, and is no longer: each member was
+    # validated once, in class order, and no other word
+    assert [len(members) for members in classes] == [catalan(n) for n in range(1, 7)]
     members = [p for words in classes for p in words]
-    ids = set(map(id, members))
-    assert sorted(id(w) for w in validated["is_permutation"] if id(w) in ids) == sorted(ids)
-    assert Counter(validated["is_permutation"]) == Counter(members)
+    assert validated["is_permutation"] == validated["_contains_321"] == members
     assert perm._VOUCHED.get() is None
     assert memoized == _direct_reports(1, 6)
     assert memoized == _direct_reports(1, 6, _run_on_the_class)
-    # a vouched-for list alone, without the memo, changes no verdict either
-    token = perm._VOUCHED.set(sorted(members))
-    try:
-        assert memoized == _direct_reports(1, 6)
-    finally:
-        perm._VOUCHED.reset(token)
+    # vouched-for records alone, without the memo, change no verdict either
+    for n, records in enumerate(classes, start=1):
+        token = perm._VOUCHED.set(records)
+        try:
+            assert [r for r in memoized if r[1] == n] == _direct_reports(n, n)
+        finally:
+            perm._VOUCHED.reset(token)
     failed = {check for check, _, _, failures in memoized if failures}
     for name in faults:
         if not name.startswith("rsk."):
@@ -500,19 +500,42 @@ def test_each_n_gets_a_fresh_memo(monkeypatch):
     assert len(set(map(id, memos))) == 3 and all(memos)
 
 
+@pytest.mark.parametrize("side", ["ins", "rec"])
+def test_a_leg_past_the_grid_never_passes_lemma1(side, monkeypatch):
+    # lemma1's legs side builds its template unchecked (grid.Template._trusted),
+    # which a standard tableau keeps in the grid.  A faulty rsk_tableaux
+    # whose second row reads (2, 1) instead pushes the second L's vertical
+    # (ins) or horizontal (rec) leg to line 5 of the 4x4 grid: the check
+    # then fails at that input or raises, whether run alone or in run_suite
+    tableaux = rsk.rsk_tableaux(PIPELINE_FAULT_AT)
+    k = ("ins", "rec").index(side)
+    faulty = list(tableaux)
+    faulty[k] = rsk.TwoRowTableau._trusted(tableaux[k].row1, (2, 1))
+    monkeypatch.setattr(rsk, "rsk_tableaux",
+                        _faulty_stage(rsk.rsk_tableaux, (PIPELINE_FAULT_AT,), tuple(faulty)))
+    legs = verify._second_row_legs(PIPELINE_FAULT_AT)
+    assert max(last for _, _, last in legs.row_runs + legs.col_runs) == 5
+    for run in (lambda: tuple(CHECKS["lemma1"](4)),
+                lambda: run_suite(4, 4, ["lemma1"])[0].failures):
+        try:
+            failures = run()
+        except (ValueError, IndexError):
+            continue
+        assert [f["input"] for f in failures] == [list(PIPELINE_FAULT_AT)]
+
+
 def test_memo_stores_only_class_members_canonically(monkeypatch):
     # theta sends (1, 2, 3) to each image in turn: a member image is kept as
-    # its rank in S_3(132) and read back as the cached member; any other
-    # image is passed on as the route returned it, and not kept
-    members = perm._avoider_list(3, "132")
-    member = next(q for q in members if q == (2, 3, 1))
-    fresh = tuple([2, 3, 1])  # equal to the cached member, but a fresh tuple
+    # its rank in S_3(132) and read back as that member, cut from the
+    # records at each read; any other image is passed on as the route
+    # returned it, and not kept
+    members = perm._avoiders(3, "132")
+    member = (2, 3, 1)
     odds = [(2.0, 3.0, 1.0), [2, 3, 1], (1, 3, 2), (2, True, 1), (4, 3, 2, 1)]
-    for image in [fresh, *odds]:
-        kept = image is fresh
+    for image in [tuple([2, 3, 1]), *odds]:
+        kept = type(image) is tuple and image == member and {*map(type, image)} == {int}
         rank = perm._rank(image, members)
-        assert image is not member
-        assert rank == (members.index(member) if kept else -1)
+        assert rank == (list(members).index(member) if kept else -1)
         calls, seen = [], []
         monkeypatch.setattr(maps, "theta", _counted(lambda p, image=image: image, calls))
 
@@ -530,19 +553,20 @@ def test_memo_stores_only_class_members_canonically(monkeypatch):
         first, again, memo = seen
         assert memo == {maps.theta: ([rank, -1, -1, -1, -1], members)}
         if kept:
-            assert first is again is member and len(calls) == 1
+            assert first == again == member and len(calls) == 1
+            assert image is not first is not again and {*map(type, first + again)} == {int}
         else:
             assert first is again is image and len(calls) == 2
 
 
-def test_a_cached_member_is_its_own_member_and_odd_tuples_are_none():
+def test_a_member_ranks_at_its_place_and_odd_tuples_are_none():
     for n in range(1, 7):
-        members = perm._avoider_list(n, "132")
-        for member in enumerate_avoiders(n, "132"):
-            assert members[perm._rank(member, members)] is member
-    # entries that do not compare with ints make no member and raise nothing
+        members = perm._avoiders(n, "132")
+        for i, member in enumerate(enumerate_avoiders(n, "132")):
+            assert perm._rank(member, members) == i and members[i] == member
+    # entries that are no ints make no member and raise nothing
     for odd in [("a", "b"), ("a", 2, 1), (1, "b", 2), ([2], [1]), (None,)]:
-        assert perm._rank(odd, perm._avoider_list(len(odd), "132")) == -1
+        assert perm._rank(odd, perm._avoiders(len(odd), "132")) == -1
 
 
 def test_a_float_image_is_not_a_member_of_the_class(monkeypatch):
@@ -583,6 +607,21 @@ def test_a_repeated_image_outside_the_class_fails_as_outside_each_time(monkeypat
     )
 
 
+def test_a_collision_names_an_earlier_input_from_outside_the_class(monkeypatch):
+    # the enumeration yields the list [2, 1, 3] before the member (2, 1, 3):
+    # both map to one image, and the collision names the list, which has no
+    # rank in S_3(321), as the enumeration yielded it
+    def with_a_list(n, pattern):
+        return iter([[2, 1, 3], *perm.enumerate_avoiders(n, pattern)])
+
+    monkeypatch.setattr(verify, "enumerate_avoiders", with_a_list)
+    expected = ({"input": [2, 1, 3], "expected": "a fresh image",
+                 "actual": {"collides_with": [2, 1, 3]}},)
+    assert tuple(CHECKS["bijectivity-theta"](3)) == expected
+    (report,) = run_suite(3, 3, ["bijectivity-theta"])
+    assert report.failures == expected
+
+
 # --------------------------------------------------------- validation index
 
 def _count_validations(monkeypatch) -> dict[str, list]:
@@ -599,9 +638,9 @@ def test_run_suite_validates_each_member_once_per_class(n, monkeypatch):
     calls = _count_validations(monkeypatch)
     assert all(r.passed for r in run_suite(n, n))
     members = list(enumerate_avoiders(n, "321"))
-    # per member: once itself, before the class is vouched for, and no more
+    # per member: once, in class order, before the class is vouched for, and no more
     for words in calls.values():
-        assert list(map(id, words)) == list(map(id, members))
+        assert words == members
 
 
 def test_direct_check_calls_validate_as_before(monkeypatch):
@@ -667,25 +706,27 @@ def test_a_cached_class_with_a_321_is_not_vouched_for(monkeypatch):
     members = list(enumerate_avoiders(6, "321"))
 
     def cached_with_321(n, pattern):
-        words = perm._avoider_list(n, pattern)
-        return words[:-1] + [(3, 2, 1, 4, 5, 6)] if (n, pattern) == (6, "321") else words
+        members = perm._avoiders(n, pattern)
+        if (n, pattern) != (6, "321"):
+            return members
+        return perm._Avoiders(n, [members.flat[:-n] + bytes((3, 2, 1, 4, 5, 6))])
 
-    monkeypatch.setattr(verify, "_avoider_list", cached_with_321)
+    monkeypatch.setattr(verify, "_avoiders", cached_with_321)
     assert _validations_inside_run_suite(members, monkeypatch, 6) == [(1, 1, None)] * len(members)
     memoized = [(r.check, r.n, r.cases, r.failures) for r in run_suite(6, 6)]
     assert memoized == _direct_reports(6, 6)
     assert perm._VOUCHED.get() is None
 
 
-def test_the_tuple_cache_keeps_the_two_classes_of_one_n():
+def test_the_records_cache_keeps_the_two_classes_of_one_n():
     run_suite(1, 5)
-    info = perm._avoider_list.cache_info()
+    info = perm._avoiders.cache_info()
     assert info.maxsize == info.currsize == 2
     for pattern in PATTERNS:  # the last n's two classes, and no others
         enumerate_avoiders(5, pattern)
-    assert perm._avoider_list.cache_info().hits == info.hits + 2
+    assert perm._avoiders.cache_info().hits == info.hits + 2
     enumerate_avoiders(4, "321")
-    assert perm._avoider_list.cache_info().misses == info.misses + 1
+    assert perm._avoiders.cache_info().misses == info.misses + 1
 
 
 def test_nothing_is_vouched_for_once_run_suite_returns_or_raises(monkeypatch):
@@ -716,11 +757,11 @@ def test_the_swept_member_is_ranked_without_a_bisection(monkeypatch):
         members = perm._VOUCHED.get()
         for i, p in enumerate(words):
             swept = perm._SWEPT.get()
-            assert swept[0] is members[i] is p and swept[1] == i
+            assert swept[0] is p == members[i] and swept[1] == i
             ranks.append((perm._vouched_rank(p), len(calls)))
             # an equal copy, and the member beside it, are bisected for
             ranks.append((perm._vouched_rank(tuple(list(p))), len(calls)))
-            ranks.append((perm._vouched_rank(members[i - 1]), len(calls)))
+            ranks.append((perm._vouched_rank(members[(i - 1) % len(members)]), len(calls)))
         assert perm._SWEPT.get() == [None, -1]
         return iter(())
 
@@ -743,7 +784,7 @@ def test_suites_in_separate_contexts_never_see_each_others_member(monkeypatch):
         words = verify._class_321(n)
         members = perm._VOUCHED.get()
         for i, p in enumerate(words):
-            seen.append((n, i, perm._vouched_rank(p), perm._SWEPT.get()[0] is members[i] is p))
+            seen.append((n, i, perm._vouched_rank(p), perm._SWEPT.get()[0] is p == members[i]))
             if n == 5 and i % 10 == 0:
                 contextvars.copy_context().run(run_suite, 4, 4, ["fact2"])
                 assert perm._VOUCHED.get() is members and perm._SWEPT.get() == [p, i]
@@ -771,8 +812,9 @@ def test_a_sweep_abandoned_at_the_failure_limit_leaves_no_rank(monkeypatch):
         swept, memo = perm._SWEPT.get(), verify._MEMO.get()
         seen.append((swept, list(swept), memo, sum(j >= 0 for j in memo[maps.theta][0])))
         words = verify._class_321(n)
-        next(words), next(words)
-        assert swept[0] is perm._VOUCHED.get()[1] and swept[1] == 1
+        next(words)
+        p = next(words)
+        assert swept[0] is p == perm._VOUCHED.get()[1] and swept[1] == 1
         del words  # a sweep dropped between two members
         assert swept == [None, -1]
         return iter(())
@@ -911,16 +953,50 @@ def test_a_class_needs_an_int_n(reader, n):
         reader(n, "321")
 
 
-def test_a_cold_stats_table_cuts_no_tuple():
+def test_a_cold_stats_table_caches_no_class():
     # in a fresh interpreter nothing is cached yet: the table is counted
-    # from the byte records, so the tuple cache stays empty
+    # from the byte records as they are grown, so the class cache stays empty
     script = """
 from permbij import perm, verify
 for pattern in perm.PATTERNS:
     print(verify.stats_table(9, pattern).total)
-print(perm._avoider_list.cache_info().currsize)
+print(perm._avoiders.cache_info().currsize)
 """
     assert helpers.run_python("-c", script).split() == [str(catalan(9)), str(catalan(9)), "0"]
+
+
+def test_run_suite_holds_the_classes_packed():
+    # the tracemalloc peak of run_suite(9, 9) in a fresh interpreter: about
+    # 0.63 MB with both classes held as packed records, 1.63 MB when they
+    # were cached as lists of tuples (1.17 MB of it those two lists)
+    script = """
+import tracemalloc
+from permbij import verify
+tracemalloc.start()
+reports = verify.run_suite(9, 9)
+print(all(r.passed for r in reports), tracemalloc.get_traced_memory()[1])
+"""
+    passed, peak = helpers.run_python("-c", script).split()
+    assert passed == "True" and int(peak) < 800_000, peak
+
+
+@pytest.mark.ci
+def test_every_check_at_the_cap_runs_in_under_45_mb():
+    # the peak RSS of run_suite(12, 12) in a fresh interpreter: about 31 MB
+    # on Linux with the classes as packed records, 82 MB when they were
+    # cached as lists of tuples.  A small launcher starts it, as a child's
+    # ru_maxrss starts from the high-water mark of the process it was
+    # spawned from, and this pytest process's is far above 45 MB
+    suite = f"""
+import resource
+from permbij import verify
+reports = verify.run_suite({ENUMERATION_CAP}, {ENUMERATION_CAP})
+print(all(r.passed for r in reports), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    launcher = ("import subprocess, sys; print(subprocess.run([sys.executable, '-c', sys.argv[1]], "
+                "capture_output=True, text=True, check=True).stdout)")
+    passed, peak_kb = helpers.run_python("-c", launcher, suite).split()
+    assert passed == "True" and int(peak_kb) < 45 * 1024, peak_kb
 
 
 def test_stat_table_json_round_trip():
