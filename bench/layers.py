@@ -8,9 +8,10 @@ interpreters; per-check timings of the exhaustive verifier, and its
 per-check calls into each library function; the peak memory of
 run_suite(n, n) and the cost of one class-membership lookup (perm._rank);
 the tier-1 test suite's wall time; and the line count of the library, for
-two checkouts side by side.
+two checkouts side by side.  --only measures a subset of the parts in
+PARTS; the line count is always written.
 
-    python bench/layers.py OUT.json PARENT [CHANGE]
+    python bench/layers.py OUT.json PARENT [CHANGE] [--only PART ...]
 
 measures the checkouts PARENT and CHANGE (default: this checkout) in
 turn, one measurement at a time, so that a drift in the host's speed
@@ -23,6 +24,13 @@ makes every timed row from its samples alike: their median in ms as
 "ms", their quartiles as "q1" and "q3", and their count as "calls".  The
 quartiles are statistics.quantiles' "inclusive" ones, which lie within
 the samples (the default method puts them outside for two samples).
+The change's timed rows also hold the paired ratio (timed_rows(),
+paired()): run i of the change over run i of the parent, which
+alternate() made one right after the other, each run read at the median
+of its samples, so a drift in the host's speed falls on both runs of a
+pair; the ratios' median is "ratio", their inclusive quartiles
+"ratio_q1" and "ratio_q3", and their count "pairs".  A row cannot
+resolve a change smaller than its ratio quartiles' spread.
 
 Every layer that layers() lists runs, at each n in SIZES up to the largest
 n that tests/helpers.LARGEST_N gives it, on one seeded uniform 321-avoider
@@ -133,6 +141,8 @@ RANK_PASSES = 5
 RANK_WORDS = 2000
 TIER1_RUNS = 2
 SIDES = ("parent", "change")
+#: the measurements, in the order main() makes them; --only names a subset
+PARTS = ("layers", "cold", "import", "mem", "rank", "suite", "count", "tier1")
 
 #: one run of a layer in a fresh interpreter: a JSON list of its sizes' rows
 LAYER_SCRIPT = """
@@ -357,16 +367,52 @@ def alternate(checkouts: dict[str, Path], runs: int, measure, start: int = 0) ->
     return samples
 
 
+def quartiles(samples: list[float]) -> tuple[float, float, float]:
+    """The inclusive quartiles and median of ``samples``: (q1, median, q3), all within them."""
+    q1, _, q3 = (
+        statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
+    )
+    return q1, statistics.median(samples), q3
+
+
 def timed_row(layer: str, samples: list[float], unit: str = "ms", **fields) -> dict:
     """
     The row of ``samples``, in ``unit`` (its key): their median, their
     inclusive quartiles and their count.
     """
-    q1, _, q3 = (
-        statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
-    )
-    return {"layer": layer, **fields, unit: round(statistics.median(samples), 4),
+    q1, median, q3 = quartiles(samples)
+    return {"layer": layer, **fields, unit: round(median, 4),
             "q1": round(q1, 4), "q3": round(q3, 4), "calls": len(samples)}
+
+
+def paired(parent_runs: list[list[float]], change_runs: list[list[float]]) -> dict:
+    """
+    The change/parent ratio of each pair of runs alternate() made together,
+    run i of each side, each run read at the median of its samples: the
+    ratios' median as "ratio", their inclusive quartiles as "ratio_q1" and
+    "ratio_q3", and their count as "pairs".  A pair whose parent run reads
+    0 has no ratio.
+    """
+    ratios = [statistics.median(change) / statistics.median(parent)
+              for parent, change in zip(parent_runs, change_runs) if statistics.median(parent)]
+    if not ratios:
+        return {}
+    q1, median, q3 = quartiles(ratios)
+    return {"ratio": round(median, 4), "ratio_q1": round(q1, 4), "ratio_q3": round(q3, 4),
+            "pairs": len(ratios)}
+
+
+def timed_rows(layer: str, runs: dict[str, list[list[float]]], unit: str = "ms",
+               **fields) -> dict[str, list[dict]]:
+    """
+    Row ``layer`` of each side from ``runs``, its samples grouped by run in
+    the order alternate() took them: timed_row() of all the side's samples,
+    and on the change's row the paired change/parent ratio (paired()).
+    """
+    rows = {side: [timed_row(layer, [x for run in side_runs for x in run], unit, **fields)]
+            for side, side_runs in runs.items()}
+    rows["change"][0].update(paired(runs["parent"], runs["change"]))
+    return rows
 
 
 def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
@@ -375,25 +421,30 @@ def layer_rows(checkouts: dict[str, Path], name: str) -> dict[str, list[dict]]:
         fresh_run(checkout, LAYER_SCRIPT, checkout / "src", ROOT / "bench", name)
     ))
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for side, side_runs in runs.items():
-        # every run takes the same sizes, so its rows line up by size
-        for first, *rest in zip(*side_runs):
-            if "skipped" in first:
+    # every run takes the same sizes, so its rows line up by size
+    for size_runs in zip(*(zip(*runs[side]) for side in SIDES)):
+        first = size_runs[0][0]
+        if "skipped" in first:
+            for side in SIDES:
                 rows[side].append({"layer": name, **first})
-            else:
-                times = [t * 1e3 for row in (first, *rest) for t in row["times"]]
-                rows[side].append(timed_row(name, times, n=first["n"]))
+            continue
+        size_rows = timed_rows(name, {
+            side: [[t * 1e3 for t in row["times"]] for row in side_size_runs]
+            for side, side_size_runs in zip(SIDES, size_runs)
+        }, n=first["n"])
+        for side in SIDES:
+            rows[side] += size_rows[side]
     return rows
 
 
 def cold_rows(checkouts: dict[str, Path], layer: str, call: str, n: int, pattern: str):
     """Row "<layer>.<pattern>" at n: COLD_RUNS cold runs per side of ``call`` at n and pattern."""
     module, function = layer.split(".")
-    samples = alternate(checkouts, COLD_RUNS, lambda checkout: float(fresh_run(
+    samples = alternate(checkouts, COLD_RUNS, lambda checkout: [float(fresh_run(
         checkout, COLD_SCRIPT, f"from permbij.{module} import {function}",
         call.format(n=n, pattern=pattern),
-    )))
-    return {side: [timed_row(f"{layer}.{pattern}", times, n=n)] for side, times in samples.items()}
+    ))])
+    return timed_rows(f"{layer}.{pattern}", samples, n=n)
 
 
 def fresh_rows(checkouts: dict[str, Path], layer: str, unit: str, runs: int, script: str,
@@ -401,8 +452,7 @@ def fresh_rows(checkouts: dict[str, Path], layer: str, unit: str, runs: int, scr
     """Row ``layer`` at n: the samples of ``runs`` fresh runs per side of ``script`` at n."""
     samples = alternate(checkouts, runs,
                         lambda checkout: json.loads(fresh_run(checkout, script, n, *args)))
-    return {side: [timed_row(layer, [x for run in side_runs for x in run], unit, n=n)]
-            for side, side_runs in samples.items()}
+    return timed_rows(layer, samples, unit, n=n)
 
 
 def import_rows(checkouts: dict[str, Path], module: str) -> dict[str, list[dict]]:
@@ -419,29 +469,33 @@ def import_rows(checkouts: dict[str, Path], module: str) -> dict[str, list[dict]
             if not dont_write:
                 for copy in copies.values():
                     fresh_run(copy, IMPORT_SCRIPT, module, env=env)
-            samples = alternate(copies, IMPORT_RUNS, lambda copy: float(
+            samples = alternate(copies, IMPORT_RUNS, lambda copy: [float(
                 fresh_run(copy, IMPORT_SCRIPT, module, env=env)
-            ))
-            for side, times in samples.items():
-                rows[side].append(timed_row(f"import.{module}", times, bytecode=bytecode))
+            )])
+            for side, side_rows in timed_rows(f"import.{module}", samples,
+                                              bytecode=bytecode).items():
+                rows[side] += side_rows
     return rows
 
 
 def suite_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
     runs = alternate(checkouts, SUITE_RUNS,
                      lambda checkout: json.loads(fresh_run(checkout, SUITE_SCRIPT, SUITE_N_MAX)))
-    rows: dict[str, list[dict]] = {}
+    # per (check, n) and side, one sample a run, in the order the runs were made
+    per_check: dict[tuple[str, int], dict[str, list[list[float]]]] = {}
     for side, side_runs in runs.items():
-        per_check: dict[tuple[str, int], list[float]] = {}
         for _, reports in side_runs:
             for check, n, ms in reports:
                 if n in SUITE_ROW_SIZES:
-                    per_check.setdefault((check, n), []).append(ms)
-        rows[side] = [
-            *(timed_row(f"verify.{check}", times, n=n)
-              for (check, n), times in sorted(per_check.items())),
-            timed_row("verify.run_suite", [t for t, _ in side_runs], n_min=1, n=SUITE_N_MAX),
-        ]
+                    per_check.setdefault((check, n), {s: [] for s in SIDES})[side].append([ms])
+    rows: dict[str, list[dict]] = {side: [] for side in SIDES}
+    parts = [timed_rows(f"verify.{check}", samples, n=n)
+             for (check, n), samples in sorted(per_check.items())]
+    totals = {side: [[t] for t, _ in side_runs] for side, side_runs in runs.items()}
+    parts.append(timed_rows("verify.run_suite", totals, n_min=1, n=SUITE_N_MAX))
+    for part in parts:
+        for side in SIDES:
+            rows[side] += part[side]
     return rows
 
 
@@ -469,11 +523,11 @@ def tier1_rows(checkouts: dict[str, Path]) -> dict[str, list[dict]]:
         return (time.perf_counter() - start) * 1e3, out.splitlines()[-1] if out else ""
 
     runs = alternate(checkouts, TIER1_RUNS, run)
-    return {
-        side: [{**timed_row("tier1.pytest", [ms for ms, _ in side_runs]),
-                "summary": side_runs[-1][1]}]
-        for side, side_runs in runs.items()
-    }
+    rows = timed_rows("tier1.pytest", {side: [[ms] for ms, _ in side_runs]
+                                       for side, side_runs in runs.items()})
+    for side, side_runs in runs.items():
+        rows[side][0]["summary"] = side_runs[-1][1]
+    return rows
 
 
 def main(argv=None) -> int:
@@ -482,6 +536,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout measured as the parent")
     parser.add_argument("change", type=Path, nargs="?", default=ROOT,
                         help="checkout measured as the change (default: this one)")
+    parser.add_argument("--only", nargs="+", choices=PARTS, default=PARTS, metavar="PART",
+                        help=f"measure only these parts, of {', '.join(PARTS)} (default: all)")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
@@ -494,16 +550,22 @@ def main(argv=None) -> int:
          range(1, ENUMERATION_CAP + 1)),
         ("verify.stats_table", "stats_table({n}, {pattern!r})", STATS_SIZES),
     )
-    # one {side: rows} per measurement, each measured as the loop below reaches it
-    parts = itertools.chain(
-        (layer_rows(checkouts, name) for name, _, _ in layers()),
-        (cold_rows(checkouts, layer, call, n, pattern)
-         for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
-        (import_rows(checkouts, module) for module in ("permbij", "permbij.cli")),
-        (fresh_rows(checkouts, "mem.run_suite", "mb", MEM_RUNS, MEM_SCRIPT, n) for n in MEM_SIZES),
-        (fresh_rows(checkouts, "perm._rank", "us", RANK_RUNS, RANK_SCRIPT, n, RANK_PASSES,
-                    RANK_WORDS) for n in RANK_SIZES),
-        (rows_of(checkouts) for rows_of in (suite_rows, count_rows, tier1_rows)),
+    # per part, one {side: rows} per measurement, each measured as the loop below reaches it
+    measurements = {
+        "layers": lambda: (layer_rows(checkouts, name) for name, _, _ in layers()),
+        "cold": lambda: (cold_rows(checkouts, layer, call, n, pattern)
+                         for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
+        "import": lambda: (import_rows(checkouts, module) for module in ("permbij", "permbij.cli")),
+        "mem": lambda: (fresh_rows(checkouts, "mem.run_suite", "mb", MEM_RUNS, MEM_SCRIPT, n)
+                        for n in MEM_SIZES),
+        "rank": lambda: (fresh_rows(checkouts, "perm._rank", "us", RANK_RUNS, RANK_SCRIPT, n,
+                                    RANK_PASSES, RANK_WORDS) for n in RANK_SIZES),
+        "suite": lambda: [suite_rows(checkouts)],
+        "count": lambda: [count_rows(checkouts)],
+        "tier1": lambda: [tier1_rows(checkouts)],
+    }
+    parts = itertools.chain.from_iterable(
+        measure() for part, measure in measurements.items() if part in args.only
     )
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for part in parts:
@@ -512,6 +574,8 @@ def main(argv=None) -> int:
                 unit = next((unit for unit in ("ms", "us", "mb") if unit in row), None)
                 figure = (f"{row[unit]:10.3f} {unit}" if unit else row.get("skipped")
                           or f"{len(row['calls_per_member'])} functions")
+                if "ratio" in row:
+                    figure += f"  x{row['ratio']:.3f} ({row['ratio_q1']:.3f}-{row['ratio_q3']:.3f})"
                 layer, n = row["layer"], row.get("n") or row.get("bytecode") or "-"
                 print(f"{side:7s}{layer:30s} n={n!s:<7s} {figure}", file=sys.stderr)
             rows[side] += side_rows
@@ -529,7 +593,11 @@ def main(argv=None) -> int:
             f"parent and change measured alternately, in the order parent, change, "
             f"change, parent and so on, each run in a fresh interpreter; every timed row: "
             f"median (ms), quartiles q1 and q3 by statistics.quantiles(method='inclusive'), "
-            f"which lie within the samples, and count (calls) of its samples; layer rows: "
+            f"which lie within the samples, and count (calls) of its samples; on the "
+            f"change's timed rows, the change/parent ratio of each pair of runs made "
+            f"together (run i of each side, each read at its samples' median): their "
+            f"median (ratio), inclusive quartiles (ratio_q1, ratio_q3) and count (pairs); "
+            f"layer rows: "
             f"the calls of {LAYER_RUNS} runs per side, each run up to {MAX_CALLS} calls per "
             f"size, fewer once they add up to {MIN_TOTAL_S} s, up to the largest n that "
             f"tests/helpers.LARGEST_N gives the layer, larger sizes skipped; verify.* rows: "
@@ -547,6 +615,7 @@ def main(argv=None) -> int:
         ),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "parts": list(args.only),
         "runs": {side: {"rows": side_rows} for side, side_rows in rows.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

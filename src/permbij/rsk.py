@@ -112,6 +112,17 @@ def rsk_tableaux(perm: Sequence[int]) -> tuple[TwoRowTableau, TwoRowTableau]:
     )
 
 
+def _tableaux_of(perm: Perm) -> tuple[TwoRowTableau, TwoRowTableau]:
+    # rsk_tableaux(perm), as this module holds it at the call, kept for the last tuple
+    # by identity: lemma1's two sides in verify start from one member's tableaux
+    if _LAST[0] is not perm or _LAST[1] is not rsk_tableaux or type(perm) is not tuple:
+        _LAST[:] = perm, rsk_tableaux, rsk_tableaux(perm)
+    return _LAST[2]
+
+
+_LAST = [None, None, None]  # the tuple, the rsk_tableaux called and its tableaux
+
+
 def _half_word(tableau: TwoRowTableau) -> str:
     steps = [DOWN] * tableau.size
     for i in tableau.row1:

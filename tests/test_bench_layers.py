@@ -107,3 +107,41 @@ def test_memory_and_rank_rows_read_each_side_in_their_units(layers):
         # three passes over the whole class: S_4(132) has 14 members
         assert (rank_row["layer"], rank_row["n"], rank_row["calls"]) == ("perm._rank", 4, 3)
         assert 0 < rank_row["q1"] <= rank_row["us"] <= rank_row["q3"]
+
+
+def test_the_change_row_holds_the_ratio_of_each_pair_of_runs(layers):
+    # runs made together: parent 2, 4, 10 and change 1, 3, 5, read at each run's median
+    runs = {"parent": [[2.0], [3.0, 4.0, 5.0], [10.0]], "change": [[1.0], [3.0], [4.0, 5.0, 6.0]]}
+    rows = layers.timed_rows("some.layer", runs, n=7)
+    parent, change = rows["parent"][0], rows["change"][0]
+    assert "ratio" not in parent and parent["calls"] == 5
+    assert change["calls"] == 5 and change["pairs"] == 3
+    # ratios 0.5, 0.75 and 0.5
+    assert (change["ratio_q1"], change["ratio"], change["ratio_q3"]) == (0.5, 0.5, 0.625)
+    assert layers.paired([[0.0]], [[1.0]]) == {}
+
+
+def test_layer_rows_pair_the_runs_at_each_size(layers, monkeypatch):
+    def fresh_run(checkout, script, src, bench, name):
+        ms = {"parent": 2e-3, "change": 1e-3}[checkout.name]
+        return json.dumps([{"n": 10, "times": [ms, ms]}, {"n": 100, "skipped": "too big"}])
+
+    monkeypatch.setattr(layers, "fresh_run", fresh_run)
+    monkeypatch.setattr(layers, "LAYER_RUNS", 3)
+    rows = layers.layer_rows({"parent": Path("parent"), "change": Path("change")}, "some.layer")
+    assert [row["ms"] for row in rows["parent"][:1] + rows["change"][:1]] == [2.0, 1.0]
+    assert (rows["change"][0]["ratio"], rows["change"][0]["pairs"]) == (0.5, 3)
+    assert rows["parent"][1] == rows["change"][1] == {"layer": "some.layer", "n": 100,
+                                                       "skipped": "too big"}
+
+
+def test_only_measures_the_parts_it_names(layers, monkeypatch, tmp_path):
+    monkeypatch.setattr(layers, "COUNT_SIZES", (3,))
+    out = tmp_path / "rows.json"
+    assert layers.main([str(out), str(ROOT), str(ROOT), "--only", "count"]) == 0
+    record = json.loads(out.read_text())
+    assert record["parts"] == ["count"]
+    for side in layers.SIDES:
+        names = {row["layer"] for row in record["runs"][side]["rows"]}
+        assert names == {"src.lines", "count.verify.run_suite",
+                         *(f"count.verify.{name}" for name in CHECKS)}

@@ -26,7 +26,9 @@ avoids and the linear three-pass oracle, and by the quadratic pair oracle
 up to n = 400), and the slid and flipped rc-template has the corner
 template's runs.  At n = 10^3 and 10^4 every builder's output must also
 pass the public constructors' checks unchanged, and the rebuilt copies
-must compare equal and hash alike.
+must compare equal and hash alike.  At its largest n, 30,000, each check
+that holds the up-down word's template against a diagonal-L builder passes
+on the seeded inputs and on every family without building a row mask.
 The ci cases, which only ``pytest -m ci`` runs, run every Sweep once more
 at its largest n, at most CI_MAX_N: each case runs only the Sweeps whose
 largest n it is (today theorem3 and fact3-route-agreement at 2000, the
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from permbij.grid import l_corners, rcl_corners
+from permbij.grid import Template, l_corners, rcl_corners
 from permbij.maps import (
     _least_132_rewrites,
     gamma,
@@ -260,3 +262,24 @@ def test_templates_realize_back_and_slide_flip_matches_theta_template_at_large_n
     slid, cornered = slide_flip_template(sigma), theta_template(sigma)
     assert sorted(slid.row_runs) == sorted(cornered.row_runs)
     assert sorted(slid.col_runs) == sorted(cornered.col_runs)
+
+
+#: the checks that hold the up-down word's template against a diagonal-L builder
+TEMPLATE_SWEEPS = ("lemma1", "theorem1-route", "theorem2-route")
+
+
+@pytest.mark.parametrize("case", [*SEEDS, *FAMILIES])
+def test_the_template_checks_build_no_row_mask_at_their_largest_n(case, monkeypatch):
+    # both sides are drawn as diagonal hooks with identical runs, so a
+    # passing compare never builds the Theta(n^2)-bit row masks; a failing
+    # one still does, which is why LARGEST_N keeps these checks at 30,000
+    def no_masks(self):
+        raise AssertionError("a passing template compare built row masks")
+
+    n = helpers.LARGEST_N["lemma1"]
+    assert {helpers.LARGEST_N[name] for name in TEMPLATE_SWEEPS} == {n}
+    sigma = (helpers.uniform_321_avoider(n, random.Random(f"{case}:{n}")) if case in SEEDS
+             else FAMILIES[case][0](n))
+    monkeypatch.setattr(Template, "_row_masks", no_masks)
+    for name in TEMPLATE_SWEEPS:
+        assert list(CHECKS[name].run_on([sigma])) == [], name

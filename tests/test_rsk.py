@@ -1,5 +1,6 @@
 import pytest
 
+from permbij import rsk
 from permbij.grid import Template
 from permbij.perm import avoids, bar, enumerate_avoiders
 from permbij.rsk import (
@@ -95,6 +96,29 @@ def test_rsk_shapes_agree_and_first_row_counts_upsteps():
             assert ins.shape == rec.shape
             word = dyck_from_tableaux(ins, rec)
             assert word[:n].count("u") == len(ins.row1)
+
+
+def test_the_tableaux_of_the_last_tuple_are_kept_for_the_insertion_at_the_call(monkeypatch):
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return rsk_tableaux(word)
+
+    monkeypatch.setattr(rsk, "rsk_tableaux", counted)
+    p = (2, 1, 4, 3)
+    # two reads of one tuple, as lemma1's two sides make, insert it once
+    assert rsk._tableaux_of(p) is rsk._tableaux_of(p)
+    assert calls == [p]
+    # an equal tuple is another tuple, and a list is never kept
+    rsk._tableaux_of(tuple(list(p)))
+    rsk._tableaux_of(list(p))
+    rsk._tableaux_of(list(p))
+    assert len(calls) == 4
+    # rsk_tableaux patched again is honoured for the very tuple last read
+    swapped = tuple(reversed(rsk_tableaux(p)))
+    monkeypatch.setattr(rsk, "rsk_tableaux", lambda word: swapped)
+    assert rsk._tableaux_of(p) == swapped
 
 
 # ------------------------------------------------------------- path words

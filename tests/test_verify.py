@@ -87,6 +87,74 @@ def test_template_checks_compare_without_square_sets(monkeypatch):
         assert list(CHECKS[name](6)) == []
 
 
+def _balanced_words(n, word="", ups=0, downs=0):
+    """Every balanced word of n u's and n d's, each prefix holding no more d's than u's."""
+    if downs == n:
+        yield word
+        return
+    if ups < n:
+        yield from _balanced_words(n, word + "u", ups + 1, downs)
+    if downs < ups:
+        yield from _balanced_words(n, word + "d", ups, downs + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_hook_redraw_shades_the_staircase_of_every_balanced_word(n):
+    words = list(_balanced_words(n))
+    assert len(words) == catalan(n)
+    for word in words:
+        staircase = rsk.template_from_dyck(word, n)
+        widths = [0] * n
+        for i, _, last in staircase.row_runs:
+            widths[i - 1] = last
+        hooks = verify._hooks(widths)
+        assert (hooks.n, hooks.shaded) == (n, staircase.shaded), word
+        # the Dyck table's n bytes draw the same runs
+        from_table = verify._hooks(bytes(widths))
+        assert (from_table.row_runs, from_table.col_runs) == (hooks.row_runs, hooks.col_runs)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_dyck_side_has_the_runs_of_the_sides_it_is_held_against(n):
+    for p in enumerate_avoiders(n, "321"):
+        dyck = verify._dyck_template(p)
+        for other in (maps.theta_template(p), maps.slide_flip_template(p),
+                      verify._second_row_legs(p)):
+            assert (other.n, other.row_runs, other.col_runs) == (
+                dyck.n, dyck.row_runs, dyck.col_runs
+            ), p
+
+
+def test_the_template_checks_pass_without_a_row_mask(monkeypatch):
+    # identical runs on both sides: Template.__eq__ never builds the masks
+    def no_masks(self):
+        raise AssertionError("a passing template compare built row masks")
+
+    monkeypatch.setattr(grid.Template, "_row_masks", no_masks)
+    reports = run_suite(1, 8, sorted(TEMPLATE_CHECKS))
+    assert len(reports) == 3 * 8 and all(r.passed for r in reports)
+
+
+def test_catalan_counts_read_the_records_and_count_a_patched_enumeration(monkeypatch):
+    def uncut(self):
+        yield pytest.fail("catalan-counts cut a member to count its class")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(perm._Avoiders, "__iter__", uncut)
+        for n in range(1, 11):
+            assert list(CHECKS["catalan-counts"](n)) == []
+    with pytest.raises(ValueError, match="outside 1..12"):
+        list(CHECKS["catalan-counts"](13))
+    # a patched enumeration is iterated, and its count is the one checked
+    def all_but_the_first(n, pattern):
+        return itertools.islice(perm.enumerate_avoiders(n, pattern), 1, None)
+
+    monkeypatch.setattr(verify, "enumerate_avoiders", all_but_the_first)
+    assert list(CHECKS["catalan-counts"](4)) == [
+        {"input": pattern, "expected": 14, "actual": 13} for pattern in PATTERNS
+    ]
+
+
 def test_cases_count_the_whole_class():
     for report in run_suite(2, 5, ["fact2", "bijectivity-gamma"]):
         assert report.cases == catalan(report.n)
@@ -393,9 +461,10 @@ def test_each_member_goes_through_the_dyck_pipeline_once_per_class(monkeypatch):
     calls = _count_pipeline_calls(monkeypatch)
     run_suite(1, 6)
     members = [p for n in range(1, 7) for p in enumerate_avoiders(n, "321")]
-    # rsk_tableaux: the first Dyck template, lemma1's legs, lemma3's second
-    # rows and theorem3's theta_rsk; the word: the first template and theta_rsk
-    assert Counter(calls["rsk_tableaux"]) == Counter(members * 4)
+    # rsk_tableaux: lemma1, whose legs and first Dyck template read one pair of
+    # tableaux, lemma3's second rows and theorem3's theta_rsk; the word: the
+    # first template and theta_rsk
+    assert Counter(calls["rsk_tableaux"]) == Counter(members * 3)
     # their arguments, the tableaux or the word, tell the members apart
     for stage in ("dyck_from_tableaux", "template_from_dyck"):
         counts = Counter(calls[stage])
@@ -644,13 +713,14 @@ def test_run_suite_validates_each_member_once_per_class(n, monkeypatch):
 
 
 def test_direct_check_calls_validate_as_before(monkeypatch):
-    # outside run_suite nothing is indexed: 26 and 20 calls per member at n = 6
+    # outside run_suite nothing is indexed: 25 and 20 calls per member at n = 6
+    # (lemma1's two sides read one rsk_tableaux, which checks its input)
     calls = _count_validations(monkeypatch)
     for name in sorted(CHECKS):
         list(CHECKS[name](6))
     assert perm._VOUCHED.get() is None
     assert (len(calls["is_permutation"]), len(calls["_contains_321"])) == (
-        26 * catalan(6), 20 * catalan(6)
+        25 * catalan(6), 20 * catalan(6)
     )
 
 
