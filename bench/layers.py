@@ -8,10 +8,9 @@ interpreters; per-check timings of the exhaustive verifier, and its
 per-check calls into each library function; the peak memory of
 run_suite(n, n) and the cost of one class-membership lookup (perm._rank);
 the tier-1 test suite's wall time; and the line count of the library, for
-two checkouts side by side.  --only measures a subset of the parts in
-PARTS; the line count is always written.
+two checkouts side by side.
 
-    python bench/layers.py OUT.json PARENT [CHANGE] [--only PART ...]
+    python bench/layers.py OUT.json PARENT [CHANGE]
 
 measures the checkouts PARENT and CHANGE (default: this checkout) in
 turn, one measurement at a time, so that a drift in the host's speed
@@ -141,8 +140,6 @@ RANK_PASSES = 5
 RANK_WORDS = 2000
 TIER1_RUNS = 2
 SIDES = ("parent", "change")
-#: the measurements, in the order main() makes them; --only names a subset
-PARTS = ("layers", "cold", "import", "mem", "rank", "suite", "count", "tier1")
 
 #: one run of a layer in a fresh interpreter: a JSON list of its sizes' rows
 LAYER_SCRIPT = """
@@ -536,8 +533,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout measured as the parent")
     parser.add_argument("change", type=Path, nargs="?", default=ROOT,
                         help="checkout measured as the change (default: this one)")
-    parser.add_argument("--only", nargs="+", choices=PARTS, default=PARTS, metavar="PART",
-                        help=f"measure only these parts, of {', '.join(PARTS)} (default: all)")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
@@ -550,22 +545,16 @@ def main(argv=None) -> int:
          range(1, ENUMERATION_CAP + 1)),
         ("verify.stats_table", "stats_table({n}, {pattern!r})", STATS_SIZES),
     )
-    # per part, one {side: rows} per measurement, each measured as the loop below reaches it
-    measurements = {
-        "layers": lambda: (layer_rows(checkouts, name) for name, _, _ in layers()),
-        "cold": lambda: (cold_rows(checkouts, layer, call, n, pattern)
-                         for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
-        "import": lambda: (import_rows(checkouts, module) for module in ("permbij", "permbij.cli")),
-        "mem": lambda: (fresh_rows(checkouts, "mem.run_suite", "mb", MEM_RUNS, MEM_SCRIPT, n)
-                        for n in MEM_SIZES),
-        "rank": lambda: (fresh_rows(checkouts, "perm._rank", "us", RANK_RUNS, RANK_SCRIPT, n,
-                                    RANK_PASSES, RANK_WORDS) for n in RANK_SIZES),
-        "suite": lambda: [suite_rows(checkouts)],
-        "count": lambda: [count_rows(checkouts)],
-        "tier1": lambda: [tier1_rows(checkouts)],
-    }
-    parts = itertools.chain.from_iterable(
-        measure() for part, measure in measurements.items() if part in args.only
+    # one {side: rows} per measurement, each measured as the loop below reaches it
+    parts = itertools.chain(
+        (layer_rows(checkouts, name) for name, _, _ in layers()),
+        (cold_rows(checkouts, layer, call, n, pattern)
+         for layer, call, sizes in cold for pattern in PATTERNS for n in sizes),
+        (import_rows(checkouts, module) for module in ("permbij", "permbij.cli")),
+        (fresh_rows(checkouts, "mem.run_suite", "mb", MEM_RUNS, MEM_SCRIPT, n) for n in MEM_SIZES),
+        (fresh_rows(checkouts, "perm._rank", "us", RANK_RUNS, RANK_SCRIPT, n, RANK_PASSES,
+                    RANK_WORDS) for n in RANK_SIZES),
+        (rows_of(checkouts) for rows_of in (suite_rows, count_rows, tier1_rows)),
     )
     rows: dict[str, list[dict]] = {side: [] for side in SIDES}
     for part in parts:
@@ -615,7 +604,6 @@ def main(argv=None) -> int:
         ),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "parts": list(args.only),
         "runs": {side: {"rows": side_rows} for side, side_rows in rows.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -120,14 +120,6 @@ def _published(members, swept):
         swept[0], swept[1] = None, -1
 
 
-def _count(enumerate_fn, n: int, pattern: str) -> int:
-    # the size of S_n(pattern) as enumerate_fn yields it: off the cached records for
-    # enumerate_avoiders, which checks n and pattern at the call, and by iterating any other
-    words = enumerate_fn(n, pattern)
-    own = enumerate_fn is enumerate_avoiders
-    return len(_avoiders(n, pattern)) if own else sum(1 for _ in words)
-
-
 def _rank(word, members: _Avoiders | None) -> int:
     """
     The class rank of word in the records members (_avoiders), or -1, at

@@ -8,9 +8,9 @@ third row (exactly those containing a 321-pattern) are rejected.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from operator import lt
+from operator import lt, neg
 
 from .grid import Template
 from .perm import Perm, _Record, require_permutation
@@ -113,14 +113,15 @@ def rsk_tableaux(perm: Sequence[int]) -> tuple[TwoRowTableau, TwoRowTableau]:
 
 
 def _tableaux_of(perm: Perm) -> tuple[TwoRowTableau, TwoRowTableau]:
-    # rsk_tableaux(perm), as this module holds it at the call, kept for the last tuple
-    # by identity: lemma1's two sides in verify start from one member's tableaux
-    if _LAST[0] is not perm or _LAST[1] is not rsk_tableaux or type(perm) is not tuple:
-        _LAST[:] = perm, rsk_tableaux, rsk_tableaux(perm)
-    return _LAST[2]
+    # rsk_tableaux(perm), kept for the last tuple by identity: lemma1's two sides read one
+    global _last
+    last = _last  # read once and rebound whole, so another thread's tableaux are never returned
+    if last[0] is not perm or last[1] is not rsk_tableaux or type(perm) is not tuple:
+        last = _last = perm, rsk_tableaux, rsk_tableaux(perm)
+    return last[2]
 
 
-_LAST = [None, None, None]  # the tuple, the rsk_tableaux called and its tableaux
+_last = None, None, None  # the tuple, the rsk_tableaux called and its tableaux
 
 
 def _half_word(tableau: TwoRowTableau) -> str:
@@ -200,3 +201,19 @@ def _staircase(n: int, widths: Iterable[int]) -> Template:
     """The template whose row i is one run from column 1, widths[i - 1] wide."""
     return Template._trusted(n, tuple([(i, 1, w) for i, w in enumerate(widths, start=1) if w]))
 
+
+def _widths(template: Template, n: int) -> list[int] | None:
+    # the row widths, non-rising, of the staircase that template shades, else None
+    if type(template) is Template:
+        widths = sorted([last for _, _, last in template.row_runs] + [0] * n, reverse=True)[:n]
+        if template == _staircase(n, widths):
+            return widths
+    return None
+
+
+def _hooks(widths: Sequence[int]) -> Template:
+    # _staircase of non-rising widths w as diagonal hooks, apart from grid._diagonal_runs:
+    # while w_i >= i, row i from column i to w_i, column i down to the last row >= i wide
+    row_runs = tuple([(i, i, w) for i, w in enumerate(widths, 1) if w >= i])
+    col_runs = tuple([(i, i, bisect_right(widths, -i, key=neg)) for i, _, _ in row_runs])
+    return Template._trusted(len(widths), row_runs, col_runs)

@@ -25,29 +25,26 @@ row widths of each member of S_n(321) in n bytes at its class rank
 (2.5 MB at n = 12), and never a tableau, template or corner list.
 _dyck_template alone reads it, on one side of lemma1, theorem1-route and
 theorem2-route; the first to reach a member fills its bytes from the full
-pipeline, if that template shades the staircase of those widths.  Every
-call draws that staircase as its diagonal hooks (_hooks), the run form of
-the other sides, so a passing compare builds no row mask; lemma1's two
-sides read one rsk._tableaux_of per member.  The memo is dropped before
-the next n, and a direct CHECKS[name](n) call outside run_suite is not
-memoized.
-Beside the memo, and dropped with it, perm._VOUCHED holds the packed
-S_n(321) once the first check to iterate it has validated every member in
-its timed call (else ()), and perm._SWEPT the member each sweep of it is
-at, with its rank (perm._publish).  One rule, perm._vouched_rank, ranks a
-word in that class for the validators, the memo and the Dyck table: the
-swept member at once, by identity, and any other word by perm._rank's
-bisection, which also ranks the images in S_n(132).  No class is held as
-tuples: each is cut from the records as it is read.
+pipeline, if that template shades the staircase of those widths.  Each
+call draws that staircase as its diagonal hooks (rsk._hooks), the run
+form of the other sides, so a passing compare builds no row mask.  The
+memo is dropped before the next n, and a direct CHECKS[name](n) call
+outside run_suite is not memoized.  Beside the memo, and dropped with it,
+perm._VOUCHED holds the packed S_n(321) once the first check to iterate
+it has validated every member in its timed call (else ()), and
+perm._SWEPT the member each sweep of it is at, with its rank
+(perm._publish).  One rule, perm._vouched_rank, ranks a word in that class
+for the validators, the memo and the Dyck table: the swept member at
+once, by identity, and any other word by perm._rank's bisection, which
+also ranks the images in S_n(132).  No class is held as tuples: each is
+cut from the records as it is read.
 """
 from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextvars import ContextVar
-from operator import neg
 
 from . import grid, maps, perm, rsk
 from .perm import (
@@ -186,27 +183,14 @@ def _dyck_template(p: Perm) -> grid.Template:
         if table is None:  # 0xFF marks a member not drawn yet
             table = memo[_dyck_template, n] = bytearray(b"\xff") * (n * len(perm._VOUCHED.get()))
         if table[at] != 0xFF:
-            return _hooks(table[at : at + n])
+            return rsk._hooks(table[at : at + n])
     template = rsk.template_from_dyck(rsk.dyck_from_tableaux(*rsk._tableaux_of(p)), n)
-    if type(template) is not grid.Template:
-        return template
-    # a template that shades the staircase of its row runs' widths, sorted, is
-    # redrawn as that staircase's hooks; any other is returned as drawn and fills no slot
-    widths = sorted([last for _, _, last in template.row_runs] + [0] * n, reverse=True)[:n]
-    if template != rsk._staircase(n, widths):
+    widths = rsk._widths(template, n)
+    if widths is None:  # no staircase: returned as drawn, and no slot is filled
         return template
     if at >= 0 and widths[0] < 0xFF:  # one byte a width, below an undrawn slot's 0xFF
         table[at : at + n] = bytes(widths)
-    return _hooks(widths)
-
-
-def _hooks(widths: Sequence[int]) -> grid.Template:
-    # The staircase of n widths w that never rise, as its diagonal hooks (not
-    # through grid._diagonal_runs): while w_i >= i, row i from column i to w_i
-    # and column i from row i to the last row at least i wide.
-    row_runs = tuple([(i, i, w) for i, w in enumerate(widths, 1) if w >= i])
-    col_runs = tuple([(i, i, bisect_right(widths, -i, key=neg)) for i, _, _ in row_runs])
-    return grid.Template._trusted(len(widths), row_runs, col_runs)
+    return rsk._hooks(widths)
 
 
 def _second_row_legs(p: Perm) -> grid.Template:
@@ -275,8 +259,9 @@ def _check_bijectivity(map_fn) -> Callable[[int], Iterator[dict]]:
 def _check_catalan_counts(n: int) -> Iterator[dict]:
     want = catalan(n)
     for pattern in PATTERNS:
-        # looked up at call time, so a patched enumerate_avoiders is iterated
-        count = perm._count(enumerate_avoiders, n, pattern)
+        # looked up at call time: the library's own is counted off its cached records
+        words, own = enumerate_avoiders(n, pattern), enumerate_avoiders is perm.enumerate_avoiders
+        count = len(_avoiders(n, pattern)) if own else sum(1 for _ in words)
         if count != want:
             yield _failure(pattern, want, count)
 

@@ -133,15 +133,3 @@ def test_layer_rows_pair_the_runs_at_each_size(layers, monkeypatch):
     assert (rows["change"][0]["ratio"], rows["change"][0]["pairs"]) == (0.5, 3)
     assert rows["parent"][1] == rows["change"][1] == {"layer": "some.layer", "n": 100,
                                                        "skipped": "too big"}
-
-
-def test_only_measures_the_parts_it_names(layers, monkeypatch, tmp_path):
-    monkeypatch.setattr(layers, "COUNT_SIZES", (3,))
-    out = tmp_path / "rows.json"
-    assert layers.main([str(out), str(ROOT), str(ROOT), "--only", "count"]) == 0
-    record = json.loads(out.read_text())
-    assert record["parts"] == ["count"]
-    for side in layers.SIDES:
-        names = {row["layer"] for row in record["runs"][side]["rows"]}
-        assert names == {"src.lines", "count.verify.run_suite",
-                         *(f"count.verify.{name}" for name in CHECKS)}

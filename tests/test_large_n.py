@@ -26,15 +26,16 @@ avoids and the linear three-pass oracle, and by the quadratic pair oracle
 up to n = 400), and the slid and flipped rc-template has the corner
 template's runs.  At n = 10^3 and 10^4 every builder's output must also
 pass the public constructors' checks unchanged, and the rebuilt copies
-must compare equal and hash alike.  At its largest n, 30,000, each check
-that holds the up-down word's template against a diagonal-L builder passes
-on the seeded inputs and on every family without building a row mask.
+must compare equal and hash alike.
 The ci cases, which only ``pytest -m ci`` runs, run every Sweep once more
 at its largest n, at most CI_MAX_N: each case runs only the Sweeps whose
 largest n it is (today theorem3 and fact3-route-agreement at 2000, the
 four template checks at 30,000, and the rest at 10^5), beside the route
 and oracle assertions, which every case makes.  A test fails when a Sweep
-has no such case, or CI stops running them.
+has no such case, or CI stops running them.  Also under ci, each check
+that holds the up-down word's template against a diagonal-L builder
+passes at its largest n, 30,000, on the seeded inputs and on every family
+without building a row mask.
 """
 import collections
 import importlib.util
@@ -268,6 +269,7 @@ def test_templates_realize_back_and_slide_flip_matches_theta_template_at_large_n
 TEMPLATE_SWEEPS = ("lemma1", "theorem1-route", "theorem2-route")
 
 
+@pytest.mark.ci
 @pytest.mark.parametrize("case", [*SEEDS, *FAMILIES])
 def test_the_template_checks_build_no_row_mask_at_their_largest_n(case, monkeypatch):
     # both sides are drawn as diagonal hooks with identical runs, so a

@@ -1,6 +1,8 @@
 import contextvars
 import itertools
 import json
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -107,10 +109,10 @@ def test_the_hook_redraw_shades_the_staircase_of_every_balanced_word(n):
         widths = [0] * n
         for i, _, last in staircase.row_runs:
             widths[i - 1] = last
-        hooks = verify._hooks(widths)
+        hooks = rsk._hooks(widths)
         assert (hooks.n, hooks.shaded) == (n, staircase.shaded), word
         # the Dyck table's n bytes draw the same runs
-        from_table = verify._hooks(bytes(widths))
+        from_table = rsk._hooks(bytes(widths))
         assert (from_table.row_runs, from_table.col_runs) == (hooks.row_runs, hooks.col_runs)
 
 
@@ -133,6 +135,30 @@ def test_the_template_checks_pass_without_a_row_mask(monkeypatch):
     monkeypatch.setattr(grid.Template, "_row_masks", no_masks)
     reports = run_suite(1, 8, sorted(TEMPLATE_CHECKS))
     assert len(reports) == 3 * 8 and all(r.passed for r in reports)
+
+
+def test_two_threads_running_lemma1_never_read_each_others_tableaux():
+    # rsk._tableaux_of keeps one slot for all threads; each call reads it
+    # once, so no thread switch (made frequent here by a tiny switch
+    # interval) can hand one thread the tableaux of the other's member,
+    # which is of another size and so would fail the compare
+    members = {n: list(enumerate_avoiders(n, "321")) for n in (6, 7)}
+    failures = {}
+
+    def run(n):
+        failures[n] = [f for _ in range(3) for f in CHECKS["lemma1"].run_on(members[n])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(n,)) for n in members]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == {6: [], 7: []}
 
 
 def test_catalan_counts_read_the_records_and_count_a_patched_enumeration(monkeypatch):
